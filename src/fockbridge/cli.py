@@ -184,6 +184,7 @@ def _cmd_expand(args):
 
 
 _SUITES = ("pieri", "du", "cauchy", "bf", "heisenberg", "converse")
+_NOTHING_CHECKED = "these bounds leave the suite nothing to check"
 
 
 def _cmd_verify(args):
@@ -204,6 +205,9 @@ def _cmd_verify(args):
             rep,
             d_max=args.dmax if args.dmax is not None else cap,
             k_max=args.kmax)
+        if not (rpt.commutation.checked or rpt.du.checked
+                or rpt.pieri.checked):
+            raise UsageError(_NOTHING_CHECKED)
         _emit(args, rpt.to_json_dict(), str(rpt))
         return 0 if rpt.passed else 1
 
@@ -224,6 +228,8 @@ def _cmd_verify(args):
         rpt = verify_bf(rep, dmax, ls)
     else:
         rpt = verify_heisenberg(rep, kmax, dmax)
+    if not rpt.checked:
+        raise UsageError(_NOTHING_CHECKED)
 
     lines = [str(rpt)]
     for inst, lhs, rhs in rpt.failures:

@@ -524,8 +524,11 @@ def load_bundle(source):
     else:
         with open(source) as fh:
             data = json.load(fh)
+    _require(isinstance(data, dict), "bundle must be a JSON object")
     for field in ("degree_step", "kmax", "dmax", "basis", "params", "U", "D"):
         _require(field in data, f"bundle missing field {field!r}")
+    for field in ("basis", "params", "U", "D"):
+        _require(isinstance(data[field], dict), f"{field} must be an object")
     m = data["degree_step"]
     kmax = data["kmax"]
     dmax = data["dmax"]
@@ -552,12 +555,18 @@ def load_bundle(source):
         _require(not params[k].is_zero, f"parameter a_{k} is zero")
 
     def read_matrix(side, k, d, nrows, ncols):
-        mat = data[side].get(str(k), {}).get(str(d))
+        block = data[side].get(str(k), {})
+        _require(isinstance(block, dict), f"{side}[{k}] must be an object")
+        mat = block.get(str(d))
         _require(mat is not None, f"{side}[{k}][{d}] missing")
-        _require(len(mat) == nrows, f"{side}[{k}][{d}] wants {nrows} rows")
+        _require(isinstance(mat, list) and len(mat) == nrows,
+                 f"{side}[{k}][{d}] wants a list of {nrows} rows")
         out = []
         for row in mat:
-            _require(len(row) == ncols, f"{side}[{k}][{d}] wants {ncols} cols")
+            _require(isinstance(row, list) and len(row) == ncols,
+                     f"{side}[{k}][{d}] wants rows of {ncols} cols")
+            _require(all(isinstance(x, str) for x in row),
+                     f"{side}[{k}][{d}] entries must be strings")
             try:
                 out.append([parse_scalar(x) for x in row])
             except ValueError as e:

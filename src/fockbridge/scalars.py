@@ -215,41 +215,6 @@ def _tq_prem(f, g):
     return r
 
 
-def _tq_quo(f, g):
-    # exact quotient f / g in (Z[q])[t], or None when g does not divide f
-    if not f:
-        return []
-    if len(f) < len(g):
-        return None
-    if len(g) > 1 and len(f) * max(len(r) for r in f) > 300:
-        return _tq_quo_packed(f, g)
-    dg = len(g) - 1
-    lg = g[-1]
-    out = [[] for _ in range(len(f) - dg)]
-    r = [list(x) for x in f]
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        try:
-            qc = _zq_divexact(r[-1], lg)
-        except ValueError:
-            return None
-        out[dr - dg] = qc
-        for i, gc in enumerate(g):
-            prod = _zq_mul(qc, gc)
-            if prod:
-                idx = dr - dg + i
-                cur = list(r[idx])
-                n = max(len(cur), len(prod))
-                cur += [0] * (n - len(cur))
-                for j, y in enumerate(prod):
-                    cur[j] -= y
-                r[idx] = _zq_trim(cur)
-        _tq_trim(r)
-    if r:
-        return None
-    return out
-
-
 def _heu_pack(f, zbits, tbits):
     # evaluate at q = 2^zbits, t = 2^tbits by nested Horner
     val = 0
@@ -312,9 +277,15 @@ def _heu_scan(f):
     return ci, h, n
 
 
-def _tq_quo_packed(f, g):
-    # quotient of the packed integer values; the digits are accepted only
-    # after the product reproduces f exactly, so a wrong guess never escapes
+def _tq_quo(f, g):
+    # exact quotient f / g in (Z[q])[t], or None when g does not divide f:
+    # the quotient of the packed integer values, whose digits are accepted
+    # only after the product reproduces f exactly, so a wrong guess never
+    # escapes
+    if not f:
+        return []
+    if len(f) < len(g):
+        return None
     dqf = max(len(r) for r in f) - 1
     dqg = max(len(r) for r in g) - 1
     dq_q = dqf - dqg
@@ -345,7 +316,7 @@ def _tq_quo_packed(f, g):
 
 
 def _tq_gcd_heu(f, g):
-    """Gcd by a single huge evaluation point, certified exactly.
+    """Gcd and cofactors by a single huge evaluation point, certified exactly.
 
     Pack both polynomials into integers at q = 2^zbits, t = 2^tbits, gcd the
     integers, and read the balanced base digits back as a candidate divisor.
@@ -356,6 +327,8 @@ def _tq_gcd_heu(f, g):
     only when it divides both inputs and the integer gcd of the cofactor
     values clears the same constancy threshold; failing that the bases grow
     and we retry, and the caller falls back to a remainder sequence.
+    Returns (gcd, f / gcd, g / gcd): the two exact quotients that certified
+    the candidate are the cofactors.
     """
     ci, hf, nf = _heu_scan(f)
     cj, hg, ng = _heu_scan(g)
@@ -382,33 +355,24 @@ def _tq_gcd_heu(f, g):
         gam = math.gcd(a, b)
         lim = 1 << (zbits - 2)
         if gam < lim:
-            return [[c0]]
+            return [[c0]], _tq_scale(f, ci // c0), _tq_scale(g, cj // c0)
         cand = _heu_unpack(gam, zbits, tbits)
         cc = _int_content(cand)
         if cc > 1:
             cand = [[c // cc for c in row] for row in cand]
-        if _tq_quo(f, cand) is not None and _tq_quo(g, cand) is not None:
+        qf = _tq_quo(f, cand)
+        qg = _tq_quo(g, cand) if qf is not None else None
+        if qg is not None:
             cv = gam // cc
             if math.gcd(a // cv, b // cv) < lim:
-                if c0 > 1:
-                    cand = [[c * c0 for c in row] for row in cand]
-                return cand
+                return (_tq_scale(cand, c0), _tq_scale(qf, ci // c0),
+                        _tq_scale(qg, cj // c0))
         zbits += (zbits >> 1) + 8
     return None
 
 
-def _tq_gcd(f, g):
-    if not f:
-        return g
-    if not g:
-        return f
-    if f == g:
-        return f
-    if len(f) > 1 and len(g) > 1:
-        res = _tq_gcd_heu(f, g)
-        if res is not None:
-            return res
-    return _tq_gcd_prs(f, g)
+def _tq_scale(f, n):
+    return f if n == 1 else [[c * n for c in row] for row in f]
 
 
 def _tq_gcd_prs(f, g):
@@ -618,6 +582,8 @@ class IntPoly:
         return k, self.terms[k]
 
     def shifted(self, dq, dt):
+        if not (dq or dt):
+            return self
         p = IntPoly.__new__(IntPoly)
         p.terms = {(a + dq, b + dt): c for (a, b), c in self.terms.items()}
         p._hash = None
@@ -647,34 +613,62 @@ class IntPoly:
         return p
 
     def gcd(self, other):
-        if not self.terms:
-            return other._pos_leading()
-        if not other.terms:
-            return self._pos_leading()
-        if self.terms == other.terms:
-            return self._pos_leading()
+        return self.cofactors(other)[0]
+
+    def cofactors(self, other):
+        """(g, self / g, other / g) for g = gcd(self, other).
+
+        g has a positive lex-leading coefficient; gcd(0, 0) is 0, with zero
+        cofactors.
+        """
+        if not self.terms or not other.terms or self.terms == other.terms:
+            p = self if self.terms else other
+            g = p._pos_leading()
+            u = _POLY_ONE if g is p else IntPoly.const(-1)
+            return (g, u if self.terms else _POLY_ZERO,
+                    u if other.terms else _POLY_ZERO)
         if self.is_one or other.is_one:
-            return _POLY_ONE
+            return _POLY_ONE, self, other
+        if self.is_constant and other.is_constant:
+            x, y = self.terms[(0, 0)], other.terms[(0, 0)]
+            c = math.gcd(x, y)
+            if c == 1:
+                return _POLY_ONE, self, other
+            return IntPoly.const(c), IntPoly.const(x // c), IntPoly.const(y // c)
         key = (self, other)
-        hit = _GCD_MEMO.get(key)
-        if hit is not None:
-            return hit
-        aq, at = self.min_degrees()
-        bq, bt = other.min_degrees()
-        mq, mt = min(aq, bq), min(at, bt)
-        a = self.shifted(-aq, -at) if (aq or at) else self
-        b = other.shifted(-bq, -bt) if (bq or bt) else other
-        if a.is_constant or b.is_constant:
-            g = IntPoly.monomial(mq, mt, math.gcd(a.content(), b.content()))
-        else:
-            g = IntPoly._from_tq(_tq_gcd(a._to_tq(), b._to_tq()))
-            if (g.lex_leading()[1]) < 0:
-                g = -g
-            if mq or mt:
-                g = g.shifted(mq, mt)
-        if len(_GCD_MEMO) < _GCD_MEMO_LIMIT:
-            _GCD_MEMO[key] = g
-        return g
+        g = _GCD_MEMO.get(key)
+        ca = cb = None
+        if g is None:
+            aq, at = self.min_degrees()
+            bq, bt = other.min_degrees()
+            mq, mt = min(aq, bq), min(at, bt)
+            a, b = self.shifted(-aq, -at), other.shifted(-bq, -bt)
+            if not (a.is_constant or b.is_constant):
+                f, h = a._to_tq(), b._to_tq()
+                res = _tq_gcd_heu(f, h) if len(f) > 1 and len(h) > 1 else None
+                gt = _tq_gcd_prs(f, h) if res is None else res[0]
+                if len(gt) > 1 or len(gt[0]) > 1:
+                    g = IntPoly._from_tq(gt)
+                    if res is None:
+                        ca, cb = a.divexact(g), b.divexact(g)
+                    else:
+                        ca, cb = (IntPoly._from_tq(res[1]),
+                                  IntPoly._from_tq(res[2]))
+                    if g.lex_leading()[1] < 0:
+                        g, ca, cb = -g, -ca, -cb
+                    g = g.shifted(mq, mt)
+                    ca = ca.shifted(aq - mq, at - mt)
+                    cb = cb.shifted(bq - mq, bt - mt)
+            if g is None:
+                g = IntPoly.monomial(mq, mt, math.gcd(a.content(), b.content()))
+            if len(_GCD_MEMO) < _GCD_MEMO_LIMIT:
+                _GCD_MEMO[key] = g
+        if ca is None:
+            # a memo hit or a monomial gcd: divide by it
+            if g.is_one:
+                return g, self, other
+            ca, cb = self.divexact(g), other.divexact(g)
+        return g, ca, cb
 
     def _pos_leading(self):
         if self.terms and self.lex_leading()[1] < 0:
@@ -820,16 +814,11 @@ class Scalar:
         a, b, c, d = self.num, self.den, other.num, other.den
         if b.is_one and d.is_one:
             return _signfix(a + c, _POLY_ONE)
-        g0 = b.gcd(d)
-        if g0.is_one:
-            return _signfix(a * d + c * b, b * d)
-        b1 = b.divexact(g0)
-        d1 = d.divexact(g0)
+        g0, b1, d1 = b.cofactors(d)
         num = a * d1 + c * b1
-        g1 = num.gcd(g0)
-        if not g1.is_one:
-            num = num.divexact(g1)
-            g0 = g0.divexact(g1)
+        if g0.is_one:
+            return _signfix(num, b1 * d1)
+        _, num, g0 = num.cofactors(g0)
         return _signfix(num, g0 * b1 * d1)
 
     __radd__ = __add__
@@ -857,14 +846,8 @@ class Scalar:
             return ZERO
         if b.is_one and d.is_one:
             return Scalar._raw(a * c, _POLY_ONE)
-        g1 = a.gcd(d)
-        if not g1.is_one:
-            a = a.divexact(g1)
-            d = d.divexact(g1)
-        g2 = c.gcd(b)
-        if not g2.is_one:
-            c = c.divexact(g2)
-            b = b.divexact(g2)
+        _, a, d = a.cofactors(d)
+        _, c, b = c.cofactors(b)
         return _signfix(a * c, b * d)
 
     __rmul__ = __mul__
@@ -929,10 +912,7 @@ class Scalar:
 def _reduce(num, den):
     if num.is_zero:
         return _POLY_ZERO, _POLY_ONE
-    g = num.gcd(den)
-    if not g.is_one:
-        num = num.divexact(g)
-        den = den.divexact(g)
+    _, num, den = num.cofactors(den)
     return _signfix_pair(num, den)
 
 
@@ -1051,10 +1031,9 @@ class _Parser:
         base = self.parse_atom()
         if self.peek() == "^":
             self.take()
-            kind, val = self.take()
-            if kind != "int":
+            if self.peek() != "int":
                 raise ValueError("exponent must be an integer")
-            return base ** val
+            return base ** self.take()[1]
         return base
 
     def parse_atom(self):
@@ -1077,7 +1056,10 @@ class _Parser:
 def parse_scalar(text):
     """Parse the textual scalar grammar into a canonical Scalar."""
     parser = _Parser(_tokenize(text))
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except ZeroDivisionError:
+        raise ValueError("division by zero in scalar expression") from None
     if parser.pos != len(parser.tokens):
         raise ValueError("trailing input in scalar expression")
     return value

@@ -9,7 +9,6 @@ generators and <p_lam, p_mu> = z_lam delta.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 from .partitions import (
@@ -174,27 +173,24 @@ class TransitionCache:
     """Caches per-degree expansions into m and their exact inverses."""
 
     def __init__(self):
-        self._lock = threading.RLock()
         self._to_m = {}
         self._from_m = {}
 
     def to_m(self, basis, d):
         key = (basis, d)
-        with self._lock:
-            hit = self._to_m.get(key)
-            if hit is None:
-                hit = _build_to_m(basis, d)
-                self._to_m[key] = hit
-            return hit
+        hit = self._to_m.get(key)
+        if hit is None:
+            hit = _build_to_m(basis, d)
+            self._to_m[key] = hit
+        return hit
 
     def from_m(self, basis, d):
         key = (basis, d)
-        with self._lock:
-            hit = self._from_m.get(key)
-            if hit is None:
-                hit = _invert_rows(self.to_m(basis, d), d)
-                self._from_m[key] = hit
-            return hit
+        hit = self._from_m.get(key)
+        if hit is None:
+            hit = _invert_rows(self.to_m(basis, d), d)
+            self._from_m[key] = hit
+        return hit
 
 
 _CACHE = TransitionCache()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from fockbridge.cli import main
-from fockbridge.heisenberg import rep_to_bundle
+from fockbridge.heisenberg import BundleFormatError, load_bundle, rep_to_bundle
 from fockbridge.reps import fermionic_rep
 from fockbridge.scalars import ONE, Q, T
 
@@ -93,6 +93,14 @@ class TestExpand:
         assert rc == 2
         assert "unknown rep" in err
 
+    @pytest.mark.parametrize("value", ["q^", "2^", "(1+q)^", "1/0"])
+    def test_dangling_exponent_spec_exits_two(self, capsys, value):
+        rc, out, err = run_cli(capsys, "expand", "--rep", "macdonald",
+                               "--shape", "[1]", "--spec", f"q={value}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_pieri_macdonald(self, capsys):
@@ -130,6 +138,28 @@ class TestVerify:
         rc, _, _ = run_cli(capsys, "verify", "heisenberg", "--rep", "llt1:2",
                            "--kmax", "1", "--dmax", "4")
         assert rc == 0
+
+    @pytest.mark.parametrize("suite, bounds", [
+        ("pieri", ("--dmax", "-1")),
+        ("heisenberg", ("--kmax", "0")),
+        ("du", ("--abmax", "0")),
+        ("bf", ("--lmax", "0")),
+        ("cauchy", ("--dmax", "-1")),
+    ])
+    def test_nothing_to_check_exits_two(self, capsys, suite, bounds):
+        rc, out, err = run_cli(capsys, "verify", suite, "--rep", "fermionic",
+                               *bounds)
+        assert rc == 2
+        assert "pass" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_converse_nothing_to_check_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps(rep_to_bundle(fermionic_rep(), 2, 2)))
+        rc, out, err = run_cli(capsys, "verify", "converse",
+                               "--rep", f"bundle:{p}", "--kmax", "0")
+        assert rc == 2
+        assert "error:" in err
 
     def test_dmax_over_cap(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "du", "--rep", "fermionic",
@@ -179,6 +209,38 @@ class TestBundleHandling:
         rc, _, err = run_cli(capsys, "verify", "du", "--rep", f"bundle:{path}")
         assert rc == 2
         assert "missing field" in err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda b: b.update(basis=[]),
+        lambda b: b.update(params=["1"]),
+        lambda b: b.update(U=[]),
+        lambda b: b.update(D="x"),
+        lambda b: b["U"].update({"1": []}),
+        lambda b: b["U"]["1"].update({"0": "1"}),
+        lambda b: b["U"]["1"]["0"].__setitem__(0, "1"),
+        lambda b: b["U"]["1"]["0"][0].__setitem__(0, 1),
+        lambda b: b["D"]["1"]["1"][0].__setitem__(0, None),
+        lambda b: b["params"].update({"1": "q^"}),
+        lambda b: b["params"].update({"2": "1/0"}),
+        lambda b: b["U"]["1"]["0"][0].__setitem__(0, "(1+q)^"),
+    ])
+    def test_wrong_types_exit_two(self, capsys, bundle_path, mutate):
+        bundle = rep_to_bundle(fermionic_rep(), 3, 3)
+        mutate(bundle)
+        with pytest.raises(BundleFormatError):
+            load_bundle(bundle)
+        path = bundle_path(mutate)
+        rc, out, err = run_cli(capsys, "verify", "converse",
+                               "--rep", f"bundle:{path}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_object_bundle_exits_two(self, capsys, bundle_path):
+        path = bundle_path(text="[]")
+        rc, _, err = run_cli(capsys, "verify", "du", "--rep", f"bundle:{path}")
+        assert rc == 2
+        assert err.startswith("error:")
 
     def test_missing_file_exits_two(self, capsys):
         rc, _, _ = run_cli(capsys, "verify", "du", "--rep", "bundle:/no/such.json")

@@ -4,12 +4,15 @@ The independent oracle here evaluates scalars at integer points with
 fractions.Fraction, bypassing all of the polynomial gcd machinery.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockbridge.scalars import (
+    _tq_gcd_heu,
+    _tq_gcd_prs,
     IntPoly,
     Scalar,
     SpecializationPoleError,
@@ -119,7 +122,8 @@ class TestCanonical:
             assert parse_scalar(str(s)) == s
 
     def test_parse_rejects_garbage(self):
-        for bad in ["q +", "(1", "1..2", "x", "q^t", "2 3"]:
+        for bad in ["q +", "(1", "1..2", "x", "q^t", "2 3", "q^", "2^", "(1+q)^",
+                    "1/0", "q/(t-t)"]:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
@@ -224,3 +228,90 @@ def test_matches_fraction_oracle(a, b):
             if got is None or want is None:
                 continue
             assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the gcd core on Macdonald-shaped inputs: products of (1 - q^a t^b) with
+# integer multipliers and monomial shifts, as in the b_lam and a_k factors
+
+def macdonald_shaped(rng, factors=4):
+    p = IntPoly.const(rng.choice([1, -1, 2, -3, 6, 12]))
+    for _ in range(rng.randint(0, factors)):
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        p = p * IntPoly({(0, 0): 1, (a, b): -1})
+    return p.shifted(rng.randint(0, 2), rng.randint(0, 2))
+
+
+def shaped_pairs(count, seed=7):
+    # pairs that share a random common factor, so most gcds are nontrivial
+    rng = random.Random(seed)
+    for _ in range(count):
+        common = macdonald_shaped(rng, 3)
+        yield (common * macdonald_shaped(rng), common * macdonald_shaped(rng))
+
+
+class TestCofactors:
+    def test_invariants(self):
+        nontrivial = 0
+        for a, b in shaped_pairs(150):
+            g, ca, cb = a.cofactors(b)
+            assert g * ca == a and g * cb == b
+            assert ca.gcd(cb).is_one
+            assert g.lex_leading()[1] > 0
+            nontrivial += not g.is_constant
+        assert nontrivial > 100
+
+    def test_degenerate_pairs(self):
+        p = IntPoly({(1, 0): -2, (0, 1): 4})
+        zero = IntPoly()
+        assert p.cofactors(zero) == (-p, IntPoly.const(-1), zero)
+        assert zero.cofactors(p) == (-p, zero, IntPoly.const(-1))
+        assert p.cofactors(p) == (-p, IntPoly.const(-1), IntPoly.const(-1))
+        assert zero.cofactors(zero) == (zero, zero, zero)
+        six, four = IntPoly.const(6), IntPoly.const(-4)
+        assert six.cofactors(four) == (IntPoly.const(2), IntPoly.const(3),
+                                        IntPoly.const(-2))
+        assert p.cofactors(four) == (IntPoly.const(2),
+                                     IntPoly({(1, 0): -1, (0, 1): 2}),
+                                     IntPoly.const(-2))
+
+    def test_heuristic_agrees_with_prs(self):
+        checked = 0
+        for a, b in shaped_pairs(80, seed=11):
+            aq, at = a.min_degrees()
+            bq, bt = b.min_degrees()
+            f = a.shifted(-aq, -at)._to_tq()
+            h = b.shifted(-bq, -bt)._to_tq()
+            if len(f) < 2 or len(h) < 2:
+                continue
+            res = _tq_gcd_heu(f, h)
+            assert res is not None
+            g_heu, cf, ch = (IntPoly._from_tq(x) for x in res)
+            g_prs = IntPoly._from_tq(_tq_gcd_prs(f, h))
+            assert g_heu in (g_prs, -g_prs)
+            assert g_heu * cf == IntPoly._from_tq(f)
+            assert g_heu * ch == IntPoly._from_tq(h)
+            checked += 1
+        assert checked > 40
+
+    def test_divexact_rejects_non_divisor(self):
+        one_minus_q = IntPoly({(0, 0): 1, (1, 0): -1})
+        one_minus_t = IntPoly({(0, 0): 1, (0, 1): -1})
+        p = one_minus_q * one_minus_q * IntPoly({(0, 0): 1, (1, 1): -1})
+        assert p.divexact(one_minus_q) * one_minus_q == p
+        for bad in [one_minus_t, IntPoly.const(2), IntPoly.monomial(0, 1),
+                    one_minus_q * one_minus_t, p * one_minus_q]:
+            with pytest.raises(ValueError):
+                p.divexact(bad)
+
+    def test_gcd_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        q, t = sympy.symbols("q t")
+
+        def to_sympy(p):
+            return sum(c * q**dq * t**dt for (dq, dt), c in p.terms.items())
+
+        for a, b in shaped_pairs(40, seed=3):
+            want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), q, t)
+            got = sympy.Poly(to_sympy(a.gcd(b)), q, t)
+            assert got in (want, -want), (a, b)
