@@ -195,6 +195,12 @@ def _cmd_verify(args):
     dmax = args.dmax if args.dmax is not None else (3 if args.suite == "bf" else 4)
     if dmax > cap:
         raise UsageError(f"--dmax {dmax} exceeds degree cap {cap}")
+    if args.suite == "cauchy":
+        # a symmetric function of degree <= cap is determined by cap variables
+        for flag, n in (("--xvars", args.xvars), ("--yvars", args.yvars)):
+            if not 1 <= n <= cap:
+                raise UsageError(
+                    f"{flag} {n} must be between 1 and the degree cap {cap}")
 
     if args.suite == "converse":
         if not isinstance(rep, BundleRep):

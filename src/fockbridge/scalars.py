@@ -7,6 +7,7 @@ form.  No floating point enters at any stage.
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -76,16 +77,6 @@ def _zq_prem(a, b):
     return r
 
 
-def _zq_div_int(a, n):
-    out = []
-    for x in a:
-        v, rem = divmod(x, n)
-        if rem:
-            raise ValueError("inexact polynomial division")
-        out.append(v)
-    return out
-
-
 def _zq_pow(a, n):
     out = [1]
     while n:
@@ -121,7 +112,7 @@ def _zq_gcd(a, b):
                 break
             divisor = gl * h ** delta
             if divisor != 1:
-                pb = _zq_div_int(pb, divisor)
+                pb = _zq_divexact(pb, [divisor])
             gl = pa[-1]
             if delta == 1:
                 h = gl
@@ -250,16 +241,6 @@ def _heu_unpack(n, zbits, tbits):
     return rows
 
 
-def _int_content(f):
-    ci = 0
-    for row in f:
-        for c in row:
-            ci = math.gcd(ci, c)
-            if ci == 1:
-                return 1
-    return ci
-
-
 def _heu_scan(f):
     # integer content, height, and term count in one pass
     ci = 0
@@ -357,7 +338,7 @@ def _tq_gcd_heu(f, g):
         if gam < lim:
             return [[c0]], _tq_scale(f, ci // c0), _tq_scale(g, cj // c0)
         cand = _heu_unpack(gam, zbits, tbits)
-        cc = _int_content(cand)
+        cc = _heu_scan(cand)[0]
         if cc > 1:
             cand = [[c // cc for c in row] for row in cand]
         qf = _tq_quo(f, cand)
@@ -509,6 +490,8 @@ class IntPoly:
             a, b = b, a
         if len(a) == 1:
             (da, ta), ca = next(iter(a.items()))
+            if ca == 1 and not (da or ta):          # a factor 1: no copy
+                return self if b is self.terms else other
             p = IntPoly.__new__(IntPoly)
             p.terms = {(da + db, ta + tb): ca * cb for (db, tb), cb in b.items()}
             p._hash = None
@@ -740,6 +723,162 @@ def _poly_str(p):
     return out
 
 
+# ---------------------------------------------------------------------------
+# factored denominators.  The Macdonald operators divide only by q, t and
+# binomials 1 - q^a t^b, so their denominators are an integer times a product
+# of irreducibles q, t and Phi_d(q^a t^b) with gcd(a, b) = 1 (Macdonald, ch.
+# VI §6).  A Scalar whose den factors so carries fac = (c, ((fid, e), ...)),
+# den = c * prod _FACTORS[fid]^e; its add and mul need only exponent minima
+# and trial division, and the generic gcd runs when an operand's fac is None.
+
+def _probe(p, _pows=([1], [1])):
+    # p at q = 1000003, t = 1000033, where no factor vanishes (|q^a t^b| >
+    # 1): f | p in Z[q, t] implies _probe(f) | _probe(p) in Z.  The power
+    # tables stop at 256: to degree D they would hold about 10 D^2 bits.
+    xs, ys = _pows
+    for i, j in p.terms:
+        if i > 256 or j > 256:
+            return sum(c * 1000003 ** i * 1000033 ** j
+                       for (i, j), c in p.terms.items())
+        while i >= len(xs):
+            xs.append(xs[-1] * 1000003)
+        while j >= len(ys):
+            ys.append(ys[-1] * 1000033)
+    return sum(c * xs[i] * ys[j] for (i, j), c in p.terms.items())
+
+
+_FACTORS = [IntPoly.monomial(1, 0), IntPoly.monomial(0, 1)]  # fid 0 q, 1 t
+_FACTOR_IDS = {f: i for i, f in enumerate(_FACTORS)}
+_FACTOR_VALS = [_probe(f) for f in _FACTORS]
+_EXPANSIONS = {}                  # fac -> den
+_UNIT = (1, ())
+
+
+@functools.cache
+def _cyclotomic(d):
+    # Phi_d as a dense coefficient list
+    f = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            f = _zq_divexact(f, _cyclotomic(e))
+    return f
+
+
+def _fac(c, *parts):
+    # (c, exponent list) from (sign, exponent list) parts
+    exps = {}
+    for sign, fl in parts:
+        for f, e in fl:
+            exps[f] = exps.get(f, 0) + sign * e
+    return (c, tuple(sorted((f, e) for f, e in exps.items() if e)))
+
+
+def _divide(n, v, fid, most):
+    # divide n, with v = _probe(n), by factor fid as often as it goes, up to
+    # most times: (quotient, its probe, count).  How often f's value divides
+    # v bounds the count, so that power is tried first, in one division.
+    f, fv, k, w = _FACTORS[fid], _FACTOR_VALS[fid], 0, v
+    while k < most and w % fv == 0:
+        w, k = w // fv, k + 1
+    while k:
+        try:
+            return n.divexact(f if k == 1 else f ** k), v // fv ** k, k
+        except ValueError:
+            k -= 1
+    return n, v, 0
+
+
+def _split_binomial(r, exps):
+    # r = x^g - 1 or x^g + 1 with x = q^a t^b: count its Phi_d(x) in exps
+    if len(r.terms) != 2 or r.terms.get((0, 0)) not in (1, -1):
+        return False
+    (gq, gt), lead = r.lex_leading()
+    g = math.gcd(gq, gt)
+    if lead != 1 or g > 64:     # a larger g takes the generic path
+        return False
+    for d in range(1, 2 * g + 1):
+        if (2 * g) % d == 0 and (g % d != 0) == (r.terms[(0, 0)] == 1):
+            f = IntPoly({(gq // g * i, gt // g * i): x
+                         for i, x in enumerate(_cyclotomic(d))})
+            fid = _FACTOR_IDS.setdefault(f, len(_FACTORS))
+            if fid == len(_FACTORS):        # registered now
+                _FACTORS.append(f)
+                _FACTOR_VALS.append(_probe(f))
+            exps[fid] = exps.get(fid, 0) + 1
+    return True
+
+
+def _factor(p):
+    """fac of p (positive lex-leading coefficient), or None when what the
+    registered factors leave of p is neither 1 nor a binomial x^g -+ 1."""
+    c = p.content()
+    if p.is_constant:
+        return (c, ())
+    mq, mt = p.min_degrees()
+    exps = {0: mq, 1: mt}
+    r = IntPoly({(i - mq, j - mt): x // c for (i, j), x in p.terms.items()})
+    ks = r.terms
+    sums, diffs = [i + j for i, j in ks], [i - j for i, j in ks]
+    most, dq, dt = max(sums), max(i for i, _ in ks), max(j for _, j in ks)
+    # a product of binomials has a Newton polygon that is a sum of segments,
+    # so centrally symmetric; that of 1 + q + t, a triangle, is not.  Over
+    # degree 1024 probing costs too much.  Both take the generic path.
+    if most > 1024 or most + min(sums) != dq + dt or \
+            max(diffs) + min(diffs) != dq - dt:
+        return None
+    if not _split_binomial(r, exps):
+        v = _probe(r)
+        for fid in range(2, len(_FACTORS)):
+            r, v, exps[fid] = _divide(r, v, fid, most)
+        if not (r.is_constant or _split_binomial(r, exps)):
+            return None
+    return _fac(c, (1, exps.items()))
+
+
+def _expand(fac, parts=()):
+    # den of fac: from the memo, else as the product of the dens of the two
+    # facs in parts, which the caller knows, else from the factors
+    p = _EXPANSIONS.get(fac)
+    if p is None:
+        p = _expand(parts[0]) * _expand(parts[1]) if parts else math.prod(
+            (_FACTORS[f] ** e for f, e in fac[1]), start=IntPoly.const(fac[0]))
+        if len(_EXPANSIONS) < _GCD_MEMO_LIMIT:
+            _EXPANSIONS[fac] = p
+    return p
+
+
+def _cancel(n, c, fl):
+    """Divide nonzero n and c * prod f^e by their gcd: (n', c', fl')."""
+    g = math.gcd(c, n.content()) if c != 1 else 1
+    if g != 1:
+        c, n = c // g, IntPoly({k: x // g for k, x in n.terms.items()})
+    if not fl or n.is_constant:
+        return n, c, fl
+    out, v = [], _probe(n)
+    for fid, e in fl:
+        n, v, k = _divide(n, v, fid, e)
+        if k < e:
+            out.append((fid, e - k))
+    return n, c, tuple(out)
+
+
+def _fac_add(a, bf, c, df):
+    # a/b + c/d: the gcd of b and d is the integer gcd times the exponent
+    # minima, and the sum can only share that common part (Henrici)
+    (cb, fb), (cd, fd) = bf, df
+    gc, ed = math.gcd(cb, cd), dict(fd)
+    common = tuple((f, min(e, ed[f])) for f, e in fb if f in ed)
+    b1 = _fac(cb // gc, (1, fb), (-1, common))
+    d1 = _fac(cd // gc, (1, fd), (-1, common))
+    num = a * _expand(d1) + c * _expand(b1)
+    if num.is_zero:
+        return ZERO
+    num, g, rest = _cancel(num, gc, common)
+    d2 = _fac(d1[0] * g, (1, d1[1]), (1, rest))    # d, when nothing cancelled
+    fac = _fac(b1[0] * d2[0], (1, b1[1]), (1, d2[1]))
+    return Scalar._raw(num, _expand(fac, (b1, d2)), fac)
+
+
 class Scalar:
     """Element of Q(q, t) in canonical form.
 
@@ -747,7 +886,7 @@ class Scalar:
     lexicographic leading coefficient of den (by (deg_q, deg_t)) is positive.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "fac")
 
     def __init__(self, num, den=None):
         if isinstance(num, int):
@@ -758,19 +897,20 @@ class Scalar:
             den = IntPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("scalar with zero denominator")
-        self.num, self.den = _reduce(num, den)
+        self.num, self.den, self.fac = _reduce(num, den)
 
     @classmethod
-    def _raw(cls, num, den):
-        # trusted constructor: (num, den) already canonical
+    def _raw(cls, num, den, fac):
+        # trusted constructor: (num, den) already canonical, fac its den's
         s = cls.__new__(cls)
         s.num = num
         s.den = den
+        s.fac = fac
         return s
 
     @classmethod
     def from_int(cls, n):
-        return cls._raw(IntPoly.const(n), _POLY_ONE)
+        return cls._raw(IntPoly.const(n), _POLY_ONE, _UNIT)
 
     @classmethod
     def fraction(cls, a, b):
@@ -813,7 +953,9 @@ class Scalar:
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
         if b.is_one and d.is_one:
-            return _signfix(a + c, _POLY_ONE)
+            return Scalar._raw(a + c, _POLY_ONE, _UNIT)
+        if self.fac is not None and other.fac is not None:
+            return _fac_add(a, self.fac, c, other.fac)
         g0, b1, d1 = b.cofactors(d)
         num = a * d1 + c * b1
         if g0.is_one:
@@ -824,7 +966,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._raw(-self.num, self.den)
+        return Scalar._raw(-self.num, self.den, self.fac)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -845,7 +987,12 @@ class Scalar:
         if a.is_zero or c.is_zero:
             return ZERO
         if b.is_one and d.is_one:
-            return Scalar._raw(a * c, _POLY_ONE)
+            return Scalar._raw(a * c, _POLY_ONE, _UNIT)
+        if self.fac is not None and other.fac is not None:
+            a, cd, fd = _cancel(a, *other.fac)
+            c, cb, fb = _cancel(c, *self.fac)
+            fac = _fac(cb * cd, (1, fb), (1, fd))
+            return Scalar._raw(a * c, _expand(fac, ((cb, fb), (cd, fd))), fac)
         _, a, d = a.cofactors(d)
         _, c, b = c.cofactors(b)
         return _signfix(a * c, b * d)
@@ -859,7 +1006,9 @@ class Scalar:
             return NotImplemented
         if other.num.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        return self.__mul__(Scalar._raw(*_signfix_pair(other.den, other.num)))
+        num, den = _signfix_pair(other.den, other.num)
+        fac = self.fac and _factor(den)     # None: generic path anyway
+        return self.__mul__(Scalar._raw(num, den, fac))
 
     def __rtruediv__(self, other):
         if isinstance(other, int):
@@ -911,9 +1060,9 @@ class Scalar:
 
 def _reduce(num, den):
     if num.is_zero:
-        return _POLY_ZERO, _POLY_ONE
-    _, num, den = num.cofactors(den)
-    return _signfix_pair(num, den)
+        return _POLY_ZERO, _POLY_ONE, _UNIT
+    num, den = _signfix_pair(*num.cofactors(den)[1:])
+    return num, den, _factor(den)
 
 
 def _signfix_pair(num, den):
@@ -925,42 +1074,27 @@ def _signfix_pair(num, den):
 
 
 def _signfix(num, den):
-    return Scalar._raw(*_signfix_pair(num, den))
+    num, den = _signfix_pair(num, den)
+    return Scalar._raw(num, den, _factor(den))
 
 
 def _poly_specialize(p, bindings):
     """Evaluate an IntPoly with q and/or t bound to Scalars; returns a Scalar."""
-    qv = bindings.get("q")
-    tv = bindings.get("t")
-    qpow = {0: ONE}
-    tpow = {0: ONE}
-
-    def power(cache, base, n):
-        v = cache.get(n)
-        if v is None:
-            v = power(cache, base, n - 1) * base
-            cache[n] = v
-        return v
-
+    qpow, tpow = [ONE], [ONE]
     total = ZERO
     for (dq, dt), c in p.terms.items():
-        term = Scalar.from_int(c)
-        if qv is not None:
-            term = term * power(qpow, qv, dq)
-        elif dq:
-            term = term * Scalar._raw(IntPoly.monomial(dq, 0), _POLY_ONE)
-        if tv is not None:
-            term = term * power(tpow, tv, dt)
-        elif dt:
-            term = term * Scalar._raw(IntPoly.monomial(0, dt), _POLY_ONE)
-        total = total + term
+        while len(qpow) <= dq:
+            qpow.append(qpow[-1] * bindings.get("q", Q))
+        while len(tpow) <= dt:
+            tpow.append(tpow[-1] * bindings.get("t", T))
+        total = total + Scalar.from_int(c) * qpow[dq] * tpow[dt]
     return total
 
 
 ZERO = Scalar.from_int(0)
 ONE = Scalar.from_int(1)
-Q = Scalar._raw(IntPoly.monomial(1, 0), _POLY_ONE)
-T = Scalar._raw(IntPoly.monomial(0, 1), _POLY_ONE)
+Q = Scalar._raw(IntPoly.monomial(1, 0), _POLY_ONE, _UNIT)
+T = Scalar._raw(IntPoly.monomial(0, 1), _POLY_ONE, _UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +1122,18 @@ def _tokenize(text):
         else:
             raise ValueError(f"unexpected character {ch!r} in scalar expression")
     return tokens
+
+
+# what a ^ may build: (q-degree + 1)(t-degree + 1)(coefficient bits + 1)
+_POWER_LIMIT = 1 << 20
+
+
+def _power_size(p, n):
+    # over-estimates p^n: n times p's degrees, coefficients <= (sum |c|)^n
+    dq = dt = csum = 0
+    for (i, j), c in p.terms.items():     # one pass: this runs on every ^
+        dq, dt, csum = i if i > dq else dq, j if j > dt else dt, csum + abs(c)
+    return (n * dq + 1) * (n * dt + 1) * (n * (csum - 1).bit_length() + 1)
 
 
 class _Parser:
@@ -1033,7 +1179,11 @@ class _Parser:
             self.take()
             if self.peek() != "int":
                 raise ValueError("exponent must be an integer")
-            return base ** self.take()[1]
+            n = self.take()[1]
+            if max(_power_size(base.num, n), _power_size(base.den, n)) > \
+                    _POWER_LIMIT:
+                raise ValueError(f"power ^{n} is too large to build")
+            return base ** n
         return base
 
     def parse_atom(self):

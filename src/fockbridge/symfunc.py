@@ -604,9 +604,23 @@ def _var_names(vars_or_count, prefix="x"):
 
 @lru_cache(maxsize=None)
 def _distinct_padded_perms(lam, n):
-    from itertools import permutations
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    return tuple(sorted(set(permutations(padded))))
+    # the distinct orderings of lam padded with zeros to n parts, in
+    # lexicographic order: next-permutation steps from the sorted tuple, so
+    # the work is one step per distinct ordering, not n!
+    a = sorted(tuple(lam) + (0,) * (n - len(lam)))
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+        out.append(tuple(a))
 
 
 def evaluate_vars(f, variables):

@@ -9,6 +9,7 @@ granular diagnostics.
 import functools
 import time
 
+import pytest
 from conftest import record_acceptance
 
 from fockbridge import (
@@ -43,6 +44,10 @@ from fockbridge.partitions import dominates
 from fockbridge.scalars import ONE, Q, Scalar
 
 P = Partition
+
+# the ten criteria take most of the suite's time; -m "not acceptance" skips
+# them for a quick run
+pytestmark = pytest.mark.acceptance
 
 
 def criterion(num, desc):

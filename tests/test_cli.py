@@ -101,6 +101,14 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["(1+q+t)^250", "((1+q)^80)^80"])
+    def test_oversized_power_spec_exits_two(self, capsys, value):
+        rc, out, err = run_cli(capsys, "expand", "--rep", "macdonald",
+                               "--shape", "[1]", "--spec", f"q={value}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_pieri_macdonald(self, capsys):
@@ -160,6 +168,27 @@ class TestVerify:
                                "--rep", f"bundle:{p}", "--kmax", "0")
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("counts", [
+        ("--xvars", "-2", "--yvars", "-2"),
+        ("--xvars", "0"),
+        ("--yvars", "0"),
+        ("--xvars", "9"),
+        ("--yvars", "4", "--degree-cap", "3"),
+    ])
+    def test_cauchy_variable_counts_bounded(self, capsys, counts):
+        rc, out, err = run_cli(capsys, "verify", "cauchy", "--rep",
+                               "fermionic", "--dmax", "2", *counts)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_cauchy_variable_counts_at_cap(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "cauchy", "--rep", "fermionic",
+                             "--dmax", "2", "--degree-cap", "3",
+                             "--xvars", "3", "--yvars", "1")
+        assert rc == 0
+        assert "pass" in out
 
     def test_dmax_over_cap(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "du", "--rep", "fermionic",
@@ -223,6 +252,8 @@ class TestBundleHandling:
         lambda b: b["params"].update({"1": "q^"}),
         lambda b: b["params"].update({"2": "1/0"}),
         lambda b: b["U"]["1"]["0"][0].__setitem__(0, "(1+q)^"),
+        lambda b: b["U"]["1"]["0"][0].__setitem__(0, "(1+q+t)^250"),
+        lambda b: b["params"].update({"1": "((1+q)^80)^80"}),
     ])
     def test_wrong_types_exit_two(self, capsys, bundle_path, mutate):
         bundle = rep_to_bundle(fermionic_rep(), 3, 3)

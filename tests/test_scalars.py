@@ -5,12 +5,18 @@ fractions.Fraction, bypassing all of the polynomial gcd machinery.
 """
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockbridge.identities import verify_du, verify_pieri
+from fockbridge.reps import macdonald_rep
 from fockbridge.scalars import (
+    _FACTORS,
+    _factor,
     _tq_gcd_heu,
     _tq_gcd_prs,
     IntPoly,
@@ -315,3 +321,207 @@ class TestCofactors:
             want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), q, t)
             got = sympy.Poly(to_sympy(a.gcd(b)), q, t)
             assert got in (want, -want), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# factored denominators: values built from q, t, integers and (1 -+ q^a t^b)
+# keep den = c * prod f^e over registered irreducibles, and stay canonical
+
+def fac_expansion(fac):
+    # the product of a fac, computed here rather than read from the memo
+    c, fl = fac
+    p = IntPoly.const(c)
+    for fid, e in fl:
+        for _ in range(e):
+            p = p * _FACTORS[fid]
+    return p
+
+
+def binomial_leaf(rng):
+    a, b = rng.randint(0, 3), rng.randint(0, 3)
+    if a == b == 0:
+        a = 1
+    sign = rng.choice([1, -1])
+    s = ONE + sign * Q ** a * T ** b
+    f = lambda q, t: 1 + sign * q ** a * t ** b
+    if rng.random() < 0.5:
+        return s, f
+    return ONE / s, lambda q, t: 1 / f(q, t)
+
+
+def random_tree(rng, depth, leaf_divisors=False):
+    """(Scalar, oracle) for a random + - * / tree; the oracle maps a point
+    to a Fraction, or None where a divisor vanishes.  With leaf_divisors
+    every divisor is a leaf, so every den is a product of alphabet factors."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(4)
+        if kind == 0:
+            n = rng.randint(-6, 6)
+            return Scalar.from_int(n), lambda q, t: Fraction(n)
+        if kind == 1:
+            return Q, lambda q, t: q
+        if kind == 2:
+            return T, lambda q, t: t
+        return binomial_leaf(rng)
+    op = rng.choice("+-*/")
+    x, fx = random_tree(rng, depth - 1, leaf_divisors)
+    y, fy = random_tree(rng, 0 if leaf_divisors and op == "/" else depth - 1,
+                        leaf_divisors)
+    if op == "/" and y.is_zero:
+        op = "*"
+
+    def oracle(q, t):
+        u, v = fx(q, t), fy(q, t)
+        if u is None or v is None or (op == "/" and v == 0):
+            return None
+        return {"+": u + v, "-": u - v, "*": u * v}[op] if op != "/" \
+            else u / v
+    value = {"+": lambda: x + y, "-": lambda: x - y,
+             "*": lambda: x * y, "/": lambda: x / y}[op]()
+    return value, oracle
+
+
+def assert_canonical(x):
+    assert x.num.gcd(x.den).is_one, x
+    assert x.den.lex_leading()[1] > 0, x
+    rebuilt = Scalar(x.num, x.den)
+    assert rebuilt.num == x.num and rebuilt.den == x.den
+    if x.fac is not None:
+        assert x.den == fac_expansion(x.fac), (x, x.fac)
+        assert rebuilt.fac == x.fac
+    assert parse_scalar(str(x)) == x
+
+
+def count_generic_gcds(monkeypatch):
+    calls = []
+    cofactors = IntPoly.cofactors
+
+    def counting(self, other):
+        calls.append((self, other))
+        return cofactors(self, other)
+    monkeypatch.setattr(IntPoly, "cofactors", counting)
+    return calls
+
+
+class TestFactored:
+    def test_random_trees(self):
+        rng = random.Random(20)
+        factored = 0
+        for _ in range(250):
+            x, oracle = random_tree(rng, rng.randint(1, 4))
+            assert_canonical(x)
+            agree(x, oracle)
+            factored += x.fac is not None and not x.den.is_constant
+        assert factored > 50
+
+    def test_alphabet_trees_stay_factored(self, monkeypatch):
+        rng = random.Random(21)
+        calls = count_generic_gcds(monkeypatch)
+        built = [random_tree(rng, rng.randint(1, 5), leaf_divisors=True)
+                 for _ in range(250)]
+        assert calls == [], "alphabet arithmetic reached the generic gcd"
+        monkeypatch.undo()
+        nontrivial = 0
+        for x, oracle in built:
+            assert x.fac is not None, x
+            assert_canonical(x)
+            agree(x, oracle)
+            nontrivial += not x.den.is_constant
+        assert nontrivial > 80
+
+    def test_outside_the_alphabet_falls_back(self, monkeypatch):
+        calls = count_generic_gcds(monkeypatch)
+        odd = ONE / parse_scalar("1 + q + t")
+        assert odd.fac is None
+        y = parse_scalar("(1 - q)/(1 - q*t)")
+        mixed = [odd + y, odd * y, odd - odd * y, (odd + y) * odd]
+        assert calls, "a den outside the alphabet must take the generic gcd"
+        monkeypatch.undo()
+        for x in mixed:
+            assert x.fac is None
+            assert_canonical(x)
+        agree(mixed[0], lambda q, t: 1 / (1 + q + t) + (1 - q) / (1 - q * t))
+        agree(mixed[3], lambda q, t: (1 / (1 + q + t) + (1 - q) / (1 - q * t))
+              / (1 + q + t))
+        quotient = y / odd
+        assert quotient.fac is not None
+        assert_canonical(quotient)
+        agree(quotient, lambda q, t: (1 - q) * (1 + q + t) / (1 - q * t))
+        back = odd * parse_scalar("(1 + q + t)/(1 - q)")
+        assert back == ONE / (ONE - Q)
+        assert back.fac is not None and back.den == fac_expansion(back.fac)
+
+    def test_factor_refuses_outside_dens(self):
+        # 1 + q + t has a triangle for Newton polygon, refused before any
+        # trial division; 1 + q + t + 3qt has a square, refused after it
+        ONE / (ONE - Q), ONE / (ONE + Q * T ** 2)     # registers both
+        for text in ["(1 + q + t)*(1 - q)", "(1 + q)*(1 + t) + 2*q*t",
+                     "(1 + q + t)^3*(1 - q*t)^2"]:
+            assert _factor(parse_scalar(text).num._pos_leading()) is None
+        assert _factor(parse_scalar("(1 - q)^3*(1 + q*t^2)").num
+                       ._pos_leading()) is not None
+
+    def test_high_multiplicity(self, monkeypatch):
+        # a factor's multiplicity is found in one division, not one per copy
+        ONE / (ONE - Q)
+        power = (ONE - Q) ** 120
+        divisors = []
+        divexact = IntPoly.divexact
+        monkeypatch.setattr(IntPoly, "divexact",
+                            lambda p, d: divisors.append(d) or divexact(p, d))
+        x = ONE / power
+        monkeypatch.undo()
+        assert x.fac is not None and len(divisors) == 1
+        assert x.den == fac_expansion(x.fac) == power.num._pos_leading()
+        assert_canonical(x)
+        y = x + ONE / (ONE - Q * T)
+        assert y.den == x.den * IntPoly({(0, 0): -1, (1, 1): 1})
+        assert_canonical(y)
+
+    def test_high_degree_numerator_is_cheap(self):
+        # trial division evaluates q^100000 at the probe point: with power
+        # tables up to its degree that took about 12 GB
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            x = parse_scalar("q^100000/(1-t)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5
+        assert peak < 8 << 20, peak
+        assert str(x) == "(-q^100000)/(t - 1)"
+        assert x.fac is not None and x.den == fac_expansion(x.fac)
+        assert x * (ONE - T) == Q ** 100000
+
+    def test_macdonald_operators_take_no_generic_gcd(self, monkeypatch):
+        fresh = type(macdonald_rep())()
+        calls = count_generic_gcds(monkeypatch)
+        assert verify_pieri(fresh, 2, 4).passed
+        assert verify_du(fresh, 2, 3).passed
+        assert calls == []
+
+    def test_registered_factors_irreducible(self):
+        sympy = pytest.importorskip("sympy")
+        q, t = sympy.symbols("q t")
+        for a in range(5):
+            for b in range(5):
+                if a or b:
+                    ONE / (ONE - Q ** a * T ** b)
+                    ONE / (ONE + Q ** a * T ** b)
+        assert len(_FACTORS) > 20
+        assert len(set(_FACTORS)) == len(_FACTORS)
+        for f in _FACTORS:
+            assert f.content() == 1 and f.lex_leading()[1] > 0
+            expr = sum(c * q ** i * t ** j for (i, j), c in f.terms.items())
+            _, parts = sympy.factor_list(expr)
+            assert len(parts) == 1 and parts[0][1] == 1, f
+
+
+def test_power_size_bound():
+    for bad in ["(1+q+t)^250", "((1+q)^80)^80", "(1/(1-q*t))^300"]:
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
+    assert parse_scalar("q^200") == Q ** 200
+    assert parse_scalar("2^4000") == Scalar.from_int(2 ** 4000)
+    assert parse_scalar("(1+q)^3") == parse_scalar("q^3 + 3*q^2 + 3*q + 1")

@@ -1,5 +1,8 @@
 """Basis conversions, Hall pairing, products, tableaux, evaluation."""
 
+import time
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +16,7 @@ from fockbridge.partitions import (
 )
 from fockbridge.scalars import ONE, Q, Scalar, ZERO
 from fockbridge.symfunc import (
+    _distinct_padded_perms,
     SymFunc,
     convert,
     evaluate_vars,
@@ -216,6 +220,21 @@ class TestEvaluate:
                 py = evaluate_vars(sym_p(lam), ["y1", "y2", "y3"]).embed(names, 3)
                 rhs = rhs + (px * py).scaled(ONE / z_of(lam))
         assert lhs == rhs
+
+    def test_many_variables_fast(self):
+        # twelve variables: 12 * 11 distinct exponent vectors, not 12! orderings
+        t0 = time.perf_counter()
+        p = evaluate_vars(sym_m((2, 1)), 12)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(p.terms) == 132
+        assert all(c == ONE for c in p.terms.values())
+
+    def test_distinct_perms_match_itertools(self):
+        for lam in [(), (1,), (1, 1), (2, 1), (3, 1, 1), (2, 2, 1, 1), (4,)]:
+            for n in range(len(lam), 7):
+                padded = tuple(lam) + (0,) * (n - len(lam))
+                want = tuple(sorted(set(permutations(padded))))
+                assert _distinct_padded_perms(lam, n) == want, (lam, n)
 
 
 @st.composite
