@@ -41,7 +41,7 @@ from .identities import (
 )
 from .partitions import Partition, parse_partition
 from .reps import fermionic_rep, llt_q1_rep, macdonald_rep, tensor
-from .scalars import ONE, SpecializationPoleError, ZERO, parse_scalar
+from .scalars import ONE, SpecializationPoleError, parse_scalar, scalar_sum
 from .symfunc import convert
 
 __all__ = ["main", "run"]
@@ -195,6 +195,12 @@ def _cmd_verify(args):
     dmax = args.dmax if args.dmax is not None else (3 if args.suite == "bf" else 4)
     if dmax > cap:
         raise UsageError(f"--dmax {dmax} exceeds degree cap {cap}")
+    # the suites climb by the operator orders (heisenberg to degree
+    # dmax + 2*kmax - 1), so an order is bounded like a degree
+    for flag, n in (("--kmax", args.kmax), ("--abmax", args.abmax),
+                    ("--lmax", args.lmax)):
+        if n is not None and n > cap:
+            raise UsageError(f"{flag} {n} exceeds degree cap {cap}")
     if args.suite == "cauchy":
         # a symmetric function of degree <= cap is determined by cap variables
         for flag, n in (("--xvars", args.xvars), ("--yvars", args.yvars)):
@@ -280,9 +286,7 @@ def _cmd_tableaux(args):
          for path, c in paths if path[-1] == shape),
         key=lambda pc: pc[0])
 
-    total = ZERO
-    for _, c in chains:
-        total = total + c
+    total = scalar_sum([c for _, c in chains])
     if bindings:
         total = total.specialize(bindings)
         chains = [(p, c.specialize(bindings)) for p, c in chains]

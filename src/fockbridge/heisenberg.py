@@ -19,10 +19,11 @@ functions (multiplication by a_k p_k against k d/dp_k).
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .partitions import Partition, partitions_of, z_of
-from .scalars import ONE, Scalar, ZERO, parse_scalar
+from .scalars import ONE, Scalar, ZERO, accumulate, parse_scalar
 from .symfunc import SymFunc, convert, multiply, perp_apply, sym_p
 
 __all__ = [
@@ -104,14 +105,8 @@ class StateVec:
         return self.terms.get(index, ZERO)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            s = out.get(i, ZERO) + c
-            if s.is_zero:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return StateVec(out)
+        return StateVec(accumulate(
+            itertools.chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + other.scaled(Scalar.from_int(-1))
@@ -173,22 +168,9 @@ class Rep:
 # ---------------------------------------------------------------------------
 # operator calculus
 
-def _merge(acc, terms, factor=None):
-    for i, c in terms.items():
-        if factor is not None:
-            c = c * factor
-        s = acc.get(i, ZERO) + c
-        if s.is_zero:
-            acc.pop(i, None)
-        else:
-            acc[i] = s
-
-
 def _linear(rep, op, k, terms):
-    out = {}
-    for i, c in terms.items():
-        _merge(out, _op_single(rep, op, k, i), c)
-    return out
+    return accumulate((j, w * c) for i, c in terms.items()
+                      for j, w in _op_single(rep, op, k, i).items())
 
 
 def _op_single(rep, op, k, index):
@@ -196,12 +178,8 @@ def _op_single(rep, op, k, index):
     hit = rep._cache.get(key)
     if hit is not None:
         return hit
-    if op == "B":
-        res = _b_single(rep, k, index)
-    elif op == "U":
-        res = _u_single(rep, k, index)
-    else:
-        res = _d_single(rep, k, index)
+    res = _b_single(rep, k, index) if op == "B" else \
+        _ud_single(rep, op, k, index)
     rep._cache[key] = res
     return res
 
@@ -213,46 +191,40 @@ def _b_single(rep, k, index):
     # p -> B-negative, h -> U on the raising side and p -> B-positive,
     # h -> D on the lowering side
     j = abs(k)
-    op = "U" if k < 0 else "D"
-    out = {}
-    _merge(out, _op_single(rep, op, j, index), Scalar.from_int(j))
+    op, sign = ("U", -1) if k < 0 else ("D", 1)
+    pairs = [(i, c * j) for i, c in _op_single(rep, op, j, index).items()]
     for i in range(1, j):
-        inner = _op_single(rep, op, j - i, index)
-        _merge(out, _linear(rep, "B", -i if k < 0 else i, inner),
-               Scalar.from_int(-1))
-    return out
+        inner = _linear(rep, "B", sign * i, _op_single(rep, op, j - i, index))
+        pairs.extend((x, -c) for x, c in inner.items())
+    return accumulate(pairs)
 
 
-def _u_single(rep, k, index):
+def _ud_single(rep, op, k, index):
+    # U_k (D_k) is h_k of the B_{-j} (B_j): sum over lam of B_{-+lam} / z_lam
     if k == 0:
         return {index: ONE}
-    if rep.raw_U is not None:
-        return {i: c for i, c in rep.raw_U(k, index).items() if not c.is_zero}
-    out = {}
-    for lam in partitions_of(k):
-        terms = {index: ONE}
-        for part in reversed(lam):
-            terms = _linear(rep, "B", -part, terms)
-            if not terms:
-                break
-        _merge(out, terms, ONE / z_of(lam))
-    return out
+    raw = rep.raw_U if op == "U" else rep.raw_D
+    if raw is not None:
+        return {i: c for i, c in raw(k, index).items() if not c.is_zero}
+    sign = -1 if op == "U" else 1
+    return accumulate(
+        (i, c / z_of(lam)) for lam in partitions_of(k)
+        for i, c in _chain(rep, "B", tuple(sign * p for p in lam),
+                           index).items())
 
 
-def _d_single(rep, k, index):
-    if k == 0:
-        return {index: ONE}
-    if rep.raw_D is not None:
-        return {i: c for i, c in rep.raw_D(k, index).items() if not c.is_zero}
-    out = {}
-    for lam in partitions_of(k):
-        terms = {index: ONE}
-        for part in reversed(lam):
-            terms = _linear(rep, "B", part, terms)
-            if not terms:
-                break
-        _merge(out, terms, ONE / z_of(lam))
-    return out
+def _chain(rep, op, ks, index):
+    """op_{ks[0]} ... op_{ks[-1]} applied to v_index, rightmost factor
+    first; cached per tail, so chains that end alike share the work."""
+    if len(ks) == 1:
+        return _op_single(rep, op, ks[0], index)
+    key = ("chain", op, ks, index)
+    hit = rep._cache.get(key)
+    if hit is None:
+        hit = _linear(rep, op, ks[0], _chain(rep, op, ks[1:], index)) \
+            if ks else {index: ONE}
+        rep._cache[key] = hit
+    return hit
 
 
 def apply_B(rep, k, v):
@@ -273,31 +245,6 @@ def apply_D(rep, k, v):
     return StateVec(_linear(rep, "D", k, v.terms))
 
 
-def _creation_product(rep, lam, t):
-    """B_{-lam_1} ... B_{-lam_l} applied to v_t, rightmost factor first."""
-    key = ("Bprod-", lam, t)
-    hit = rep._cache.get(key)
-    if hit is None:
-        if not lam:
-            hit = {t: ONE}
-        else:
-            hit = _linear(rep, "B", -lam[0], _creation_product(rep, lam[1:], t))
-        rep._cache[key] = hit
-    return hit
-
-
-def _annihilation_product(rep, lam, s):
-    key = ("Bprod+", lam, s)
-    hit = rep._cache.get(key)
-    if hit is None:
-        if not lam:
-            hit = {s: ONE}
-        else:
-            hit = _linear(rep, "B", lam[0], _annihilation_product(rep, lam[1:], s))
-        rep._cache[key] = hit
-    return hit
-
-
 def _fg_degree(rep, s, t):
     diff = rep.degree_of(s) - rep.degree_of(t)
     d, r = divmod(diff, rep.degree_step)
@@ -306,47 +253,48 @@ def _fg_degree(rep, s, t):
     return d
 
 
-def compute_F(rep, s, t):
-    """F_{s/t} in the power-sum basis; zero off the degree lattice."""
-    key = ("F", s, t)
+def _fg(rep, fn, s, t):
+    # the m_lam coefficient of F_{s/t} is <U_lam v_t, v_s>, that of G_{s/t}
+    # <D_lam v_s, v_t>: a rep with U/D actions but no raw_B sums these
+    # chains and converts to p once; one with raw_B takes B products,
+    # <B_{-+lam} ...> / z_lam in the p basis, without Newton's identities
+    key = (fn, s, t)
     hit = rep._cache.get(key)
     if hit is not None:
         return hit
     d = _fg_degree(rep, s, t)
-    out = {}
-    if d is not None:
-        for lam in partitions_of(d):
-            c = _creation_product(rep, lam, t).get(s)
-            if c is not None:
-                out[lam] = c / z_of(lam)
-    f = SymFunc("p", out)
-    rep._cache[key] = f
-    return f
+    src, dst = (t, s) if fn == "F" else (s, t)
+    lams = partitions_of(d) if d is not None else ()
+    if rep.raw_B is None:
+        op = "U" if fn == "F" else "D"
+        m = {lam: _chain(rep, op, lam, src).get(dst, ZERO) for lam in lams}
+        out = convert(SymFunc("m", m), "p")
+    else:
+        sign = -1 if fn == "F" else 1
+        chains = {lam: _chain(rep, "B", tuple(sign * p for p in lam), src)
+                  for lam in lams}
+        out = SymFunc("p", {lam: v[dst] / z_of(lam)
+                            for lam, v in chains.items() if dst in v})
+    rep._cache[key] = out
+    return out
+
+
+def compute_F(rep, s, t):
+    """F_{s/t} in the power-sum basis; zero off the degree lattice."""
+    return _fg(rep, "F", s, t)
 
 
 def compute_G(rep, s, t):
     """G_{s/t} in the power-sum basis; zero off the degree lattice."""
-    key = ("G", s, t)
-    hit = rep._cache.get(key)
-    if hit is not None:
-        return hit
-    d = _fg_degree(rep, s, t)
-    out = {}
-    if d is not None:
-        for lam in partitions_of(d):
-            c = _annihilation_product(rep, lam, s).get(t)
-            if c is not None:
-                out[lam] = c / z_of(lam)
-    g = SymFunc("p", out)
-    rep._cache[key] = g
-    return g
+    return _fg(rep, "G", s, t)
 
 
 def monomial_coeff(rep, s, t, alpha):
-    """Coefficient of x^alpha in F_{s/t}, via the U-operator chain.
+    """Coefficient of x^alpha in F_{s/t}, via the U-operator chain applied
+    in the order of alpha.
 
-    Deliberately does not reuse compute_F: the chain product is the
-    independent route, so agreement with compute_F is a meaningful check.
+    For a rep with raw_B, compute_F takes B products, so agreement is an
+    independent check; otherwise compute_F reads the same U chains.
     """
     if any(a < 1 for a in alpha):
         raise ValueError("composition parts must be positive")
@@ -362,10 +310,9 @@ def phi_map(rep, v):
     """The correspondence map: v -> sum_s <v, v_s> G_{s/highest}."""
     if rep.highest is None:
         raise ValueError("rep has no designated highest index")
-    out = SymFunc.zero("p")
-    for s, c in v.terms.items():
-        out = out + compute_G(rep, s, rep.highest).scaled(c)
-    return out
+    return SymFunc("p", accumulate(
+        (lam, x * c) for s, c in v.terms.items()
+        for lam, x in compute_G(rep, s, rep.highest).terms.items()))
 
 
 def bosonic_apply_B(f, k, params):

@@ -24,7 +24,7 @@ from .heisenberg import (
     phi_map,
 )
 from .partitions import partitions_of
-from .scalars import ONE
+from .scalars import ONE, accumulate
 from .symfunc import (
     SymFunc,
     VarPoly,
@@ -149,6 +149,12 @@ def verify_pieri(rep, k_max, d_max, window=None):
             gs[s] = compute_G(rep, s, b)
         return gs[s]
 
+    def combine(pairs, fn):
+        # sum of c * fn(t) over (t, c), each coefficient reduced once
+        return SymFunc("p", accumulate(
+            (lam, x * c) for t, c in pairs if not c.is_zero
+            for lam, x in fn(t).terms.items()))
+
     for k in range(1, k_max + 1):
         deep = d_max if window is None else min(d_max, window - m * k)
         if deep < 0:
@@ -158,33 +164,22 @@ def verify_pieri(rep, k_max, d_max, window=None):
             up = rep.basis_of_degree(d + m * k)
             down = rep.basis_of_degree(d - m * k) if d - m * k >= 0 else ()
 
-            lhs = multiply(hk, g_of(s))
-            rhs = SymFunc.zero("p")
-            for t, c in apply_U(rep, k, StateVec.basis(s)).terms.items():
-                rhs = rhs + g_of(t).scaled(c)
-            rpt.record(f"k={k} s={s} raise-G", lhs, rhs)
+            v = StateVec.basis(s)
+            rhs = combine(apply_U(rep, k, v).terms.items(), g_of)
+            rpt.record(f"k={k} s={s} raise-G", multiply(hk, g_of(s)), rhs)
 
-            lhs = multiply(hk, f_of(s))
-            rhs = SymFunc.zero("p")
-            for t in up:
-                c = apply_D(rep, k, StateVec.basis(t)).coefficient(s)
-                if not c.is_zero:
-                    rhs = rhs + f_of(t).scaled(c)
-            rpt.record(f"k={k} s={s} raise-F", lhs, rhs)
+            rhs = combine(((t, apply_D(rep, k, StateVec.basis(t))
+                            .coefficient(s)) for t in up), f_of)
+            rpt.record(f"k={k} s={s} raise-F", multiply(hk, f_of(s)), rhs)
 
-            lhs = perp_apply(sym_h(k), g_of(s))
-            rhs = SymFunc.zero("p")
-            for t, c in apply_D(rep, k, StateVec.basis(s)).terms.items():
-                rhs = rhs + g_of(t).scaled(c)
-            rpt.record(f"k={k} s={s} lower-G", lhs, rhs)
+            rhs = combine(apply_D(rep, k, v).terms.items(), g_of)
+            rpt.record(f"k={k} s={s} lower-G",
+                       perp_apply(sym_h(k), g_of(s)), rhs)
 
-            lhs = perp_apply(sym_h(k), f_of(s))
-            rhs = SymFunc.zero("p")
-            for t in down:
-                c = apply_U(rep, k, StateVec.basis(t)).coefficient(s)
-                if not c.is_zero:
-                    rhs = rhs + f_of(t).scaled(c)
-            rpt.record(f"k={k} s={s} lower-F", lhs, rhs)
+            rhs = combine(((t, apply_U(rep, k, StateVec.basis(t))
+                            .coefficient(s)) for t in down), f_of)
+            rpt.record(f"k={k} s={s} lower-F",
+                       perp_apply(sym_h(k), f_of(s)), rhs)
     return rpt
 
 
@@ -204,10 +199,11 @@ def verify_du(rep, ab_max, d_max, window=None):
             for d, s in _indices_up_to(rep, deep):
                 v = StateVec.basis(s)
                 lhs = apply_D(rep, b, apply_U(rep, a, v))
-                rhs = StateVec.zero()
-                for j in range(min(a, b) + 1):
-                    term = apply_U(rep, a - j, apply_D(rep, b - j, v))
-                    rhs = rhs + term.scaled(h_kernel(j, rep.params))
+                rhs = StateVec(accumulate(
+                    (i, c * h_kernel(j, rep.params))
+                    for j in range(min(a, b) + 1)
+                    for i, c in apply_U(rep, a - j,
+                                        apply_D(rep, b - j, v)).terms.items()))
                 rpt.record(f"a={a} b={b} s={s}", lhs, rhs)
     return rpt
 

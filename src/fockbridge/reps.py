@@ -24,7 +24,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .scalars import ONE, Q, Scalar, T, ZERO
+from .scalars import ONE, Q, Scalar, T, accumulate, scalar_sum
 from .symfunc import SymFunc, convert, sym_m
 
 __all__ = [
@@ -67,7 +67,7 @@ class _FermionicRep(Rep):
         w = len(lam) + abs(k)
         beads = [lam.part(r + 1) - r for r in range(w)]
         present = set(beads)
-        out = {}
+        pairs = []
         for j in range(w):
             nb = beads[j] - k
             if nb in present or nb <= -w:
@@ -79,9 +79,8 @@ class _FermionicRep(Rep):
             resorted = rest[:p] + [nb] + rest[p:]
             mu = Partition(tuple(x for x in
                                  (resorted[r] + r for r in range(w)) if x))
-            sign = Scalar.from_int(-1 if (p - j) % 2 else 1)
-            out[mu] = out.get(mu, ZERO) + sign
-        return out
+            pairs.append((mu, Scalar.from_int(-1 if (p - j) % 2 else 1)))
+        return accumulate(pairs)
 
 
 _FERMIONIC = _FermionicRep()
@@ -252,19 +251,13 @@ class _TensorRep(Rep):
         return sum(f.degree_of(i) for f, i in zip(self.factors, index))
 
     def raw_B(self, k, index):
-        out = {}
-        for pos, (f, i) in enumerate(zip(self.factors, index)):
-            for j, c in _op_single(f, "B", k, i).items():
-                key = index[:pos] + (j,) + index[pos + 1:]
-                s = out.get(key, ZERO) + c
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
+        return accumulate(
+            (index[:pos] + (j,) + index[pos + 1:], c)
+            for pos, (f, i) in enumerate(zip(self.factors, index))
+            for j, c in _op_single(f, "B", k, i).items())
 
     def _convolve(self, op, k, index):
-        out = {}
+        pairs = []
         for split in _compositions(k, len(self.factors)):
             partial = {(): ONE}
             for f, i, ki in zip(self.factors, index, split):
@@ -275,13 +268,8 @@ class _TensorRep(Rep):
                 partial = {t + (j,): c * cj
                            for t, c in partial.items()
                            for j, cj in block.items()}
-            for key, c in partial.items():
-                s = out.get(key, ZERO) + c
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
+            pairs.extend(partial.items())
+        return accumulate(pairs)
 
     def raw_U(self, k, index):
         return self._convolve("U", k, index)
@@ -356,12 +344,8 @@ def deformed_inner(f, g):
     """The (q,t) inner product with <p_lam, p_mu> = delta * z_lam(q,t)."""
     fp = convert(f, "p")
     gp = convert(g, "p")
-    total = ZERO
-    for lam, c in fp.terms.items():
-        d = gp.terms.get(lam)
-        if d is not None:
-            total = total + c * d * deformed_z(lam)
-    return total
+    return scalar_sum([c * gp.terms[lam] * deformed_z(lam)
+                       for lam, c in fp.terms.items() if lam in gp.terms])
 
 
 def macdonald_p_oracle(d):

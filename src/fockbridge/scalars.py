@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 __all__ = [
     "IntPoly",
@@ -391,6 +392,9 @@ def _tq_gcd_prs(f, g):
 
 _GCD_MEMO = {}
 _GCD_MEMO_LIMIT = 200000
+# total degree above which neither the generic gcd nor _factor runs: both
+# would handle integers of millions of bits
+_DEGREE_LIMIT = 1024
 
 
 class IntPoly:
@@ -451,17 +455,7 @@ class IntPoly:
         return h
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        p = IntPoly.__new__(IntPoly)
-        p.terms = out
-        p._hash = None
-        return p
+        return _poly_sum((self, other))
 
     def __sub__(self, other):
         out = dict(self.terms)
@@ -496,7 +490,9 @@ class IntPoly:
             p.terms = {(da + db, ta + tb): ca * cb for (db, tb), cb in b.items()}
             p._hash = None
             return p
-        if len(a) * len(b) > 256:
+        # packing pays for its conversions only when both factors are
+        # large; a small one times a large one is cheaper term by term
+        if len(a) > 10 and len(a) * len(b) > 256:
             return IntPoly._mul_packed(self, other)
         out = {}
         for (da, ta), ca in a.items():
@@ -627,6 +623,10 @@ class IntPoly:
             mq, mt = min(aq, bq), min(at, bt)
             a, b = self.shifted(-aq, -at), other.shifted(-bq, -bt)
             if not (a.is_constant or b.is_constant):
+                if max(i + j for p in (a, b) for i, j in p.terms) > \
+                        _DEGREE_LIMIT:
+                    raise ValueError(f"gcd of polynomials over total degree "
+                                     f"{_DEGREE_LIMIT} is not supported")
                 f, h = a._to_tq(), b._to_tq()
                 res = _tq_gcd_heu(f, h) if len(f) > 1 and len(h) > 1 else None
                 gt = _tq_gcd_prs(f, h) if res is None else res[0]
@@ -750,6 +750,7 @@ def _probe(p, _pows=([1], [1])):
 _FACTORS = [IntPoly.monomial(1, 0), IntPoly.monomial(0, 1)]  # fid 0 q, 1 t
 _FACTOR_IDS = {f: i for i, f in enumerate(_FACTORS)}
 _FACTOR_VALS = [_probe(f) for f in _FACTORS]
+_FACTOR_DEGS = [1, 1]                       # total degrees
 _EXPANSIONS = {}                  # fac -> den
 _UNIT = (1, ())
 
@@ -788,6 +789,17 @@ def _divide(n, v, fid, most):
     return n, v, 0
 
 
+def _register(d, a, b):
+    # fid of Phi_d(q^a t^b), registering it on first sight
+    f = IntPoly({(a * i, b * i): x for i, x in enumerate(_cyclotomic(d))})
+    fid = _FACTOR_IDS.setdefault(f, len(_FACTORS))
+    if fid == len(_FACTORS):
+        _FACTORS.append(f)
+        _FACTOR_VALS.append(_probe(f))
+        _FACTOR_DEGS.append((len(_cyclotomic(d)) - 1) * (a + b))
+    return fid
+
+
 def _split_binomial(r, exps):
     # r = x^g - 1 or x^g + 1 with x = q^a t^b: count its Phi_d(x) in exps
     if len(r.terms) != 2 or r.terms.get((0, 0)) not in (1, -1):
@@ -798,19 +810,44 @@ def _split_binomial(r, exps):
         return False
     for d in range(1, 2 * g + 1):
         if (2 * g) % d == 0 and (g % d != 0) == (r.terms[(0, 0)] == 1):
-            f = IntPoly({(gq // g * i, gt // g * i): x
-                         for i, x in enumerate(_cyclotomic(d))})
-            fid = _FACTOR_IDS.setdefault(f, len(_FACTORS))
-            if fid == len(_FACTORS):        # registered now
-                _FACTORS.append(f)
-                _FACTOR_VALS.append(_probe(f))
+            fid = _register(d, gq // g, gt // g)
             exps[fid] = exps.get(fid, 0) + 1
     return True
 
 
+def _register_edges(r):
+    # a factor Phi_d(x), x = q^a t^b, of r adds a segment of length phi(d)
+    # in direction (a, b) to r's Newton polygon, so every edge direction
+    # with a, b >= 0 is a candidate x and the edge's length bounds phi(d).
+    # Like _split_binomial, this stops at x^g -+ 1 for g <= 64: an edge
+    # longer than 64 registers nothing, and d runs over the divisors of
+    # such binomials.  Registers each such Phi_d(x).
+    pts = sorted(r.terms)
+
+    def chain(seq):      # one half of the convex hull, monotone chain
+        h = []
+        for x, y in seq:
+            while len(h) > 1 and (h[-1][0] - h[-2][0]) * (y - h[-2][1]) <= \
+                    (h[-1][1] - h[-2][1]) * (x - h[-2][0]):
+                h.pop()
+            h.append((x, y))
+        return h[:-1]
+    hull = chain(pts) + chain(reversed(pts))
+    for (i0, j0), (i1, j1) in zip(hull, hull[1:] + hull[:1]):
+        g = math.gcd(i1 - i0, j1 - j0)
+        a, b = (i1 - i0) // g, (j1 - j0) // g
+        if a < 0 or (a == 0 and b < 0):
+            a, b = -a, -b
+        if b >= 0 and g <= 64:
+            for d in range(1, 129):
+                if (d <= 64 or d % 2 == 0) and len(_cyclotomic(d)) - 1 <= g:
+                    _register(d, a, b)
+
+
 def _factor(p):
     """fac of p (positive lex-leading coefficient), or None when what the
-    registered factors leave of p is neither 1 nor a binomial x^g -+ 1."""
+    registered factors, and those its Newton polygon's edges allow, leave
+    of p is neither 1 nor a binomial x^g -+ 1."""
     c = p.content()
     if p.is_constant:
         return (c, ())
@@ -822,16 +859,24 @@ def _factor(p):
     most, dq, dt = max(sums), max(i for i, _ in ks), max(j for _, j in ks)
     # a product of binomials has a Newton polygon that is a sum of segments,
     # so centrally symmetric; that of 1 + q + t, a triangle, is not.  Over
-    # degree 1024 probing costs too much.  Both take the generic path.
-    if most > 1024 or most + min(sums) != dq + dt or \
+    # _DEGREE_LIMIT probing costs too much.  Both take the generic path.
+    if most > _DEGREE_LIMIT or most + min(sums) != dq + dt or \
             max(diffs) + min(diffs) != dq - dt:
         return None
     if not _split_binomial(r, exps):
-        v = _probe(r)
-        for fid in range(2, len(_FACTORS)):
-            r, v, exps[fid] = _divide(r, v, fid, most)
-        if not (r.is_constant or _split_binomial(r, exps)):
-            return None
+        v, start = _probe(r), 2
+        while True:
+            end = len(_FACTORS)
+            for fid in range(start, end):
+                r, v, exps[fid] = _divide(r, v, fid, most)
+            if r.is_constant or _split_binomial(r, exps):
+                break
+            # a leftover that is no binomial: its factors may not be
+            # registered yet; try those its Newton polygon allows
+            _register_edges(r)
+            if len(_FACTORS) == end:
+                return None
+            start = end
     return _fac(c, (1, exps.items()))
 
 
@@ -862,21 +907,108 @@ def _cancel(n, c, fl):
     return n, c, tuple(out)
 
 
-def _fac_add(a, bf, c, df):
-    # a/b + c/d: the gcd of b and d is the integer gcd times the exponent
-    # minima, and the sum can only share that common part (Henrici)
-    (cb, fb), (cd, fd) = bf, df
-    gc, ed = math.gcd(cb, cd), dict(fd)
-    common = tuple((f, min(e, ed[f])) for f, e in fb if f in ed)
-    b1 = _fac(cb // gc, (1, fb), (-1, common))
-    d1 = _fac(cd // gc, (1, fd), (-1, common))
-    num = a * _expand(d1) + c * _expand(b1)
+def _poly_sum(ps):
+    # the sum of a nonempty list of IntPolys, in one dict
+    acc = dict(ps[0].terms)
+    for p in ps[1:]:
+        for k, c in p.terms.items():
+            s = acc.get(k, 0) + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    p = IntPoly.__new__(IntPoly)
+    p.terms = acc
+    p._hash = None
+    return p
+
+
+def _fac_sum(xs):
+    # sum a_i / d_i over L = lcm d_i: the integer lcm and each factor's top
+    # exponent.  A factor whose top exponent one addend alone reaches cannot
+    # divide the numerator: it divides every other term's L / d_i but
+    # neither a_i nor L / d_i of that addend.  So only factors whose top two
+    # or more addends share are trial-divided (Henrici, for two addends).
+    # Addends over one den are added first; their sum counts once per
+    # addend, since it need not be coprime to the den.  Returns None, for
+    # pairwise +, when more than two dens have an lcm of at least 1.5 times
+    # the degree of the widest: such sums cancel heavily, pairwise
+    # reduction keeps the partial sums small, and on the Macdonald
+    # operators it was the faster of the two from that width on.
+    nums, count = {}, {}
+    for x in xs:
+        p = nums.get(x.fac)
+        nums[x.fac] = x.num if p is None else p + x.num
+        count[x.fac] = count.get(x.fac, 0) + 1
+    lc, top, seen, widest, wide = 1, {}, {}, 0, _UNIT
+    for fac, p in nums.items():
+        if not p.terms:
+            continue
+        c, fl = fac
+        lc = lc // math.gcd(lc, c) * c
+        width = sum(_FACTOR_DEGS[f] * e for f, e in fl)
+        if width > widest:
+            widest, wide = width, fac
+        for f, e in fl:
+            m = top.get(f, 0)
+            if e > m:
+                top[f], seen[f] = e, count[fac]
+            elif e == m:
+                seen[f] += count[fac]
+    tops = sorted(top.items())
+    if len(nums) > 2 and \
+            2 * sum(_FACTOR_DEGS[f] * m for f, m in tops) >= 3 * widest > 0:
+        return None
+    parts = []
+    for (c, fl), p in nums.items():
+        if p.terms:
+            own = dict(fl)
+            cof = (lc // c, tuple((f, m - own.get(f, 0)) for f, m in tops
+                                  if m != own.get(f, 0)))
+            parts.append(p * _expand(cof))
+    num = _poly_sum(parts) if parts else _POLY_ZERO
     if num.is_zero:
         return ZERO
-    num, g, rest = _cancel(num, gc, common)
-    d2 = _fac(d1[0] * g, (1, d1[1]), (1, rest))    # d, when nothing cancelled
-    fac = _fac(b1[0] * d2[0], (1, b1[1]), (1, d2[1]))
-    return Scalar._raw(num, _expand(fac, (b1, d2)), fac)
+    num, c, rest = _cancel(num, lc, tuple((f, m) for f, m in tops
+                                          if seen[f] > 1))
+    fac = _fac(c, (1, ((f, m) for f, m in tops if seen[f] == 1)), (1, rest))
+    # the den as the widest addend's den times the rest, when it divides
+    part = _fac(c // wide[0], (1, fac[1]), (-1, wide[1]))
+    if c % wide[0] or any(e < 0 for _, e in part[1]):
+        return Scalar._raw(num, _expand(fac), fac)
+    return Scalar._raw(num, _expand(fac, (wide, part)), fac)
+
+
+def scalar_sum(xs):
+    """The sum of the Scalars xs, reduced once: integers add as integers,
+    factored values through one common denominator (_fac_sum); a value
+    with a denominator outside the alphabet, or dens whose lcm is much
+    wider than each of them, by pairwise +."""
+    xs = [x for x in xs if x.num.terms]
+    if len(xs) < 2:
+        return xs[0] if xs else ZERO
+    if all(x.den.is_one for x in xs):
+        return Scalar._raw(_poly_sum([x.num for x in xs]), _POLY_ONE, _UNIT)
+    total = None if any(x.fac is None for x in xs) else _fac_sum(xs)
+    return functools.reduce(operator.add, xs) if total is None else total
+
+
+def accumulate(pairs):
+    """{key: the sum of its values} over (key, Scalar) pairs, zero sums
+    dropped; each key's values are summed once, by scalar_sum."""
+    groups = {}
+    for k, x in pairs:
+        g = groups.get(k)
+        if g is None:
+            groups[k] = [x]
+        else:
+            g.append(x)
+    out = {}
+    for k, g in groups.items():
+        x = g[0] if len(g) == 1 else scalar_sum(g)
+        if x.num.terms:
+            out[k] = x
+    return out
 
 
 class Scalar:
@@ -955,7 +1087,7 @@ class Scalar:
         if b.is_one and d.is_one:
             return Scalar._raw(a + c, _POLY_ONE, _UNIT)
         if self.fac is not None and other.fac is not None:
-            return _fac_add(a, self.fac, c, other.fac)
+            return _fac_sum((self, other))
         g0, b1, d1 = b.cofactors(d)
         num = a * d1 + c * b1
         if g0.is_one:
@@ -1081,14 +1213,13 @@ def _signfix(num, den):
 def _poly_specialize(p, bindings):
     """Evaluate an IntPoly with q and/or t bound to Scalars; returns a Scalar."""
     qpow, tpow = [ONE], [ONE]
-    total = ZERO
-    for (dq, dt), c in p.terms.items():
+    for dq, dt in p.terms:
         while len(qpow) <= dq:
             qpow.append(qpow[-1] * bindings.get("q", Q))
         while len(tpow) <= dt:
             tpow.append(tpow[-1] * bindings.get("t", T))
-        total = total + Scalar.from_int(c) * qpow[dq] * tpow[dt]
-    return total
+    return scalar_sum([qpow[dq] * tpow[dt] * c
+                       for (dq, dt), c in p.terms.items()])
 
 
 ZERO = Scalar.from_int(0)

@@ -9,6 +9,7 @@ generators and <p_lam, p_mu> = z_lam delta.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .partitions import (
@@ -19,7 +20,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO, accumulate, scalar_sum
 
 __all__ = [
     "BASES",
@@ -94,14 +95,8 @@ class SymFunc:
             return NotImplemented
         if other.basis != self.basis:
             return convert(self, "p") + convert(other, "p")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = out.get(lam, ZERO) + c
-            if s.is_zero:
-                out.pop(lam, None)
-            else:
-                out[lam] = s
-        return SymFunc(self.basis, out)
+        return SymFunc(self.basis, accumulate(
+            itertools.chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self.__add__(other.scaled(-1))
@@ -198,7 +193,7 @@ _CACHE = TransitionCache()
 
 def _m_times_pk(expansion, k):
     """Multiply an m-basis dict by p_k, staying in the m basis."""
-    out = {}
+    pairs = []
     for mu, c in expansion.items():
         candidates = set()
         for v in set(mu) | {0}:
@@ -219,12 +214,8 @@ def _m_times_pk(expansion, k):
                 if Partition(sorted(pred, reverse=True)) == mu:
                     count += nu.multiplicity(w)
             if count:
-                s = out.get(nu, ZERO) + c * count
-                if s.is_zero:
-                    out.pop(nu, None)
-                else:
-                    out[nu] = s
-    return out
+                pairs.append((nu, c * count))
+    return accumulate(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -245,16 +236,9 @@ def _h_to_p_single(k):
 def _h_to_p_row(lam):
     row = {EMPTY: ONE}
     for k in lam:
-        nxt = {}
-        for alpha, c1 in row.items():
-            for beta, c2 in _h_to_p_single(k).items():
-                key = Partition(sorted(alpha + beta, reverse=True))
-                s = nxt.get(key, ZERO) + c1 * c2
-                if s.is_zero:
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = s
-        row = nxt
+        row = accumulate((Partition(sorted(alpha + beta, reverse=True)),
+                          c1 * c2) for alpha, c1 in row.items()
+                         for beta, c2 in _h_to_p_single(k).items())
     return row
 
 
@@ -291,15 +275,9 @@ def _build_to_m(basis, d):
         elif basis == "s":
             rows[lam] = dict(_s_to_m_row(lam))
         elif basis == "h":
-            row = {}
-            for mu, c in _h_to_p_row(lam).items():
-                for nu, c2 in _p_to_m_row(mu).items():
-                    s = row.get(nu, ZERO) + c * c2
-                    if s.is_zero:
-                        row.pop(nu, None)
-                    else:
-                        row[nu] = s
-            rows[lam] = row
+            rows[lam] = accumulate(
+                (nu, c * c2) for mu, c in _h_to_p_row(lam).items()
+                for nu, c2 in _p_to_m_row(mu).items())
     return rows
 
 
@@ -346,29 +324,13 @@ def convert(f, target):
         raise ValueError(f"unknown basis {target!r}")
     if f.basis == target:
         return f
-    out = {}
-    for d in f.degrees():
-        part = f.homogeneous(d)
-        to_m = _CACHE.to_m(f.basis, d)
-        mvec = {}
-        for lam, c in part.terms.items():
-            for mu, w in to_m[lam].items():
-                s = mvec.get(mu, ZERO) + c * w
-                if s.is_zero:
-                    mvec.pop(mu, None)
-                else:
-                    mvec[mu] = s
-        if target == "m":
-            out.update(mvec)
-            continue
-        from_m = _CACHE.from_m(target, d)
-        for mu, c in mvec.items():
-            for lam, w in from_m[mu].items():
-                s = out.get(lam, ZERO) + c * w
-                if s.is_zero:
-                    out.pop(lam, None)
-                else:
-                    out[lam] = s
+    out = f.terms
+    if f.basis != "m":
+        out = accumulate((mu, c * w) for lam, c in out.items() for mu, w
+                         in _CACHE.to_m(f.basis, lam.size)[lam].items())
+    if target != "m":
+        out = accumulate((lam, c * w) for mu, c in out.items() for lam, w
+                         in _CACHE.from_m(target, mu.size)[mu].items())
     return SymFunc(target, out)
 
 
@@ -376,69 +338,47 @@ def multiply(f, g):
     """Product, computed in the power-sum basis."""
     fp = convert(f, "p")
     gp = convert(g, "p")
-    out = {}
-    for lam, c1 in fp.terms.items():
-        for mu, c2 in gp.terms.items():
-            key = Partition(sorted(lam + mu, reverse=True))
-            s = out.get(key, ZERO) + c1 * c2
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return SymFunc("p", out)
+    return SymFunc("p", accumulate(
+        (Partition(sorted(lam + mu, reverse=True)), c1 * c2)
+        for lam, c1 in fp.terms.items() for mu, c2 in gp.terms.items()))
 
 
 def hall_inner(f, g):
     """Hall pairing: <p_lam, p_mu> = z_lam delta."""
     fp = convert(f, "p")
     gp = convert(g, "p")
-    total = ZERO
     small, big = fp.terms, gp.terms
     if len(big) < len(small):
         small, big = big, small
-    for lam, c in small.items():
-        d = big.get(lam)
-        if d is not None:
-            total = total + c * d * z_of(lam)
-    return total
+    return scalar_sum([c * big[lam] * z_of(lam)
+                       for lam, c in small.items() if lam in big])
 
 
 def _pk_perp(terms, k):
     """Apply the adjoint of multiplication by p_k to a p-basis dict."""
-    out = {}
+    pairs = []
     for mu, c in terms.items():
         m = mu.multiplicity(k)
-        if not m:
-            continue
-        reduced = list(mu)
-        reduced.remove(k)
-        key = Partition(reduced)
-        s = out.get(key, ZERO) + c * (k * m)
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
+        if m:
+            reduced = list(mu)
+            reduced.remove(k)
+            pairs.append((Partition(reduced), c * (k * m)))
+    return accumulate(pairs)
 
 
 def perp_apply(g, f):
     """Apply g-perp, the Hall adjoint of multiplication by g, to f."""
     gp = convert(g, "p")
     fp = convert(f, "p")
-    out = {}
+    pairs = []
     for lam, c in gp.terms.items():
         terms = fp.terms
         for k in lam:
             terms = _pk_perp(terms, k)
             if not terms:
                 break
-        for mu, v in terms.items():
-            s = out.get(mu, ZERO) + c * v
-            if s.is_zero:
-                out.pop(mu, None)
-            else:
-                out[mu] = s
-    return SymFunc("p", out)
+        pairs.extend((mu, c * v) for mu, v in terms.items())
+    return SymFunc("p", accumulate(pairs))
 
 
 def theta_apply(f, params):
@@ -456,12 +396,12 @@ def theta_apply(f, params):
 def kappa_eval(f, params):
     """Evaluate the algebra map sending p_k to the scalar a_k."""
     fp = convert(f, "p")
-    total = ZERO
+    vals = []
     for lam, c in fp.terms.items():
         for k in lam:
             c = c * params.value(k)
-        total = total + c
-    return total
+        vals.append(c)
+    return scalar_sum(vals)
 
 
 def schur_tableaux(shape):
@@ -508,15 +448,9 @@ class VarPoly:
     def __add__(self, other):
         if self.names != other.names:
             raise ValueError("variable mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
         p = VarPoly(self.names)
-        p.terms = out
+        p.terms = accumulate(
+            itertools.chain(self.terms.items(), other.terms.items()))
         return p
 
     def __sub__(self, other):
@@ -531,19 +465,14 @@ class VarPoly:
     def mul(self, other, trunc=None):
         if self.names != other.names:
             raise ValueError("variable mismatch")
-        out = {}
+        pairs = []
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if trunc is not None and sum(e) > trunc:
-                    continue
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                if trunc is None or sum(e) <= trunc:
+                    pairs.append((e, c1 * c2))
         p = VarPoly(self.names)
-        p.terms = out
+        p.terms = accumulate(pairs)
         return p
 
     def __mul__(self, other):

@@ -101,7 +101,8 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["(1+q+t)^250", "((1+q)^80)^80"])
+    @pytest.mark.parametrize("value", ["(1+q+t)^250", "((1+q)^80)^80",
+                                       "1/(q^100000-1)+1/(1-q)"])
     def test_oversized_power_spec_exits_two(self, capsys, value):
         rc, out, err = run_cli(capsys, "expand", "--rep", "macdonald",
                                "--shape", "[1]", "--spec", f"q={value}")
@@ -195,6 +196,29 @@ class TestVerify:
                              "--dmax", "40")
         assert rc == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("suite, bounds", [
+        ("heisenberg", ("--kmax", "30")),
+        ("pieri", ("--kmax", "9")),
+        ("du", ("--abmax", "30")),
+        ("bf", ("--lmax", "30")),
+        ("heisenberg", ("--kmax", "4", "--degree-cap", "3")),
+    ])
+    def test_orders_over_cap_exit_two(self, capsys, suite, bounds):
+        # heisenberg --kmax 30 --dmax 2 ran for minutes: the suite climbs
+        # to degree dmax + 2*kmax - 1
+        rc, out, err = run_cli(capsys, "verify", suite, "--rep", "fermionic",
+                               "--dmax", "2", *bounds)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap" in err
+
+    def test_orders_at_cap(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "du", "--rep", "fermionic",
+                             "--dmax", "1", "--abmax", "3", "--degree-cap", "3")
+        assert rc == 0
+        assert "pass" in out
 
 
 class TestBundleHandling:

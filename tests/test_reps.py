@@ -3,14 +3,17 @@
 import pytest
 
 from fockbridge.heisenberg import (
+    Rep,
     StateVec,
     apply_B,
     apply_D,
     apply_U,
     compute_F,
     compute_G,
+    load_bundle,
     monomial_coeff,
     phi_map,
+    rep_to_bundle,
     specialize_rep,
 )
 from fockbridge.partitions import (
@@ -46,6 +49,27 @@ P = Partition
 
 def vec(lam):
     return StateVec.basis(P(lam))
+
+
+class NewtonB(Rep):
+    """A base rep's B, derived by Newton's identities from its U/D actions,
+    exposed as raw_B, so that compute_F/compute_G take B products."""
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+        self.params = base.params
+        self.degree_step = base.degree_step
+        self.highest = base.highest
+
+    def basis_of_degree(self, d):
+        return self.base.basis_of_degree(d)
+
+    def degree_of(self, index):
+        return self.base.degree_of(index)
+
+    def raw_B(self, k, index):
+        return apply_B(self.base, k, StateVec.basis(index)).terms
 
 
 class TestFermionicAction:
@@ -232,6 +256,30 @@ class TestMacdonaldRep:
                 assert hl.coefficient(lam) == ONE, lam
                 for mu in hl.terms:
                     assert dominates(lam, mu), (lam, mu)
+
+    @pytest.mark.parametrize("which", ["macdonald", "bundle", "q=0"])
+    def test_chain_route_matches_b_products(self, which):
+        # compute_F/compute_G read U/D chains on a rep without raw_B; the
+        # same rep seen through NewtonB takes B products instead
+        rep = macdonald_rep()
+        if which == "bundle":
+            rep = load_bundle(rep_to_bundle(rep, 5, 5))
+        elif which == "q=0":
+            rep = specialize_rep(rep, {"q": ZERO})
+        oracle = NewtonB(rep)
+        assert rep.raw_B is None and oracle.raw_B is not None
+        checked = 0
+        for ds in range(6):
+            for s in rep.basis_of_degree(ds):
+                for dt in range(ds + 1):
+                    for t in rep.basis_of_degree(dt):
+                        for fn in (compute_F, compute_G):
+                            got = fn(rep, s, t)
+                            want = fn(oracle, s, t)
+                            assert got.basis == want.basis == "p"
+                            assert got.terms == want.terms, (fn, s, t)
+                            checked += not got.is_zero
+        assert checked > 100
 
     def test_deformed_z_reduces(self):
         # q = t collapses the deformation to plain z

@@ -4,7 +4,12 @@ The independent oracle here evaluates scalars at integer points with
 fractions.Fraction, bypassing all of the polynomial gcd machinery.
 """
 
+import functools
+import operator
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fockbridge
 from fockbridge.identities import verify_du, verify_pieri
 from fockbridge.reps import macdonald_rep
 from fockbridge.scalars import (
@@ -22,7 +28,9 @@ from fockbridge.scalars import (
     IntPoly,
     Scalar,
     SpecializationPoleError,
+    accumulate,
     parse_scalar,
+    scalar_sum,
     ZERO,
     ONE,
     Q,
@@ -525,3 +533,126 @@ def test_power_size_bound():
     assert parse_scalar("q^200") == Q ** 200
     assert parse_scalar("2^4000") == Scalar.from_int(2 ** 4000)
     assert parse_scalar("(1+q)^3") == parse_scalar("q^3 + 3*q^2 + 3*q + 1")
+
+
+def random_addend(rng, kind):
+    """One addend of a random sum: an integer monomial ("int"); a fraction
+    times a monomial times one or two (1 -+ q^a t^b)^{+-1} ("binomial");
+    or, in "mixed", sometimes 1/(1 + q + t) in place of the binomials,
+    a den outside the alphabet."""
+    if kind == "int":
+        base, c = ONE, Scalar.from_int(rng.choice([1, -1, 2, -3, 6]))
+    else:
+        c = Scalar.fraction(rng.choice([1, -1, 2, -3, 6]),
+                            rng.choice([1, 1, 2, 3]))
+        if kind == "mixed" and rng.random() < 0.3:
+            base = ONE / parse_scalar("1 + q + t")
+        else:
+            base = binomial_leaf(rng)[0]
+            if rng.random() < 0.5:
+                base = base * binomial_leaf(rng)[0]
+    return c * Q ** rng.randint(0, 2) * T ** rng.randint(0, 2) * base
+
+
+def generic_sum(xs):
+    # cross-multiplied and reduced once by the generic gcd: shares no code
+    # with the factored sum
+    num, den = IntPoly.const(0), IntPoly.const(1)
+    for x in xs:
+        num, den = num * x.den + x.num * den, den * x.den
+    return Scalar(num, den)
+
+
+class TestScalarSum:
+    @pytest.mark.parametrize("kind", ["int", "binomial", "mixed"])
+    def test_matches_left_fold(self, kind):
+        rng = random.Random({"int": 30, "binomial": 31, "mixed": 32}[kind])
+        for _ in range(120):
+            xs = [random_addend(rng, kind) for _ in range(rng.randint(1, 6))]
+            got = scalar_sum(xs)
+            for want in (functools.reduce(operator.add, xs, ZERO),
+                         generic_sum(xs)):
+                assert (got.num, got.den, got.fac) == \
+                    (want.num, want.den, want.fac), xs
+            assert_canonical(got)
+        assert scalar_sum([]) == ZERO
+
+    @pytest.mark.parametrize("texts, want", [
+        (["1/(1-q)", "-q/(1-q)"], "1"),
+        (["1/(1-q)^2", "-q/(1-q)^2", "1/(1-q)"], "2/(1-q)"),
+        (["1/(2-2*q*t)", "1/(2-2*q*t)", "1/(3*(1+q))"],
+         "1/(1-q*t) + 1/(3+3*q)"),
+        (["1/2", "1/3", "1/6"], "1"),
+    ])
+    def test_shared_top_exponents_cancel(self, texts, want):
+        got = scalar_sum([parse_scalar(x) for x in texts])
+        assert got == parse_scalar(want)
+        assert_canonical(got)
+
+    @pytest.mark.parametrize("kind", ["int", "binomial", "mixed"])
+    def test_zero_sum_drops_its_key(self, kind):
+        rng = random.Random({"int": 33, "binomial": 34, "mixed": 35}[kind])
+        for _ in range(40):
+            xs = [random_addend(rng, kind) for _ in range(rng.randint(1, 5))]
+            keep = random_addend(rng, kind)
+            total = functools.reduce(operator.add, xs, ZERO)
+            pairs = [("z", x) for x in xs] + [("k", keep), ("z", -total)]
+            rng.shuffle(pairs)
+            out = accumulate(pairs)
+            assert "z" not in out
+            assert out == ({"k": keep} if not keep.is_zero else {})
+
+    @pytest.mark.parametrize("kind", ["int", "binomial"])
+    def test_factored_sums_take_no_generic_gcd(self, monkeypatch, kind):
+        rng = random.Random({"int": 36, "binomial": 37}[kind])
+        sums = [[random_addend(rng, kind) for _ in range(rng.randint(2, 6))]
+                for _ in range(40)]
+        calls = count_generic_gcds(monkeypatch)
+        got = [scalar_sum(xs) for xs in sums]
+        grouped = accumulate((i % 3, x) for xs in sums for i, x in
+                             enumerate(xs))
+        assert calls == [], "factored addends reached IntPoly.cofactors"
+        monkeypatch.undo()
+        for xs, x in zip(sums, got):
+            assert x == functools.reduce(operator.add, xs, ZERO)
+        for key, x in grouped.items():
+            assert x == functools.reduce(
+                operator.add, [y for xs in sums for y in xs[key::3]], ZERO)
+
+
+def test_generic_gcd_degree_bound():
+    # x^g - 1 with g > 64 is outside the alphabet; at degree 100000 the
+    # heuristic gcd would pack integers of millions of bits
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="total degree"):
+        parse_scalar("1/(q^100000-1)+1/(1-q)")
+    assert time.perf_counter() - start < 1
+    assert parse_scalar("q^100000/(1-t)") * (ONE - T) == Q ** 100000
+
+
+def test_factor_registers_binomials_from_newton_polygon():
+    # the factor registry is global to a process, so this needs a fresh one:
+    # there, neither den has a registered factor, and neither is a binomial.
+    # x^1000 - 1 has an edge too long to register from, and stays generic
+    code = """if True:
+        from fockbridge.scalars import _FACTORS, IntPoly, Q, parse_scalar
+        x = parse_scalar("1/(q^1000-1)+1/(1-q)")
+        assert x.fac is None
+        assert x * (Q ** 1000 - 1) * (Q - 1) == Q - Q ** 1000
+        for text in ["(t - 1)/(q^3*t^2 - q^2*t - q*t + 1)",
+                     "1/(q^4 + q^2 + 1)", "(1 + q*t^2)/(1 - q^2*t^4)^3"]:
+            x = parse_scalar(text)
+            assert x.fac is not None, text
+            c, fl = x.fac
+            p = IntPoly.const(c)
+            for fid, e in fl:
+                p = p * _FACTORS[fid] ** e
+            assert p == x.den, text
+        assert parse_scalar("1/(1 + q + t + 3*q*t)").fac is None
+        print("ok")
+    """
+    root = os.path.dirname(os.path.dirname(fockbridge.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
