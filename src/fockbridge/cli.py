@@ -195,12 +195,16 @@ def _cmd_verify(args):
     dmax = args.dmax if args.dmax is not None else (3 if args.suite == "bf" else 4)
     if dmax > cap:
         raise UsageError(f"--dmax {dmax} exceeds degree cap {cap}")
-    # the suites climb by the operator orders (heisenberg to degree
-    # dmax + 2*kmax - 1), so an order is bounded like a degree
+    # the suites climb by the operator orders, so an order is bounded like
+    # a degree, and heisenberg by the degree it reaches, dmax + 2*kmax - 1
     for flag, n in (("--kmax", args.kmax), ("--abmax", args.abmax),
                     ("--lmax", args.lmax)):
         if n is not None and n > cap:
             raise UsageError(f"{flag} {n} exceeds degree cap {cap}")
+    if args.suite == "heisenberg" and dmax + 2 * kmax - 1 > cap:
+        raise UsageError(f"heisenberg with --kmax {kmax} --dmax {dmax} "
+                         f"reaches degree {dmax + 2 * kmax - 1}, over the "
+                         f"degree cap {cap}")
     if args.suite == "cauchy":
         # a symmetric function of degree <= cap is determined by cap variables
         for flag, n in (("--xvars", args.xvars), ("--yvars", args.yvars)):

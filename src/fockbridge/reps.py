@@ -16,6 +16,7 @@ from .partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    arm_leg,
     core_quotient,
     from_core_quotient,
     horizontal_strips,
@@ -101,8 +102,7 @@ def macdonald_b(lam, cell):
     i, j = cell
     if not (1 <= i <= len(lam) and 1 <= j <= lam.part(i)):
         return ONE
-    a = lam.part(i) - j
-    l = sum(1 for r in range(i, len(lam)) if lam[r] >= j)
+    a, l = arm_leg(lam, cell)
     return (ONE - Q ** a * T ** (l + 1)) / (ONE - Q ** (a + 1) * T ** l)
 
 

@@ -159,7 +159,8 @@ def _zq_divexact(a, b):
 
 
 # ---------------------------------------------------------------------------
-# helpers for (Z[q])[t]: a list over t-degree whose entries are Z[q] lists
+# helpers for (Z[q])[t]: a list over t-degree whose entries are Z[q] lists,
+# the form of the subresultant remainder sequence, the gcd fallback
 
 def _tq_trim(f):
     while f and not f[-1]:
@@ -207,156 +208,6 @@ def _tq_prem(f, g):
     return r
 
 
-def _heu_pack(f, zbits, tbits):
-    # evaluate at q = 2^zbits, t = 2^tbits by nested Horner
-    val = 0
-    for row in reversed(f):
-        rv = 0
-        for c in reversed(row):
-            rv = (rv << zbits) + c
-        val = (val << tbits) + rv
-    return val
-
-
-def _heu_unpack(n, zbits, tbits):
-    # balanced digit expansion inverts _heu_pack exactly
-    base_z, half_z = 1 << zbits, 1 << (zbits - 1)
-    base_t, half_t = 1 << tbits, 1 << (tbits - 1)
-    mask_z, mask_t = base_z - 1, base_t - 1
-    rows = []
-    while n:
-        d = n & mask_t
-        if d >= half_t:
-            d -= base_t
-        n = (n - d) >> tbits
-        row = []
-        while d:
-            c = d & mask_z
-            if c >= half_z:
-                c -= base_z
-            d = (d - c) >> zbits
-            row.append(c)
-        rows.append(row)
-    while rows and not rows[-1]:
-        rows.pop()
-    return rows
-
-
-def _heu_scan(f):
-    # integer content, height, and term count in one pass
-    ci = 0
-    h = 0
-    n = 0
-    for row in f:
-        for c in row:
-            if c:
-                n += 1
-                a = -c if c < 0 else c
-                if a > h:
-                    h = a
-                if ci != 1:
-                    ci = math.gcd(ci, c)
-    return ci, h, n
-
-
-def _tq_quo(f, g):
-    # exact quotient f / g in (Z[q])[t], or None when g does not divide f:
-    # the quotient of the packed integer values, whose digits are accepted
-    # only after the product reproduces f exactly, so a wrong guess never
-    # escapes
-    if not f:
-        return []
-    if len(f) < len(g):
-        return None
-    dqf = max(len(r) for r in f) - 1
-    dqg = max(len(r) for r in g) - 1
-    dq_q = dqf - dqg
-    dt_q = len(f) - len(g)
-    if dq_q < 0:
-        return None
-    cf, hf, nf = _heu_scan(f)
-    cg, hg, ng = _heu_scan(g)
-    norm_f = hf.bit_length() + (nf.bit_length() + 1) // 2
-    zbits = max(hf.bit_length(), hg.bit_length(), dq_q + dt_q + norm_f) + 4
-    tbits = zbits * (dqf + 1) + 2
-    a = _heu_pack(f, zbits, tbits)
-    b = _heu_pack(g, zbits, tbits)
-    qv, rem = divmod(a, b)
-    if rem:
-        return None
-    q = _heu_unpack(qv, zbits, tbits)
-    if len(q) != dt_q + 1 or max(len(r) for r in q) - 1 != dq_q:
-        return None
-    cq, hq, nq = _heu_scan(q)
-    vzbits = max(hq.bit_length() + hg.bit_length() + min(nq, ng).bit_length() + 2,
-                 hf.bit_length() + 1)
-    vtbits = vzbits * (dqf + 1) + 2
-    if _heu_pack(q, vzbits, vtbits) * _heu_pack(g, vzbits, vtbits) != \
-            _heu_pack(f, vzbits, vtbits):
-        return None
-    return q
-
-
-def _tq_gcd_heu(f, g):
-    """Gcd and cofactors by a single huge evaluation point, certified exactly.
-
-    Pack both polynomials into integers at q = 2^zbits, t = 2^tbits, gcd the
-    integers, and read the balanced base digits back as a candidate divisor.
-    The base is chosen past twice the height any factor can have (heights of
-    factors are bounded by 2^(deg_q + deg_t) times the height, up to a small
-    root-count term), so a nonzero value below base/4 certifies that the
-    corresponding polynomial divisor is constant.  The candidate is accepted
-    only when it divides both inputs and the integer gcd of the cofactor
-    values clears the same constancy threshold; failing that the bases grow
-    and we retry, and the caller falls back to a remainder sequence.
-    Returns (gcd, f / gcd, g / gcd): the two exact quotients that certified
-    the candidate are the cofactors.
-    """
-    ci, hf, nf = _heu_scan(f)
-    cj, hg, ng = _heu_scan(g)
-    if ci > 1:
-        f = [[c // ci for c in row] for row in f]
-        hf //= ci
-    if cj > 1:
-        g = [[c // cj for c in row] for row in g]
-        hg //= cj
-    c0 = math.gcd(ci, cj)
-    dqf = max(len(r) for r in f) - 1
-    dqg = max(len(r) for r in g) - 1
-    # Mignotte style: a divisor's height is at most 2^(its q-degree plus its
-    # t-degree) times the 2-norm of what it divides
-    norm_f = hf.bit_length() + (nf.bit_length() + 1) // 2
-    norm_g = hg.bit_length() + (ng.bit_length() + 1) // 2
-    divisor_bits = min(dqf, dqg) + min(len(f), len(g)) - 1 + min(norm_f, norm_g)
-    zbits = max(hf.bit_length(), hg.bit_length(), divisor_bits) + 4
-    dq_cap = max(dqf, dqg) + 1
-    for _ in range(3):
-        tbits = zbits * dq_cap + 2
-        a = _heu_pack(f, zbits, tbits)
-        b = _heu_pack(g, zbits, tbits)
-        gam = math.gcd(a, b)
-        lim = 1 << (zbits - 2)
-        if gam < lim:
-            return [[c0]], _tq_scale(f, ci // c0), _tq_scale(g, cj // c0)
-        cand = _heu_unpack(gam, zbits, tbits)
-        cc = _heu_scan(cand)[0]
-        if cc > 1:
-            cand = [[c // cc for c in row] for row in cand]
-        qf = _tq_quo(f, cand)
-        qg = _tq_quo(g, cand) if qf is not None else None
-        if qg is not None:
-            cv = gam // cc
-            if math.gcd(a // cv, b // cv) < lim:
-                return (_tq_scale(cand, c0), _tq_scale(qf, ci // c0),
-                        _tq_scale(qg, cj // c0))
-        zbits += (zbits >> 1) + 8
-    return None
-
-
-def _tq_scale(f, n):
-    return f if n == 1 else [[c * n for c in row] for row in f]
-
-
 def _tq_gcd_prs(f, g):
     # subresultant remainder sequence fallback
     cf, cg = _tq_content(f), _tq_content(g)
@@ -389,9 +240,158 @@ def _tq_gcd_prs(f, g):
 
 
 # ---------------------------------------------------------------------------
+# Kronecker packing of term dicts: {(i, j): c} is the integer
+# sum c * 2^(i*zbits + j*tbits), its value at q = 2^zbits, t = 2^tbits
+# (Kronecker substitution; Harvey, JSC 2009).  Packing is a ring
+# homomorphism, and with tbits >= zbits * (q-degree + 1) it is injective on
+# polynomials whose coefficients lie below 2^(zbits-1) in absolute value:
+# the balanced base-2^tbits digits of the value are its t-rows, and their
+# balanced base-2^zbits digits the coefficients.
+
+_T_DEG = operator.itemgetter(1)
+
+
+def _scan(terms):
+    # q-degree, t-degree, height and term count of a nonzero term dict
+    return (max(terms)[0], max(map(_T_DEG, terms)),
+            max(map(abs, terms.values())), len(terms))
+
+
+def _pack(terms, zbits, tbits):
+    rows = {}
+    for (i, j), c in terms.items():
+        r = rows.get(j)
+        rows[j] = c << i * zbits if r is None else r + (c << i * zbits)
+    return sum(r << j * tbits for j, r in rows.items())
+
+
+def _unpack(n, zbits, tbits):
+    # the balanced digits of n as (terms, q-degree, t-degree): _pack of the
+    # terms is n again, for every integer n
+    base_z, half_z, mask_z = 1 << zbits, 1 << (zbits - 1), (1 << zbits) - 1
+    base_t, half_t, mask_t = 1 << tbits, 1 << (tbits - 1), (1 << tbits) - 1
+    terms = {}
+    dq = j = 0
+    while n:
+        d = n & mask_t
+        n >>= tbits
+        if d >= half_t:
+            d -= base_t
+            n += 1
+        i = 0
+        while d:
+            c = d & mask_z
+            d >>= zbits
+            if c >= half_z:
+                c -= base_z
+                d += 1
+            if c:
+                terms[(i, j)] = c
+            i += 1
+        if i > dq:
+            dq = i
+        j += 1
+    return terms, dq - 1, j - 1
+
+
+def _quo(f, g, sf, sg):
+    """Exact quotient of term dicts f / g, or None when g does not divide f;
+    sf and sg are their _scan.  The quotient of the packed values is read
+    back as digits of the expected shape and certified below."""
+    dqf, dtf, hf, nf = sf
+    dqg, dtg, hg, ng = sg
+    dq, dt = dqf - dqg, dtf - dtg
+    if dq < 0 or dt < 0:
+        return None
+    norm_f = hf.bit_length() + (nf.bit_length() + 1) // 2
+    zbits = max(hf.bit_length(), hg.bit_length(), dq + dt + norm_f) + 4
+    tbits = zbits * (dqf + 1) + 2
+    qv, rem = divmod(_pack(f, zbits, tbits), _pack(g, zbits, tbits))
+    if rem:
+        return None
+    q, dqq, dtq = _unpack(qv, zbits, tbits)
+    if dqq != dq or dtq != dt:
+        return None
+    # Now _pack(q) * _pack(g) == _pack(f) at (zbits, tbits), so q * g and f
+    # pack to one value.  Both have q-degree dqf; a coefficient of q * g is
+    # a sum of at most min(#q, #g) products, below 2^(vzbits-2), and f's lie
+    # below 2^(vzbits-1).  When vzbits <= zbits packing is injective on both,
+    # so q * g == f is proven; otherwise check the product at vzbits.
+    vzbits = max(max(map(abs, q.values())).bit_length() + hg.bit_length()
+                 + min(len(q), ng).bit_length() + 2, hf.bit_length() + 1)
+    if vzbits > zbits:
+        vtbits = vzbits * (dqf + 1) + 2
+        if _pack(q, vzbits, vtbits) * _pack(g, vzbits, vtbits) != \
+                _pack(f, vzbits, vtbits):
+            return None
+    return q
+
+
+def _tq_gcd_heu(f, g):
+    """Gcd and cofactors of term dicts by a single huge evaluation point,
+    certified exactly.
+
+    Pack both polynomials into integers at q = 2^zbits, t = 2^tbits, gcd the
+    integers, and read the balanced base digits back as a candidate divisor.
+    The base is chosen past twice the height any factor can have (heights of
+    factors are bounded by 2^(deg_q + deg_t) times the height, up to a small
+    root-count term), so a nonzero value below base/4 certifies that the
+    corresponding polynomial divisor is constant.  The candidate is accepted
+    only when it divides both inputs and the integer gcd of the cofactor
+    values clears the same constancy threshold; failing that the bases grow
+    and we retry, and the caller falls back to a remainder sequence.
+    Returns IntPolys (gcd, f / gcd, g / gcd): the two exact quotients that
+    certified the candidate are the cofactors.
+    """
+    ci, cj = math.gcd(*f.values()), math.gcd(*g.values())
+    if ci > 1:
+        f = {k: c // ci for k, c in f.items()}
+    if cj > 1:
+        g = {k: c // cj for k, c in g.items()}
+    c0 = math.gcd(ci, cj)
+    sf, sg = _scan(f), _scan(g)
+    (dqf, dtf, hf, nf), (dqg, dtg, hg, ng) = sf, sg
+    # Mignotte style: a divisor's height is at most 2^(its q-degree plus its
+    # t-degree) times the 2-norm of what it divides
+    norm_f = hf.bit_length() + (nf.bit_length() + 1) // 2
+    norm_g = hg.bit_length() + (ng.bit_length() + 1) // 2
+    divisor_bits = min(dqf, dqg) + min(dtf, dtg) + min(norm_f, norm_g)
+    zbits = max(hf.bit_length(), hg.bit_length(), divisor_bits) + 4
+    dq_cap = max(dqf, dqg) + 1
+    for _ in range(3):
+        tbits = zbits * dq_cap + 2
+        a = _pack(f, zbits, tbits)
+        b = _pack(g, zbits, tbits)
+        gam = math.gcd(a, b)
+        lim = 1 << (zbits - 2)
+        if gam < lim:
+            return (IntPoly.const(c0), _poly(f).mul_int(ci // c0),
+                    _poly(g).mul_int(cj // c0))
+        cand, dqc, dtc = _unpack(gam, zbits, tbits)
+        cc = math.gcd(*cand.values())
+        if cc > 1:
+            cand = {k: c // cc for k, c in cand.items()}
+        sc = (dqc, dtc, max(map(abs, cand.values())), len(cand))
+        qf = _quo(f, cand, sf, sc)
+        qg = _quo(g, cand, sg, sc) if qf is not None else None
+        if qg is not None:
+            cv = gam // cc
+            if math.gcd(a // cv, b // cv) < lim:
+                return (_poly(cand).mul_int(c0), _poly(qf).mul_int(ci // c0),
+                        _poly(qg).mul_int(cj // c0))
+        zbits += (zbits >> 1) + 8
+    return None
+
+
+# ---------------------------------------------------------------------------
 
 _GCD_MEMO = {}
 _GCD_MEMO_LIMIT = 200000
+# IntPoly products go through _pack when the smaller factor has more than
+# _PACK_TERMS terms and the term pairs number more than _PACK_PRODUCTS; on
+# the products of the Macdonald sweep that rule came closest to the faster
+# method for each product
+_PACK_TERMS, _PACK_PRODUCTS = 4, 160
 # total degree above which neither the generic gcd nor _factor runs: both
 # would handle integers of millions of bits
 _DEGREE_LIMIT = 1024
@@ -465,16 +465,10 @@ class IntPoly:
                 out[k] = s
             elif k in out:
                 del out[k]
-        p = IntPoly.__new__(IntPoly)
-        p.terms = out
-        p._hash = None
-        return p
+        return _poly(out)
 
     def __neg__(self):
-        p = IntPoly.__new__(IntPoly)
-        p.terms = {k: -c for k, c in self.terms.items()}
-        p._hash = None
-        return p
+        return _poly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
@@ -486,13 +480,11 @@ class IntPoly:
             (da, ta), ca = next(iter(a.items()))
             if ca == 1 and not (da or ta):          # a factor 1: no copy
                 return self if b is self.terms else other
-            p = IntPoly.__new__(IntPoly)
-            p.terms = {(da + db, ta + tb): ca * cb for (db, tb), cb in b.items()}
-            p._hash = None
-            return p
+            return _poly({(da + db, ta + tb): ca * cb
+                          for (db, tb), cb in b.items()})
         # packing pays for its conversions only when both factors are
         # large; a small one times a large one is cheaper term by term
-        if len(a) > 10 and len(a) * len(b) > 256:
+        if len(a) > _PACK_TERMS and len(a) * len(b) > _PACK_PRODUCTS:
             return IntPoly._mul_packed(self, other)
         out = {}
         for (da, ta), ca in a.items():
@@ -503,47 +495,31 @@ class IntPoly:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        p = IntPoly.__new__(IntPoly)
-        p.terms = out
-        p._hash = None
-        return p
+        return _poly(out)
 
     @staticmethod
     def _mul_packed(x, y):
         # multiply through one big integer product; every coefficient of the
         # result is a sum of at most min(#terms) products, which fixes the
         # digit width
-        fa, fb = x._to_tq(), y._to_tq()
-        ha = max(abs(c) for r in fa for c in r)
-        hb = max(abs(c) for r in fb for c in r)
-        nmin = min(len(x.terms), len(y.terms))
-        zbits = ha.bit_length() + hb.bit_length() + nmin.bit_length() + 2
-        dq = max(len(r) for r in fa) + max(len(r) for r in fb) - 2
-        tbits = zbits * (dq + 1) + 1
-        n = _heu_pack(fa, zbits, tbits) * _heu_pack(fb, zbits, tbits)
-        return IntPoly._from_tq(_heu_unpack(n, zbits, tbits))
+        dqa, _, ha, na = _scan(x.terms)
+        dqb, _, hb, nb = _scan(y.terms)
+        zbits = ha.bit_length() + hb.bit_length() + min(na, nb).bit_length() + 2
+        tbits = zbits * (dqa + dqb + 1) + 1
+        n = _pack(x.terms, zbits, tbits) * _pack(y.terms, zbits, tbits)
+        return _poly(_unpack(n, zbits, tbits)[0])
 
     def mul_int(self, n):
         if n == 0 or not self.terms:
             return _POLY_ZERO
         if n == 1:
             return self
-        p = IntPoly.__new__(IntPoly)
-        p.terms = {k: n * c for k, c in self.terms.items()}
-        p._hash = None
-        return p
+        return _poly({k: n * c for k, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of IntPoly")
-        result = _POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _POLY_ONE)
 
     def content(self):
         g = 0
@@ -563,10 +539,7 @@ class IntPoly:
     def shifted(self, dq, dt):
         if not (dq or dt):
             return self
-        p = IntPoly.__new__(IntPoly)
-        p.terms = {(a + dq, b + dt): c for (a, b), c in self.terms.items()}
-        p._hash = None
-        return p
+        return _poly({(a + dq, b + dt): c for (a, b), c in self.terms.items()})
 
     def _to_tq(self):
         dt_max = max(k[1] for k in self.terms)
@@ -581,15 +554,8 @@ class IntPoly:
 
     @staticmethod
     def _from_tq(f):
-        terms = {}
-        for dt, row in enumerate(f):
-            for dq, c in enumerate(row):
-                if c:
-                    terms[(dq, dt)] = c
-        p = IntPoly.__new__(IntPoly)
-        p.terms = terms
-        p._hash = None
-        return p
+        return _poly({(dq, dt): c for dt, row in enumerate(f)
+                      for dq, c in enumerate(row) if c})
 
     def gcd(self, other):
         return self.cofactors(other)[0]
@@ -627,16 +593,16 @@ class IntPoly:
                         _DEGREE_LIMIT:
                     raise ValueError(f"gcd of polynomials over total degree "
                                      f"{_DEGREE_LIMIT} is not supported")
-                f, h = a._to_tq(), b._to_tq()
-                res = _tq_gcd_heu(f, h) if len(f) > 1 and len(h) > 1 else None
-                gt = _tq_gcd_prs(f, h) if res is None else res[0]
-                if len(gt) > 1 or len(gt[0]) > 1:
-                    g = IntPoly._from_tq(gt)
-                    if res is None:
+                res = None          # the heuristic needs both to involve t
+                if max(map(_T_DEG, a.terms)) and max(map(_T_DEG, b.terms)):
+                    res = _tq_gcd_heu(a.terms, b.terms)
+                g, ca, cb = res or (IntPoly._from_tq(
+                    _tq_gcd_prs(a._to_tq(), b._to_tq())), None, None)
+                if g.is_constant:
+                    g = ca = None
+                else:
+                    if ca is None:
                         ca, cb = a.divexact(g), b.divexact(g)
-                    else:
-                        ca, cb = (IntPoly._from_tq(res[1]),
-                                  IntPoly._from_tq(res[2]))
                     if g.lex_leading()[1] < 0:
                         g, ca, cb = -g, -ca, -cb
                     g = g.shifted(mq, mt)
@@ -677,20 +643,38 @@ class IntPoly:
                 if r:
                     raise ValueError("inexact polynomial division")
                 out[(dq, dt)] = cq
-            p = IntPoly.__new__(IntPoly)
-            p.terms = out
-            p._hash = None
-            return p
-        q = _tq_quo(self._to_tq(), other._to_tq())
+            return _poly(out)
+        q = _quo(self.terms, other.terms, _scan(self.terms),
+                 _scan(other.terms))
         if q is None:
             raise ValueError("inexact polynomial division")
-        return IntPoly._from_tq(q)
+        return _poly(q)
 
     def __str__(self):
         return _poly_str(self)
 
     def __repr__(self):
         return f"IntPoly({_poly_str(self)})"
+
+
+def _power(x, n, one):
+    # x^n by repeated squaring, with no square past the top bit
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def _poly(terms):
+    # trusted constructor: terms has no zero coefficient
+    p = IntPoly.__new__(IntPoly)
+    p.terms = terms
+    p._hash = None
+    return p
 
 
 _POLY_ZERO = IntPoly.const(0)
@@ -776,14 +760,15 @@ def _fac(c, *parts):
 
 def _divide(n, v, fid, most):
     # divide n, with v = _probe(n), by factor fid as often as it goes, up to
-    # most times: (quotient, its probe, count).  How often f's value divides
-    # v bounds the count, so that power is tried first, in one division.
-    f, fv, k, w = _FACTORS[fid], _FACTOR_VALS[fid], 0, v
+    # most times: (quotient, its probe, count).  How often the factor's value
+    # divides v bounds the count, so that power is tried first, in one
+    # division by the power from the _EXPANSIONS memo.
+    fv, k, w = _FACTOR_VALS[fid], 0, v
     while k < most and w % fv == 0:
         w, k = w // fv, k + 1
     while k:
         try:
-            return n.divexact(f if k == 1 else f ** k), v // fv ** k, k
+            return n.divexact(_expand((1, ((fid, k),)))), v // fv ** k, k
         except ValueError:
             k -= 1
     return n, v, 0
@@ -917,10 +902,7 @@ def _poly_sum(ps):
                 acc[k] = s
             else:
                 del acc[k]
-    p = IntPoly.__new__(IntPoly)
-    p.terms = acc
-    p._hash = None
-    return p
+    return _poly(acc)
 
 
 def _fac_sum(xs):
@@ -1150,14 +1132,7 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return (ONE / self) ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def inverse(self):
         return ONE / self

@@ -220,6 +220,29 @@ class TestVerify:
         assert rc == 0
         assert "pass" in out
 
+    @pytest.mark.parametrize("bounds", [
+        ("--kmax", "8", "--dmax", "0"),
+        ("--kmax", "2", "--dmax", "2", "--degree-cap", "4"),
+        ("--dmax", "8"),
+    ])
+    def test_heisenberg_degree_over_cap_exits_two(self, capsys, bounds):
+        # --kmax 8 --dmax 0 passes the order bound but climbs to degree 15:
+        # it was still running after 20 s
+        rc, out, err = run_cli(capsys, "verify", "heisenberg", "--rep",
+                               "macdonald", *bounds)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap" in err
+
+    def test_heisenberg_degree_at_cap(self, capsys):
+        # dmax + 2*kmax - 1 == 4
+        rc, out, _ = run_cli(capsys, "verify", "heisenberg", "--rep",
+                             "macdonald", "--kmax", "2", "--dmax", "1",
+                             "--degree-cap", "4")
+        assert rc == 0
+        assert "pass" in out
+
 
 class TestBundleHandling:
     @pytest.fixture

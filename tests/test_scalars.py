@@ -20,11 +20,14 @@ from hypothesis import given, settings, strategies as st
 import fockbridge
 from fockbridge.identities import verify_du, verify_pieri
 from fockbridge.reps import macdonald_rep
+from fockbridge import scalars as scalars_module
 from fockbridge.scalars import (
     _FACTORS,
     _factor,
+    _pack,
     _tq_gcd_heu,
     _tq_gcd_prs,
+    _unpack,
     IntPoly,
     Scalar,
     SpecializationPoleError,
@@ -294,17 +297,16 @@ class TestCofactors:
         for a, b in shaped_pairs(80, seed=11):
             aq, at = a.min_degrees()
             bq, bt = b.min_degrees()
-            f = a.shifted(-aq, -at)._to_tq()
-            h = b.shifted(-bq, -bt)._to_tq()
-            if len(f) < 2 or len(h) < 2:
+            f, h = a.shifted(-aq, -at), b.shifted(-bq, -bt)
+            if not (max(j for _, j in f.terms) and max(j for _, j in h.terms)):
                 continue
-            res = _tq_gcd_heu(f, h)
+            res = _tq_gcd_heu(f.terms, h.terms)
             assert res is not None
-            g_heu, cf, ch = (IntPoly._from_tq(x) for x in res)
-            g_prs = IntPoly._from_tq(_tq_gcd_prs(f, h))
+            g_heu, cf, ch = res
+            g_prs = IntPoly._from_tq(_tq_gcd_prs(f._to_tq(), h._to_tq()))
             assert g_heu in (g_prs, -g_prs)
-            assert g_heu * cf == IntPoly._from_tq(f)
-            assert g_heu * ch == IntPoly._from_tq(h)
+            assert g_heu * cf == f
+            assert g_heu * ch == h
             checked += 1
         assert checked > 40
 
@@ -329,6 +331,129 @@ class TestCofactors:
             want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), q, t)
             got = sympy.Poly(to_sympy(a.gcd(b)), q, t)
             assert got in (want, -want), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker kernel: term dicts packed into one integer and read back as
+# balanced digits; exact quotients certified at the division width
+
+def random_terms(rng, dq, dt, bits):
+    # a term dict with negative coefficients, some at the digit limit
+    # +-(2^(bits-1) - 1), and whole t-rows left empty
+    lim = 1 << (bits - 1)
+    rows = [j for j in range(dt + 1) if j in (0, dt) or rng.random() < 0.5]
+    terms = {}
+    for j in rows:
+        for i in range(dq + 1):
+            if rng.random() < 0.6:
+                terms[(i, j)] = rng.choice([lim - 1, -(lim - 1),
+                                            rng.randint(1 - lim, lim - 1)])
+    terms = {k: c for k, c in terms.items() if c}
+    terms.setdefault((dq, dt), 1 - lim)
+    terms.setdefault((0, 0), lim - 1)
+    return terms
+
+
+class TestPacking:
+    def test_round_trip_at_the_digit_limit(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            dq, dt = rng.randint(0, 6), rng.randint(0, 6)
+            zbits = rng.randint(2, 70)
+            terms = random_terms(rng, dq, dt, zbits)
+            # the tightest t-width the layout allows
+            tbits = zbits * (dq + 1)
+            n = _pack(terms, zbits, tbits)
+            assert _unpack(n, zbits, tbits) == (terms, dq, dt)
+            assert _unpack(-n, zbits, tbits) == (
+                {k: -c for k, c in terms.items()}, dq, dt)
+
+    def test_unpack_inverts_pack_on_every_integer(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            zbits = rng.randint(2, 40)
+            tbits = zbits * rng.randint(1, 5) + rng.randint(0, 2)
+            n = rng.randint(-(1 << 400), 1 << 400)
+            terms, dq, dt = _unpack(n, zbits, tbits)
+            assert _pack(terms, zbits, tbits) == n
+            assert 0 not in terms.values()
+            assert (dq, dt) == (max(terms)[0], max(j for _, j in terms))
+        assert _unpack(0, 8, 16) == ({}, -1, -1)
+
+    def test_packed_product_matches_schoolbook(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            a = IntPoly(random_terms(rng, rng.randint(0, 5), rng.randint(0, 5),
+                                     rng.randint(2, 30)))
+            b = IntPoly(random_terms(rng, rng.randint(0, 5), rng.randint(0, 5),
+                                     rng.randint(2, 30)))
+            want = {}
+            for (i, j), x in a.terms.items():
+                for (k, l), y in b.terms.items():
+                    want[(i + k, j + l)] = want.get((i + k, j + l), 0) + x * y
+            want = {k: c for k, c in want.items() if c}
+            assert IntPoly._mul_packed(a, b).terms == want
+
+    def test_divexact_on_macdonald_products(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            f = IntPoly.const(rng.choice([1, -1, 2, -6]))
+            parts = []
+            for _ in range(rng.randint(1, 6)):
+                a, b = rng.randint(0, 4), rng.randint(0, 3)
+                if a or b:
+                    parts.append(IntPoly({(0, 0): 1, (a, b): -1}))
+            for p in parts:
+                f = f * p
+            f = f.shifted(rng.randint(0, 2), rng.randint(0, 2))
+            for k in range(1, len(parts) + 1):
+                g = functools.reduce(operator.mul, rng.sample(parts, k))
+                q = f.divexact(g)
+                assert q * g == f
+                assert f.divexact(q) == g
+
+    def test_non_divisors(self):
+        one_minus_q = IntPoly({(0, 0): 1, (1, 0): -1})
+        p = one_minus_q ** 3 * IntPoly({(0, 0): 1, (2, 1): -1})
+        for bad in [IntPoly({(0, 0): 1, (0, 1): -1}),
+                    IntPoly({(0, 0): 1, (1, 0): 1}),
+                    IntPoly({(0, 0): 1, (1, 1): -1}),
+                    one_minus_q ** 4,
+                    IntPoly({(0, 0): 3, (1, 0): -3})]:
+            with pytest.raises(ValueError):
+                p.divexact(bad)
+
+    def test_exact_integer_division_of_a_non_divisor(self):
+        # q*t - 4 at q = Z, t = 4 Z^2 (the layout of a q-degree 1 dividend)
+        # is 4 Z^3 - 4, a multiple of Z - 1 at every width, yet q - 1 does
+        # not divide q*t - 4: the digits of the integer quotient must fail
+        f = IntPoly({(1, 1): 1, (0, 0): -4})
+        g = IntPoly({(1, 0): 1, (0, 0): -1})
+        for zbits in range(2, 80):
+            tbits = 2 * zbits + 2
+            assert _pack(f.terms, zbits, tbits) % _pack(g.terms, zbits,
+                                                        tbits) == 0
+        with pytest.raises(ValueError):
+            f.divexact(g)
+
+    def test_quotient_past_the_division_width_is_remultiplied(
+            self, monkeypatch):
+        # (1 + q)^20 (1 - q)^6 / (1 + q)^20: the quotient's height times the
+        # divisor's is far above the dividend's, so the product bound
+        # exceeds the division width and the quotient is checked by one
+        # more packed product (three more packs)
+        g = IntPoly({(0, 0): 1, (1, 0): 1}) ** 20
+        want = IntPoly({(0, 0): 1, (1, 0): -1}) ** 6
+        f = g * want
+        packs = []
+        real = scalars_module._pack
+        monkeypatch.setattr(scalars_module, "_pack",
+                            lambda *a: packs.append(a[1]) or real(*a))
+        assert f.divexact(g) == want
+        assert len(packs) == 5 and packs[2] > packs[0]
+        packs.clear()
+        assert f.divexact(want) == g
+        assert len(packs) == 2
 
 
 # ---------------------------------------------------------------------------
