@@ -309,22 +309,32 @@ def _quo(f, g, sf, sg):
     qv, rem = divmod(_pack(f, zbits, tbits), _pack(g, zbits, tbits))
     if rem:
         return None
-    q, dqq, dtq = _unpack(qv, zbits, tbits)
-    if dqq != dq or dtq != dt:
+    # a coefficient of q * g is a sum of at most #g products
+    got = _quotient(qv, zbits, tbits, dq, dt,
+                    hg.bit_length() + ng.bit_length())
+    if got is None:
         return None
-    # Now _pack(q) * _pack(g) == _pack(f) at (zbits, tbits), so q * g and f
-    # pack to one value.  Both have q-degree dqf; a coefficient of q * g is
-    # a sum of at most min(#q, #g) products, below 2^(vzbits-2), and f's lie
-    # below 2^(vzbits-1).  When vzbits <= zbits packing is injective on both,
-    # so q * g == f is proven; otherwise check the product at vzbits.
-    vzbits = max(max(map(abs, q.values())).bit_length() + hg.bit_length()
-                 + min(len(q), ng).bit_length() + 2, hf.bit_length() + 1)
-    if vzbits > zbits:
+    q, vzbits = got
+    if vzbits > zbits:          # not proven: check the product at vzbits
+        vzbits = max(vzbits, hf.bit_length() + 1)
         vtbits = vzbits * (dqf + 1) + 2
         if _pack(q, vzbits, vtbits) * _pack(g, vzbits, vtbits) != \
                 _pack(f, vzbits, vtbits):
             return None
     return q
+
+
+def _quotient(qv, zbits, tbits, dq, dt, gbits):
+    # certificate of qv = _pack(f) / _pack(g) at (zbits, tbits), f's
+    # coefficients below 2^(zbits-1), tbits > zbits * (f's q-degree + 1),
+    # 2^gbits times q's height a bound on q * g's coefficients: None if qv's
+    # digits q exceed f / g's degrees (dq, dt), else (q, vzbits).  q * g and
+    # f pack to one value and have q-degree at most f's, so at vzbits <=
+    # zbits packing is injective on both: q * g == f.
+    q, dqq, dtq = _unpack(qv, zbits, tbits)
+    if dqq > dq or dtq > dt:
+        return None
+    return q, max(map(abs, q.values())).bit_length() + gbits + 1
 
 
 def _tq_gcd_heu(f, g):
@@ -735,8 +745,13 @@ _FACTORS = [IntPoly.monomial(1, 0), IntPoly.monomial(0, 1)]  # fid 0 q, 1 t
 _FACTOR_IDS = {f: i for i, f in enumerate(_FACTORS)}
 _FACTOR_VALS = [_probe(f) for f in _FACTORS]
 _FACTOR_DEGS = [1, 1]                       # total degrees
+_FACTOR_FORMS = [([0, 1], 1, 0), ([0, 1], 0, 1)]  # (P, a, b): P(q^a t^b)
 _EXPANSIONS = {}                  # fac -> den
 _UNIT = (1, ())
+# dividends pack up to _PACK_BITS bits, else go to the probe point: packing
+# is dense (q^300 t^300 + 2 takes millions of bits), and past this size the
+# probe was the faster on the Macdonald Heisenberg sweep
+_PACK_BITS = 1 << 15
 
 
 @functools.cache
@@ -758,20 +773,90 @@ def _fac(c, *parts):
     return (c, tuple(sorted((f, e) for f, e in exps.items() if e)))
 
 
-def _divide(n, v, fid, most):
-    # divide n, with v = _probe(n), by factor fid as often as it goes, up to
-    # most times: (quotient, its probe, count).  How often the factor's value
-    # divides v bounds the count, so that power is tried first, in one
-    # division by the power from the _EXPANSIONS memo.
-    fv, k, w = _FACTOR_VALS[fid], 0, v
-    while k < most and w % fv == 0:
-        w, k = w // fv, k + 1
-    while k:
-        try:
-            return n.divexact(_expand((1, ((fid, k),)))), v // fv ** k, k
-        except ValueError:
-            k -= 1
-    return n, v, 0
+def _trial(n, v, cands):
+    # divide n, with v = _probe(n), by each factor (fid, most) of cands up
+    # to most times: (quotient, its probe, counts).  The counts v allows go
+    # in one division by their product, else each alone, from its count down
+    ks, w = [], v
+    for fid, most in cands:
+        fv, k = _FACTOR_VALS[fid], 0
+        while k < most and w % fv == 0:
+            w, k = w // fv, k + 1
+        ks.append(k)
+    try:
+        fl = tuple((f, k) for (f, _), k in zip(cands, ks) if k)
+        return n.divexact(_expand((1, fl))), w, ks
+    except ValueError:
+        if len(cands) == 1:
+            return _trial(n, v, [(cands[0][0], ks[0] - 1)])
+        for i, c in enumerate(cands):
+            n, v, (ks[i],) = _trial(n, v, [c])
+        return n, v, ks
+
+
+def _at(fid, zbits, tbits):
+    # factor fid = P(q^a t^b) at q = 2^zbits, t = 2^tbits, P by Horner
+    cs, a, b = _FACTOR_FORMS[fid]
+    s, v = a * zbits + b * tbits, 0
+    for c in reversed(cs):
+        v = (v << s) + c
+    return v
+
+
+def _strip(parts, fl, n=None):
+    """The sum of p * cof over parts (p, cof), cof a fac, divided by each
+    factor (fid, e) of fl up to e times, as one Kronecker value at a width
+    covering its divisors: (quotient, what is left of fl).  n is the sum,
+    if known.  None past _PACK_BITS bits, or when not certified: q*t - 4
+    packs to a multiple of the value of q - 1 at every width."""
+    dq = dt = h = 0
+    for p, (m, cfl) in parts:
+        pq, pt, ph, _ = _scan(p.terms)
+        for f, e in cfl:
+            cs, a, b = _FACTOR_FORMS[f]
+            pq, pt = pq + e * (len(cs) - 1) * a, pt + e * (len(cs) - 1) * b
+            ph *= sum(map(abs, cs)) ** e
+        dq, dt, h = max(dq, pq), max(dt, pt), h + ph * m
+    # q and t go by minimum degrees (at q = 2^zbits the value of t is a
+    # multiple of q's); a factor of more degree than is left cannot divide
+    ks, l1, tries = {}, 1, []
+    for fid, e in fl:
+        cs, a, b = _FACTOR_FORMS[fid]
+        ga, gb = (len(cs) - 1) * a, (len(cs) - 1) * b
+        if fid > 1 and ga <= dq and gb <= dt:
+            tries.append((fid, e, cs, ga, gb))
+    if tries or n is None:
+        # as in _quo: a divisor's height is at most 2^(dq + dt) times the
+        # 2-norm
+        zbits = dq + dt + h.bit_length() + 4 + \
+            (((dq + 1) * (dt + 1)).bit_length() + 1) // 2
+        tbits = zbits * (dq + 1) + 2
+        if (dt + 1) * tbits > _PACK_BITS:
+            return None
+        v = sum(_pack(p.terms, zbits, tbits) * m * math.prod(
+            _at(f, zbits, tbits) ** e for f, e in cfl)
+            for p, (m, cfl) in parts)
+        if not v:
+            return _POLY_ZERO, fl
+    for fid, e, cs, ga, gb in tries:
+        fv, k = _at(fid, zbits, tbits), 0
+        while k < e and ga <= dq and gb <= dt:
+            w, r = divmod(v, fv)
+            if r:
+                break
+            v, k, dq, dt = w, k + 1, dq - ga, dt - gb
+        ks[fid], l1 = k, l1 * sum(map(abs, cs)) ** k
+    if l1 > 1 or n is None:
+        # l1 bounds the sum of |coefficients| of the product divided out
+        got = _quotient(v, zbits, tbits, dq, dt, l1.bit_length())
+        if got is None or got[1] > zbits:
+            return None
+        n = _poly(got[0])
+    if fl[0][0] < 2:
+        mins = n.min_degrees()
+        ks.update((f, min(e, mins[f])) for f, e in fl[:2] if f < 2)
+        n = n.shifted(-ks.get(0, 0), -ks.get(1, 0))
+    return n, tuple((f, e - ks.get(f, 0)) for f, e in fl if e > ks.get(f, 0))
 
 
 def _register(d, a, b):
@@ -782,6 +867,7 @@ def _register(d, a, b):
         _FACTORS.append(f)
         _FACTOR_VALS.append(_probe(f))
         _FACTOR_DEGS.append((len(_cyclotomic(d)) - 1) * (a + b))
+        _FACTOR_FORMS.append((_cyclotomic(d), a, b))
     return fid
 
 
@@ -852,8 +938,8 @@ def _factor(p):
         v, start = _probe(r), 2
         while True:
             end = len(_FACTORS)
-            for fid in range(start, end):
-                r, v, exps[fid] = _divide(r, v, fid, most)
+            r, v, ks = _trial(r, v, [(fid, most) for fid in range(start, end)])
+            exps.update(zip(range(start, end), ks))
             if r.is_constant or _split_binomial(r, exps):
                 break
             # a leftover that is no binomial: its factors may not be
@@ -878,18 +964,19 @@ def _expand(fac, parts=()):
 
 
 def _cancel(n, c, fl):
-    """Divide nonzero n and c * prod f^e by their gcd: (n', c', fl')."""
+    """Divide nonzero n and c * prod f^e by their gcd: (n', c', fl').  The
+    factors go as in _strip, or when that gives None, at the probe point."""
+    if fl and not n.is_constant:
+        got = _strip([(n, _UNIT)], fl, n)
+        if got is None:
+            n, _, ks = _trial(n, _probe(n), fl)
+            got = n, tuple((f, e - k) for (f, e), k in zip(fl, ks) if e > k)
+        n, fl = got
+    # the factors are primitive: dividing by them leaves n's content
     g = math.gcd(c, n.content()) if c != 1 else 1
     if g != 1:
         c, n = c // g, IntPoly({k: x // g for k, x in n.terms.items()})
-    if not fl or n.is_constant:
-        return n, c, fl
-    out, v = [], _probe(n)
-    for fid, e in fl:
-        n, v, k = _divide(n, v, fid, e)
-        if k < e:
-            out.append((fid, e - k))
-    return n, c, tuple(out)
+    return n, c, fl
 
 
 def _poly_sum(ps):
@@ -945,15 +1032,23 @@ def _fac_sum(xs):
     for (c, fl), p in nums.items():
         if p.terms:
             own = dict(fl)
-            cof = (lc // c, tuple((f, m - own.get(f, 0)) for f, m in tops
-                                  if m != own.get(f, 0)))
-            parts.append(p * _expand(cof))
-    num = _poly_sum(parts) if parts else _POLY_ZERO
+            parts.append((p, (lc // c, tuple((f, m - own.get(f, 0))
+                                             for f, m in tops
+                                             if m != own.get(f, 0)))))
+    cands = tuple((f, m) for f, m in tops if seen[f] > 1)
+    # with candidates the numerator is built packed and trial-divided there
+    # (_strip); without, nothing is divided, so it is built term by term
+    got = cands and _strip(parts, cands)
+    if got:         # only the integer content is left to cancel
+        num, cands = got[0], ()
+    else:
+        num = _poly_sum([p * _expand(cof) for p, cof in parts]) if parts \
+            else _POLY_ZERO
     if num.is_zero:
         return ZERO
-    num, c, rest = _cancel(num, lc, tuple((f, m) for f, m in tops
-                                          if seen[f] > 1))
-    fac = _fac(c, (1, ((f, m) for f, m in tops if seen[f] == 1)), (1, rest))
+    num, c, rest = _cancel(num, lc, cands)
+    fac = _fac(c, (1, ((f, m) for f, m in tops if seen[f] == 1)),
+               (1, got[1] if got else rest))
     # the den as the widest addend's den times the rest, when it divides
     part = _fac(c // wide[0], (1, fac[1]), (-1, wide[1]))
     if c % wide[0] or any(e < 0 for _, e in part[1]):
@@ -1230,16 +1325,21 @@ def _tokenize(text):
     return tokens
 
 
-# what a ^ may build: (q-degree + 1)(t-degree + 1)(coefficient bits + 1)
+# what a ^, or a chain of * and /, may build: (q-degree + 1)(t-degree + 1)
+# (coefficient bits + 1)
 _POWER_LIMIT = 1 << 20
 
 
-def _power_size(p, n):
-    # over-estimates p^n: n times p's degrees, coefficients <= (sum |c|)^n
-    dq = dt = csum = 0
-    for (i, j), c in p.terms.items():     # one pass: this runs on every ^
-        dq, dt, csum = i if i > dq else dq, j if j > dt else dt, csum + abs(c)
-    return (n * dq + 1) * (n * dt + 1) * (n * (csum - 1).bit_length() + 1)
+def _size(*factors):
+    # over-estimates the product of p^n over (p, n) in factors: degrees add
+    # up, coefficients are at most the product of the (sum |c|)^n
+    dq = dt = bits = 0
+    for p, n in factors:
+        a = b = s = 0
+        for (i, j), c in p.terms.items():   # one pass: this runs on every ^
+            a, b, s = i if i > a else a, j if j > b else b, s + abs(c)
+        dq, dt, bits = dq + n * a, dt + n * b, bits + n * (s - 1).bit_length()
+    return (dq + 1) * (dt + 1) * (bits + 1)
 
 
 class _Parser:
@@ -1268,6 +1368,13 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()[0]
             rhs = self.parse_factor()
+            # only two factors of two or more terms each build more terms
+            # than they have: such a product is bounded like a ^
+            num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+            for a, b in ((value.num, num), (value.den, den)):
+                if len(a.terms) > 1 and len(b.terms) > 1 and \
+                        _size((a, 1), (b, 1)) > _POWER_LIMIT:
+                    raise ValueError("product is too large to build")
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -1286,8 +1393,7 @@ class _Parser:
             if self.peek() != "int":
                 raise ValueError("exponent must be an integer")
             n = self.take()[1]
-            if max(_power_size(base.num, n), _power_size(base.den, n)) > \
-                    _POWER_LIMIT:
+            if max(_size((base.num, n)), _size((base.den, n))) > _POWER_LIMIT:
                 raise ValueError(f"power ^{n} is too large to build")
             return base ** n
         return base

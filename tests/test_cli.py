@@ -101,8 +101,9 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["(1+q+t)^250", "((1+q)^80)^80",
-                                       "1/(q^100000-1)+1/(1-q)"])
+    @pytest.mark.parametrize("value", [
+        "(1+q+t)^250", "((1+q)^80)^80", "1/(q^100000-1)+1/(1-q)",
+        "*".join(["(1+q+t+2*q*t)^40"] * 4)])
     def test_oversized_power_spec_exits_two(self, capsys, value):
         rc, out, err = run_cli(capsys, "expand", "--rep", "macdonald",
                                "--shape", "[1]", "--spec", f"q={value}")

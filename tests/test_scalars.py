@@ -611,6 +611,24 @@ class TestFactored:
         assert y.den == x.den * IntPoly({(0, 0): -1, (1, 1): 1})
         assert_canonical(y)
 
+    def test_factor_divides_once_per_round(self, monkeypatch):
+        # every registered factor's count is read from the probe value
+        # first, then all of them go in one exact division
+        for k in range(1, 41):
+            ONE / (ONE - Q ** k)            # registers Phi_d(q), d <= 40
+        quotients = []
+        quo = scalars_module._quo
+        monkeypatch.setattr(scalars_module, "_quo",
+                            lambda *a: quotients.append(a) or quo(*a))
+        # q^1000 - 1 keeps a leftover of degree 940 with no factor to try
+        assert _factor(IntPoly({(1000, 0): 1, (0, 0): -1})) is None
+        assert len(quotients) == 1
+        quotients.clear()
+        p = (Q ** 40 - 1) * (Q ** 35 - 1)
+        fac = _factor(p.num)
+        assert len(quotients) == 1
+        assert fac is not None and fac_expansion(fac) == p.num
+
     def test_high_degree_numerator_is_cheap(self):
         # trial division evaluates q^100000 at the probe point: with power
         # tables up to its degree that took about 12 GB
@@ -652,12 +670,17 @@ class TestFactored:
 
 
 def test_power_size_bound():
-    for bad in ["(1+q+t)^250", "((1+q)^80)^80", "(1/(1-q*t))^300"]:
+    # a chain of * and / may build no more than one ^ may
+    for bad in ["(1+q+t)^250", "((1+q)^80)^80", "(1/(1-q*t))^300",
+                "(1+q+t+2*q*t)^40*(1+q+t+2*q*t)^40",
+                "1/(1+q+t+2*q*t)^40/(1+q+t+2*q*t)^40"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
     assert parse_scalar("q^200") == Q ** 200
     assert parse_scalar("2^4000") == Scalar.from_int(2 ** 4000)
     assert parse_scalar("(1+q)^3") == parse_scalar("q^3 + 3*q^2 + 3*q + 1")
+    assert parse_scalar("(1+q)^20*(1+q)^20/(1-t)^9") == \
+        (ONE + Q) ** 40 / (ONE - T) ** 9
 
 
 def random_addend(rng, kind):
@@ -743,6 +766,127 @@ class TestScalarSum:
         for key, x in grouped.items():
             assert x == functools.reduce(
                 operator.add, [y for xs in sums for y in xs[key::3]], ZERO)
+
+
+@st.composite
+def factored_sums(draw):
+    """Addends over dens from a few alphabet binomials, in pairs a/den and
+    (b*f - a)/den: the pair sums to b*f/den, so f must be divided out."""
+    pool = [ONE - Q, ONE + Q, ONE - Q * T, ONE - Q ** 2 * T, ONE + T]
+    xs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        den = Scalar.from_int(draw(st.sampled_from([1, 2, 3])))
+        for f in pool:
+            den = den * f ** draw(st.integers(min_value=0, max_value=2))
+        den = den * Q ** draw(st.integers(min_value=0, max_value=1))
+        a, b = Scalar(draw(intpolys())), Scalar(draw(intpolys()))
+        f = draw(st.sampled_from(pool + [Q, T]))
+        xs += [a / den, (b * f - a) / den]
+    return xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_sums())
+def test_packed_and_probe_reduction_agree(xs):
+    packed = scalar_sum(xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars_module, "_PACK_BITS", 0)     # nothing packs
+        probed = scalar_sum(xs)
+    assert (packed.num, packed.den, packed.fac) == \
+        (probed.num, probed.den, probed.fac)
+    assert packed == generic_sum(xs)
+    assert_canonical(packed)
+
+
+def record(monkeypatch, name):
+    # the (args, result) of each call of a scalars function
+    calls = []
+    real = getattr(scalars_module, name)
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(scalars_module, name, recording)
+    return calls
+
+
+class TestPackedTrialDivision:
+    # a dividend is trial-divided as one Kronecker value; these are the
+    # ways that value misleads, and the inputs it must not be used for
+
+    @pytest.mark.parametrize("got, want", [
+        (lambda: T / Q, "t/q"),
+        (lambda: (T ** 3 + T ** 4) / Q ** 2, "(t^3 + t^4)/q^2"),
+        (lambda: scalar_sum([T / Q, T ** 2 / Q, Q * T / Q ** 2]),
+         "(2*t + t^2)/q"),
+        (lambda: scalar_sum([T / (Q * T), T ** 5 / (Q * T)]),
+         "(1 + t^4)/q"),
+        (lambda: (T ** 2 / Q) * (Q / T), "t"),
+    ])
+    def test_monomial_factors_go_by_degree(self, got, want):
+        # at q = 2^zbits the value of t is a multiple of q's, so an integer
+        # test would divide t^k by q
+        x = got()
+        assert x == parse_scalar(want)
+        assert_canonical(x)
+
+    @pytest.mark.parametrize("summed", [False, True])
+    def test_false_positive_reaches_the_fallback(self, monkeypatch, summed):
+        # q*t - 4 packs, at every width, to Z*4Z^2 - 4 (Z = 2^zbits), a
+        # multiple of Z - 1, the value of q - 1, which does not divide it
+        num, inv = Q * T - 4, ONE / (Q - 1)
+        addends = [Q * T * inv, -4 * inv]
+        strips = record(monkeypatch, "_strip")
+        probes = record(monkeypatch, "_probe")
+        x = scalar_sum(addends) if summed else num * inv
+        monkeypatch.undo()
+        assert strips and all(r is None for _, r in strips)
+        assert len(probes) == 1
+        assert x.num == num.num and x.den == (Q - 1).num
+        assert_canonical(x)
+        # t^6 - 1 packs at zbits = 12 to 2^84 - 1, a multiple of 2^12 - 1;
+        # q - 1 is of higher q-degree, so it is not even tried
+        y = (T ** 6 - 1) * inv
+        assert str(y) == "(t^6 - 1)/(q - 1)"
+        assert_canonical(y)
+
+    @pytest.mark.parametrize("text, want", [
+        ("(q^300*t^300+1)/(1-q*t)^2 + 1/(1-q*t)^2",
+         "(q^300*t^300 + 2)/(1 - q*t)^2"),
+        ("q^100000/(1-t)+1/(1-t)^2", "(q^100000*(1 - t) + 1)/(1 - t)^2"),
+    ])
+    def test_sparse_dividends_are_cheap(self, text, want):
+        # packed, the first takes about 90,000 slots for two terms
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            x = parse_scalar(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5
+        assert peak < 8 << 20, peak
+        assert x == parse_scalar(want)
+        assert x.fac is not None and x.den == fac_expansion(x.fac)
+
+    def test_macdonald_reduces_packed(self, monkeypatch):
+        fresh = type(macdonald_rep())()
+        strips = record(monkeypatch, "_strip")
+        assert verify_pieri(fresh, 2, 4).passed
+        # certified, with a factor of the candidates divided out
+        assert any(r is not None and r[1] != args[1] for args, r in strips)
+        assert sum(r is None for _, r in strips) * 100 < len(strips)
+
+    def test_integer_dens_never_pack(self, monkeypatch):
+        xs = [Scalar.fraction(k + 1, 6 - k) * Q ** k * T for k in range(6)]
+        xs += [x * x for x in xs]
+        packs = record(monkeypatch, "_pack")
+        total = scalar_sum(xs)
+        grouped = accumulate((k % 2, x) for k, x in enumerate(xs))
+        monkeypatch.undo()
+        assert packs == []
+        assert total == functools.reduce(operator.add, xs, ZERO)
+        assert grouped[0] == functools.reduce(operator.add, xs[::2], ZERO)
 
 
 def test_generic_gcd_degree_bound():
