@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,8 +52,33 @@ class UsageError(Exception):
     pass
 
 
-def _parse_rep(text):
-    text = text.strip()
+def _parse_rep(text, cap):
+    # a tensor power's basis in degree d is n-tuples of partitions, so the
+    # number of factors, nested powers multiplied out, is bounded like a
+    # degree; the powers are read from the outside in, with no recursion
+    text, powers = text.strip(), []
+    while text.startswith("tensor:"):
+        text, sep, count = text[len("tensor:"):].rpartition("^")
+        if not sep:
+            raise UsageError("tensor rep must look like tensor:<rep>^<n>")
+        try:
+            n = int(count)
+        except ValueError:
+            raise UsageError(f"bad tensor power {count!r}") from None
+        if n < 1:
+            raise UsageError("tensor power must be at least 1")
+        powers.append(n)
+        if math.prod(powers) > cap:
+            raise UsageError(f"a tensor power of {math.prod(powers)} factors "
+                             f"exceeds the degree cap {cap}")
+        text = text.strip()
+    rep = _parse_base(text)
+    for n in reversed(powers):
+        rep = tensor(*(rep,) * n) if n > 1 else rep
+    return rep
+
+
+def _parse_base(text):
     if text == "fermionic":
         return fermionic_rep()
     if text == "macdonald":
@@ -63,19 +89,6 @@ def _parse_rep(text):
             return llt_q1_rep(n)
         except ValueError as e:
             raise UsageError(f"bad llt1 rep {text!r}: {e}") from None
-    if text.startswith("tensor:"):
-        body = text[len("tensor:"):]
-        base_text, sep, count = body.rpartition("^")
-        if not sep:
-            raise UsageError("tensor rep must look like tensor:<rep>^<n>")
-        try:
-            n = int(count)
-        except ValueError:
-            raise UsageError(f"bad tensor power {count!r}") from None
-        if n < 1:
-            raise UsageError("tensor power must be at least 1")
-        base = _parse_rep(base_text)
-        return tensor(*(base,) * n) if n > 1 else base
     if text.startswith("bundle:"):
         path = text[len("bundle:"):]
         try:
@@ -98,19 +111,37 @@ def _parse_bindings(pairs):
     return out
 
 
+def _leaves(rep):
+    # the untensored factors of rep, nested tensors flattened, in order
+    if hasattr(rep, "factors"):
+        return [leaf for f in rep.factors for leaf in _leaves(f)]
+    return [rep]
+
+
 def _parse_index(rep, text):
+    # a tensor's index nests like its factors; it is written as the shapes
+    # of its untensored factors, in order, joined by ';'
+    leaves = _leaves(rep)
+    parts = text.split(";") if len(leaves) > 1 else [text]
+    if len(parts) != len(leaves):
+        raise UsageError(f"bad shape {text!r}: expected {len(leaves)} "
+                         f"components joined by ';'")
+    got = iter([_parse_leaf(r, p) for r, p in zip(leaves, parts)])
+
+    def nest(r):
+        if hasattr(r, "factors"):
+            return tuple(nest(f) for f in r.factors)
+        return next(got)
+    return nest(rep)
+
+
+def _parse_leaf(rep, text):
     if isinstance(rep, BundleRep):
         try:
             return rep.index_of_label(text.strip())
         except KeyError as e:
-            raise UsageError(str(e)) from None
+            raise UsageError(e.args[0]) from None
     try:
-        if hasattr(rep, "factors"):
-            parts = text.split(";")
-            if len(parts) != len(rep.factors):
-                raise ValueError(
-                    f"expected {len(rep.factors)} components joined by ';'")
-            return tuple(parse_partition(p) for p in parts)
         return parse_partition(text)
     except ValueError as e:
         raise UsageError(f"bad shape {text!r}: {e}") from None
@@ -153,7 +184,7 @@ def _emit(args, payload, text):
 
 def _cmd_expand(args):
     cap = _degree_cap(args)
-    rep = _parse_rep(args.rep)
+    rep = _parse_rep(args.rep, cap)
     bindings = _parse_bindings(args.spec)
     shape = _parse_index(rep, args.shape)
     if args.base is not None:
@@ -189,7 +220,7 @@ _NOTHING_CHECKED = "these bounds leave the suite nothing to check"
 
 def _cmd_verify(args):
     cap = _degree_cap(args)
-    rep = _parse_rep(args.rep)
+    rep = _parse_rep(args.rep, cap)
     bindings = _parse_bindings(args.spec)
     kmax = args.kmax if args.kmax is not None else 2
     dmax = args.dmax if args.dmax is not None else (3 if args.suite == "bf" else 4)
@@ -258,7 +289,7 @@ def _cmd_verify(args):
 
 def _cmd_tableaux(args):
     cap = _degree_cap(args)
-    rep = _parse_rep(args.rep)
+    rep = _parse_rep(args.rep, cap)
     bindings = _parse_bindings(args.spec)
     shape = _parse_index(rep, args.shape)
     if args.base is not None:

@@ -155,29 +155,39 @@ def verify_pieri(rep, k_max, d_max, window=None):
             (lam, x * c) for t, c in pairs if not c.is_zero
             for lam, x in fn(t).terms.items()))
 
+    def transpose(op, k, d):
+        # {s: [(t, <op_k t, s>), ...]} over the basis t of degree d, in
+        # basis order: one application per t, shared by every source s
+        cols = {}
+        for t in rep.basis_of_degree(d) if d >= 0 else ():
+            for s, c in op(rep, k, StateVec.basis(t)).terms.items():
+                cols.setdefault(s, []).append((t, c))
+        return cols
+
     for k in range(1, k_max + 1):
         deep = d_max if window is None else min(d_max, window - m * k)
         if deep < 0:
             continue
         hk = h_multiplier(k, rep.params)
+        at = None
         for d, s in _indices_up_to(rep, deep):
-            up = rep.basis_of_degree(d + m * k)
-            down = rep.basis_of_degree(d - m * k) if d - m * k >= 0 else ()
+            if d != at:         # the transposes of degree d's neighbours
+                at = d
+                ups = transpose(apply_D, k, d + m * k)
+                downs = transpose(apply_U, k, d - m * k)
 
             v = StateVec.basis(s)
             rhs = combine(apply_U(rep, k, v).terms.items(), g_of)
             rpt.record(f"k={k} s={s} raise-G", multiply(hk, g_of(s)), rhs)
 
-            rhs = combine(((t, apply_D(rep, k, StateVec.basis(t))
-                            .coefficient(s)) for t in up), f_of)
+            rhs = combine(ups.get(s, ()), f_of)
             rpt.record(f"k={k} s={s} raise-F", multiply(hk, f_of(s)), rhs)
 
             rhs = combine(apply_D(rep, k, v).terms.items(), g_of)
             rpt.record(f"k={k} s={s} lower-G",
                        perp_apply(sym_h(k), g_of(s)), rhs)
 
-            rhs = combine(((t, apply_U(rep, k, StateVec.basis(t))
-                            .coefficient(s)) for t in down), f_of)
+            rhs = combine(downs.get(s, ()), f_of)
             rpt.record(f"k={k} s={s} lower-F",
                        perp_apply(sym_h(k), f_of(s)), rhs)
     return rpt

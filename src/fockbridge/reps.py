@@ -9,8 +9,6 @@ core/quotient bijection so that the index set is again all partitions.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .heisenberg import HeisenbergParams, Rep, _op_single, params_equal
 from .partitions import (
     EMPTY,
@@ -25,7 +23,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .scalars import ONE, Q, Scalar, T, accumulate, scalar_sum
+from .scalars import ONE, Scalar, _binomial_ratio, accumulate, scalar_sum
 from .symfunc import SymFunc, convert, sym_m
 
 __all__ = [
@@ -94,16 +92,20 @@ def fermionic_rep():
 # ---------------------------------------------------------------------------
 # Macdonald module
 
-@lru_cache(maxsize=None)
+def _b_binomials(lam, cell):
+    # the weight of a cell as ([(a, l + 1)], [(a + 1, l)]): the binomials
+    # 1 - q^x t^y of its numerator and its denominator; none outside lam
+    i, j = cell
+    if not (1 <= i <= len(lam) and 1 <= j <= lam.part(i)):
+        return [], []
+    a, l = arm_leg(lam, cell)
+    return [(a, l + 1)], [(a + 1, l)]
+
+
 def macdonald_b(lam, cell):
     """Arm/leg weight of a cell: (1 - q^a t^{l+1})/(1 - q^{a+1} t^l) inside
     lam, and 1 outside."""
-    lam = Partition(lam)
-    i, j = cell
-    if not (1 <= i <= len(lam) and 1 <= j <= lam.part(i)):
-        return ONE
-    a, l = arm_leg(lam, cell)
-    return (ONE - Q ** a * T ** (l + 1)) / (ONE - Q ** (a + 1) * T ** l)
+    return _binomial_ratio(*_b_binomials(Partition(lam), cell))
 
 
 def macdonald_phi_psi(shape):
@@ -111,27 +113,32 @@ def macdonald_phi_psi(shape):
 
     phi multiplies b-ratios over the cells of the outer shape lying in
     columns that meet the strip; psi over cells in rows meeting the strip
-    whose columns do not.
+    whose columns do not.  Both are collected as binomials and built once.
     """
     if not is_horizontal_strip(shape):
         raise ValueError(f"{shape.outer}/{shape.inner} is not a horizontal strip")
     strip = shape.cells()
     cols = {c.col for c in strip}
     rows = {c.row for c in strip}
-    phi = ONE
-    psi = ONE
+    phi, psi = ([], []), ([], [])
     for s in shape.outer.cells():
-        if s.col in cols:
-            phi = phi * macdonald_b(shape.outer, s) / macdonald_b(shape.inner, s)
-        elif s.row in rows:
-            psi = psi * macdonald_b(shape.inner, s) / macdonald_b(shape.outer, s)
-    return phi, psi
+        if s.col in cols:        # b_outer(s) / b_inner(s)
+            ratio, over, under = phi, shape.outer, shape.inner
+        elif s.row in rows:      # b_inner(s) / b_outer(s)
+            ratio, over, under = psi, shape.inner, shape.outer
+        else:
+            continue
+        ups, downs = _b_binomials(over, s)
+        downs_under, ups_under = _b_binomials(under, s)
+        ratio[0].extend(ups + ups_under)
+        ratio[1].extend(downs + downs_under)
+    return _binomial_ratio(*phi), _binomial_ratio(*psi)
 
 
 class _MacdonaldRep(Rep):
     degree_step = 1
     highest = EMPTY
-    params = HeisenbergParams(lambda k: (ONE - T ** k) / (ONE - Q ** k))
+    params = HeisenbergParams(lambda k: _binomial_ratio([(0, k)], [(k, 0)]))
 
     def basis_of_degree(self, d):
         return partitions_of(d) if d >= 0 else ()
@@ -334,10 +341,8 @@ def llt_q1_rep(n):
 
 def deformed_z(lam):
     """z_lam(q,t) = z_lam * prod over parts (1 - q^part)/(1 - t^part)."""
-    v = z_of(lam)
-    for part in lam:
-        v = v * (ONE - Q ** part) / (ONE - T ** part)
-    return v
+    return z_of(lam) * _binomial_ratio([(p, 0) for p in lam],
+                                       [(0, p) for p in lam])
 
 
 def deformed_inner(f, g):

@@ -422,15 +422,13 @@ class IntPoly:
     @classmethod
     def const(cls, n):
         p = cls.__new__(cls)
-        p.terms = {(0, 0): n} if n else {}
-        p._hash = None
+        p.terms, p._hash = {(0, 0): n} if n else {}, None
         return p
 
     @classmethod
     def monomial(cls, dq, dt, c=1):
         p = cls.__new__(cls)
-        p.terms = {(dq, dt): c} if c else {}
-        p._hash = None
+        p.terms, p._hash = {(dq, dt): c} if c else {}, None
         return p
 
     @property
@@ -682,8 +680,7 @@ def _power(x, n, one):
 def _poly(terms):
     # trusted constructor: terms has no zero coefficient
     p = IntPoly.__new__(IntPoly)
-    p.terms = terms
-    p._hash = None
+    p.terms, p._hash = terms, None
     return p
 
 
@@ -742,7 +739,7 @@ def _probe(p, _pows=([1], [1])):
 
 
 _FACTORS = [IntPoly.monomial(1, 0), IntPoly.monomial(0, 1)]  # fid 0 q, 1 t
-_FACTOR_IDS = {f: i for i, f in enumerate(_FACTORS)}
+_FACTOR_IDS = {}                            # (d, a, b) -> fid
 _FACTOR_VALS = [_probe(f) for f in _FACTORS]
 _FACTOR_DEGS = [1, 1]                       # total degrees
 _FACTOR_FORMS = [([0, 1], 1, 0), ([0, 1], 0, 1)]  # (P, a, b): P(q^a t^b)
@@ -860,10 +857,10 @@ def _strip(parts, fl, n=None):
 
 
 def _register(d, a, b):
-    # fid of Phi_d(q^a t^b), registering it on first sight
-    f = IntPoly({(a * i, b * i): x for i, x in enumerate(_cyclotomic(d))})
-    fid = _FACTOR_IDS.setdefault(f, len(_FACTORS))
+    # fid of Phi_d(q^a t^b), gcd(a, b) = 1, registering it on first sight
+    fid = _FACTOR_IDS.setdefault((d, a, b), len(_FACTORS))
     if fid == len(_FACTORS):
+        f = IntPoly({(a * i, b * i): x for i, x in enumerate(_cyclotomic(d))})
         _FACTORS.append(f)
         _FACTOR_VALS.append(_probe(f))
         _FACTOR_DEGS.append((len(_cyclotomic(d)) - 1) * (a + b))
@@ -871,19 +868,40 @@ def _register(d, a, b):
     return fid
 
 
+def _count_binomial(gq, gt, exps, plus=False, e=1):
+    # add e to the exponent in exps of each Phi_d(x) dividing x^g - 1, or
+    # x^g + 1 when plus, where q^gq t^gt = x^g and g = gcd(gq, gt)
+    g = math.gcd(gq, gt)
+    for d in range(1, 2 * g + 1):
+        if (2 * g) % d == 0 and (g % d != 0) == plus:
+            fid = _register(d, gq // g, gt // g)
+            exps[fid] = exps.get(fid, 0) + e
+
+
 def _split_binomial(r, exps):
     # r = x^g - 1 or x^g + 1 with x = q^a t^b: count its Phi_d(x) in exps
     if len(r.terms) != 2 or r.terms.get((0, 0)) not in (1, -1):
         return False
     (gq, gt), lead = r.lex_leading()
-    g = math.gcd(gq, gt)
-    if lead != 1 or g > 64:     # a larger g takes the generic path
+    if lead != 1 or math.gcd(gq, gt) > 64:  # a larger g takes the generic path
         return False
-    for d in range(1, 2 * g + 1):
-        if (2 * g) % d == 0 and (g % d != 0) == (r.terms[(0, 0)] == 1):
-            fid = _register(d, gq // g, gt // g)
-            exps[fid] = exps.get(fid, 0) + 1
+    _count_binomial(gq, gt, exps, r.terms[(0, 0)] == 1)
     return True
+
+
+def _binomial_ratio(ups, downs):
+    # prod (1 - q^a t^b) over (a, b) in ups over that over downs, canonical:
+    # 1 - x^g is -prod_{d | g} Phi_d(x), so exponents add and nothing divides
+    exps = {}
+    for pairs, e in ((ups, 1), (downs, -1)):
+        for a, b in pairs:
+            if not (a or b):    # gcd(0, 0) = 0 would count no factor
+                raise ValueError("the binomial 1 - q^0 t^0 is zero")
+            _count_binomial(a, b, exps, e=e)
+    num = _expand(_fac(1, (1, ((f, e) for f, e in exps.items() if e > 0))))
+    fac = _fac(1, (-1, ((f, e) for f, e in exps.items() if e < 0)))
+    return Scalar._raw(-num if (len(ups) + len(downs)) % 2 else num,
+                       _expand(fac), fac)
 
 
 def _register_edges(r):
@@ -963,12 +981,13 @@ def _expand(fac, parts=()):
     return p
 
 
-def _cancel(n, c, fl):
+def _cancel(n, c, fl, pack=True):
     """Divide nonzero n and c * prod f^e by their gcd: (n', c', fl').  The
-    factors go as in _strip, or when that gives None, at the probe point."""
+    factors go as in _strip, or at the probe point when that gives None or
+    pack is false (for a sum's numerator that _strip refused)."""
     if fl and not n.is_constant:
-        got = _strip([(n, _UNIT)], fl, n)
-        if got is None:
+        got = pack and _strip([(n, _UNIT)], fl, n)
+        if not got:
             n, _, ks = _trial(n, _probe(n), fl)
             got = n, tuple((f, e - k) for (f, e), k in zip(fl, ks) if e > k)
         n, fl = got
@@ -1037,7 +1056,8 @@ def _fac_sum(xs):
                                              if m != own.get(f, 0)))))
     cands = tuple((f, m) for f, m in tops if seen[f] > 1)
     # with candidates the numerator is built packed and trial-divided there
-    # (_strip); without, nothing is divided, so it is built term by term
+    # (_strip); without, nothing is divided, so it is built term by term,
+    # and so is one that _strip refused, which goes to the probe point
     got = cands and _strip(parts, cands)
     if got:         # only the integer content is left to cancel
         num, cands = got[0], ()
@@ -1046,7 +1066,7 @@ def _fac_sum(xs):
             else _POLY_ZERO
     if num.is_zero:
         return ZERO
-    num, c, rest = _cancel(num, lc, cands)
+    num, c, rest = _cancel(num, lc, cands, pack=False)
     fac = _fac(c, (1, ((f, m) for f, m in tops if seen[f] == 1)),
                (1, got[1] if got else rest))
     # the den as the widest addend's den times the rest, when it divides
@@ -1112,9 +1132,7 @@ class Scalar:
     def _raw(cls, num, den, fac):
         # trusted constructor: (num, den) already canonical, fac its den's
         s = cls.__new__(cls)
-        s.num = num
-        s.den = den
-        s.fac = fac
+        s.num, s.den, s.fac = num, den, fac
         return s
 
     @classmethod
@@ -1178,9 +1196,7 @@ class Scalar:
         return Scalar._raw(-self.num, self.den, self.fac)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Scalar.from_int(other)
-        elif not isinstance(other, Scalar):
+        if not isinstance(other, (int, Scalar)):
             return NotImplemented
         return self.__add__(-other)
 
@@ -1198,6 +1214,9 @@ class Scalar:
         if b.is_one and d.is_one:
             return Scalar._raw(a * c, _POLY_ONE, _UNIT)
         if self.fac is not None and other.fac is not None:
+            for x, n in ((self, other), (other, self)):
+                if n.is_integer:
+                    return x._times_int(n.num.as_int())
             a, cd, fd = _cancel(a, *other.fac)
             c, cb, fb = _cancel(c, *self.fac)
             fac = _fac(cb * cd, (1, fb), (1, fd))
@@ -1207,6 +1226,15 @@ class Scalar:
         return _signfix(a * c, b * d)
 
     __rmul__ = __mul__
+
+    def _times_int(self, n):
+        # self * n for an int n != 0, self with a fac (c, fl): the factors
+        # are primitive, so gcd(n * num, c * prod f^e) = gcd(n, c)
+        if n == 1:
+            return self
+        (c, fl), g = self.fac, math.gcd(n, self.fac[0])
+        fac = (c // g, fl)      # its den from the memo, shared
+        return Scalar._raw(self.num.mul_int(n // g), _expand(fac), fac)
 
     def __truediv__(self, other):
         if isinstance(other, int):

@@ -1,10 +1,17 @@
 """CLI surface: golden outputs, exit codes, JSON round-trips."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fockbridge.cli import main
+from fockbridge.cli import _SUITES, main
 from fockbridge.heisenberg import BundleFormatError, load_bundle, rep_to_bundle
 from fockbridge.reps import fermionic_rep
 from fockbridge.scalars import ONE, Q, T
@@ -92,6 +99,41 @@ class TestExpand:
                              "--shape", "[1]")
         assert rc == 2
         assert "unknown rep" in err
+
+    @pytest.mark.parametrize("rep, cap", [
+        ("tensor:fermionic^40", "8"), ("tensor:tensor:fermionic^8^8", "8"),
+        ("tensor:tensor:fermionic^3^3", "8"), ("tensor:fermionic^3", "2")])
+    def test_tensor_power_over_cap_exits_two(self, capsys, rep, cap):
+        # the basis of a tensor power counts tuples of partitions: at 40
+        # factors this suite ran for minutes inside the degree cap
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "verify", "pieri", "--rep", rep,
+                               "--kmax", "1", "--dmax", "6",
+                               "--degree-cap", cap)
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tensor power" in err
+
+    def test_nested_tensor_power_at_cap(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "pieri", "--rep",
+                             "tensor:tensor:fermionic^2^2", "--kmax", "1",
+                             "--dmax", "2", "--degree-cap", "4")
+        assert rc == 0
+        assert out.startswith("pieri: pass")
+
+    @pytest.mark.parametrize("shape, rc, want", [
+        ("[1];[];[];[1]", 0, "s[2] 1\ns[1,1] 1\n"),
+        ("[1];[1]", 2, "expected 4 components")])
+    def test_nested_tensor_shapes(self, capsys, shape, rc, want):
+        # a nested power's index nests like its factors: one shape per
+        # untensored factor (a nested index once raised AttributeError)
+        got, out, err = run_cli(capsys, "expand", "--rep",
+                                "tensor:tensor:fermionic^2^2", "--shape",
+                                shape, "--basis", "s", "--degree-cap", "4")
+        assert got == rc
+        assert want == out if rc == 0 else want in err
 
     @pytest.mark.parametrize("value", ["q^", "2^", "(1+q)^", "1/0"])
     def test_dangling_exponent_spec_exits_two(self, capsys, value):
@@ -332,6 +374,15 @@ class TestBundleHandling:
         assert rc == 0
         assert out.strip() == "s[2,1] 1"
 
+    def test_unknown_label_exits_two(self, capsys, bundle_path):
+        # the message of the KeyError, not its repr in quotes
+        path = bundle_path()
+        rc, out, err = run_cli(capsys, "expand", "--rep", f"bundle:{path}",
+                               "--shape", "[9]")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: label '[9]' not in bundle basis\n"
+
     def test_converse_pass(self, capsys, bundle_path):
         path = bundle_path()
         rc, out, _ = run_cli(capsys, "verify", "converse",
@@ -409,3 +460,132 @@ class TestArgErrors:
         rc, _, _ = run_cli(capsys, "expand", "--rep", "fermionic",
                            "--shape", "[1]", "--spec", "q=))")
         assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any argument vector and any bundle either works or fails with
+# exit code 1 or 2, never with a traceback
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_handled(rc, err):
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc and err.startswith("error:"):
+        assert err.count("\n") == 1, err
+
+
+HOSTILE = ["", " ", "-1", "99", "10**9", "1e3", "nan", "[-1]", "[1,2]",
+           "[];[1]", ";", "q=0", "q=1", "t=1", "q=t", "q=q^", "q=1/0",
+           "q=(1+q)^", "x=2", "q=", "=", "2,-1", "0,1", "llt1:1", "llt1:x",
+           "bosonic", "tensor:fermionic^0", "tensor:fermionic",
+           "tensor:fermionic^99", "tensor:fermionic^-2", "tensor:^2",
+           "bundle:", "bundle:/no/such.json"]
+# words of the CLI's own grammars, small integers, and anything at all
+GRAMMAR = "qt0123456789[],;:^*/+-()= "
+VALUES = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(HOSTILE),
+                   st.text(GRAMMAR, max_size=8), st.text(max_size=4))
+# well-formed values of each flag; a hostile example draws from VALUES
+GOOD = {"--rep": ["fermionic", "macdonald", "llt1:2", "llt1:3",
+                  "tensor:fermionic^2", "tensor:macdonald^3",
+                  "tensor:llt1:2^2", "tensor:tensor:fermionic^2^2"],
+        "--shape": ["[]", "[1]", "[2,1]", "[1,1,1]", "[1];[1]", "[];[2]",
+                    "[1];[];[1]"],
+        "--base": ["[]", "[1]", "[];[]"], "--fn": ["F", "G"],
+        "--basis": ["p", "h", "m", "s"], "--out": ["text", "json"],
+        "--spec": ["q=0", "t=2", "q=1/2", "q=t", "q=1"],
+        "--t": ["[1]", "[2]"], "--r": ["[]", "[1]"],
+        "--weight": ["1", "1,1", "2,1"]}
+INT_FLAGS = ["--kmax", "--dmax", "--abmax", "--xvars", "--yvars", "--lmax"]
+FLAGS = {"expand": ["--base", "--fn", "--basis"],
+         "tableaux": ["--base", "--weight"],
+         "verify": INT_FLAGS + ["--t", "--r"]}
+
+
+@st.composite
+def argument_vectors(draw):
+    hostile = draw(st.booleans())
+
+    def value(flag):
+        if hostile:
+            return draw(VALUES)
+        if flag in INT_FLAGS:
+            return str(draw(st.integers(0, 3)))
+        return draw(st.sampled_from(GOOD[flag]))
+    cmd = draw(st.sampled_from(["expand", "verify", "tableaux"] +
+                               ["nope"] * hostile))
+    argv = [cmd, draw(st.sampled_from(_SUITES + ("nope",) * hostile))] \
+        if cmd == "verify" else [cmd, "--shape", value("--shape")]
+    argv += ["--rep", value("--rep")]
+    flags = FLAGS.get(cmd, []) + ["--spec", "--out"] + ["--bogus"] * hostile
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv += [flag, value(flag)]
+    if cmd == "verify":
+        argv += ["--dmax", value("--dmax")]
+    # a small degree cap keeps every example cheap
+    return argv + ["--degree-cap", str(draw(st.integers(-1, 4)))]
+
+
+SCALARS = st.sampled_from(["0", "1", "-1", "q", "1/(1-q)", "(1-t)/(1-q)",
+                           "q^", "1/0", "(1+q+t)^250", "1/(1+q+t)", "x"])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | SCALARS
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "2", "x"]) | st.text(
+        max_size=3), kids, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def bundle_texts(draw):
+    bundle = copy.deepcopy(rep_to_bundle(fermionic_rep(), 2, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        # a path down to a leaf, cut at a random depth (mostly deep, since
+        # hypothesis favours small draws): that node is replaced or dropped
+        path, node = [], bundle
+        while isinstance(node, (dict, list)) and node:
+            keys = sorted(node) if isinstance(node, dict) else \
+                list(range(len(node)))
+            path.append((node, draw(st.sampled_from(keys))))
+            node = node[path[-1][1]]
+        depth = len(path) - draw(st.integers(0, len(path)))
+        if depth == 0:
+            bundle = draw(JSON)
+            continue
+        parent, key = path[depth - 1]
+        if isinstance(parent[key], str):    # a label, a_k or an entry
+            parent[key] = draw(st.one_of(SCALARS, SCALARS, JSON))
+        elif isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON)
+    return json.dumps(bundle)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argument_vectors())
+    def test_arguments(self, argv):
+        rc, _, err = run_quiet(argv)
+        assert_handled(rc, err)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(bundle_texts(), st.sampled_from([
+        ["verify", "converse"], ["verify", "du", "--abmax", "1"],
+        ["verify", "pieri", "--kmax", "1"], ["expand", "--shape", "[1]"],
+        ["tableaux", "--shape", "[1,1]", "--weight", "1,1"]]))
+    def test_bundles(self, text, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "b.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            rc, _, err = run_quiet(argv + ["--rep", f"bundle:{path}"])
+        assert_handled(rc, err)

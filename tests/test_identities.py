@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from fockbridge import identities
 from fockbridge.heisenberg import (
     HeisenbergParams,
     load_bundle,
@@ -20,7 +21,7 @@ from fockbridge.identities import (
     verify_heisenberg,
     verify_pieri,
 )
-from fockbridge.partitions import EMPTY, Partition
+from fockbridge.partitions import EMPTY, Partition, partitions_of
 from fockbridge.reps import (
     direct_sum,
     fermionic_rep,
@@ -89,6 +90,25 @@ class TestPieriVerifier:
 
     def test_macdonald_passes(self):
         assert verify_pieri(macdonald_rep(), 2, 3).passed
+
+    def test_transposes_once_per_degree(self, monkeypatch):
+        # the raise-F and lower-F sides read <D_k t, s> and <U_k t, s> over
+        # the basis t one degree away: one application per t and degree,
+        # not one per t and source s
+        calls = {"U": 0, "D": 0}
+        for op in calls:
+            real = getattr(identities, f"apply_{op}")
+
+            def counting(*args, op=op, real=real):
+                calls[op] += 1
+                return real(*args)
+            monkeypatch.setattr(identities, f"apply_{op}", counting)
+        assert verify_pieri(fermionic_rep(), 2, 4).passed
+        n = [len(partitions_of(d)) for d in range(7)]
+        degrees = [(k, d) for k in (1, 2) for d in range(5)]
+        assert calls["D"] == sum(n[d] + n[d + k] for k, d in degrees)
+        assert calls["U"] == sum(n[d] + (n[d - k] if d >= k else 0)
+                                 for k, d in degrees)
 
     def test_tensor_passes(self):
         assert verify_pieri(tensor(fermionic_rep(), fermionic_rep()), 2, 2).passed

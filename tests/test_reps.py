@@ -20,8 +20,11 @@ from fockbridge.partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    arm_leg,
     core_quotient,
+    horizontal_strips,
     partitions_of,
+    z_of,
 )
 from fockbridge.reps import (
     deformed_inner,
@@ -35,7 +38,8 @@ from fockbridge.reps import (
     macdonald_rep,
     tensor,
 )
-from fockbridge.scalars import ONE, Q, Scalar, T, ZERO, parse_scalar
+from fockbridge import scalars
+from fockbridge.scalars import IntPoly, ONE, Q, Scalar, T, ZERO, parse_scalar
 from fockbridge.symfunc import (
     SymFunc,
     convert,
@@ -184,6 +188,98 @@ class TestMacdonaldWeights:
     def test_rejects_vertical(self):
         with pytest.raises(ValueError, match="horizontal"):
             macdonald_phi_psi(SkewShape(P((1, 1)), EMPTY))
+
+
+def b_by_division(lam, cell):
+    # the arm/leg weight by Scalar arithmetic: trial division at every step
+    i, j = cell
+    if not (1 <= i <= len(lam) and 1 <= j <= lam.part(i)):
+        return ONE
+    a, l = arm_leg(lam, cell)
+    return (ONE - Q ** a * T ** (l + 1)) / (ONE - Q ** (a + 1) * T ** l)
+
+
+def phi_psi_by_division(shape):
+    cols = {c.col for c in shape.cells()}
+    rows = {c.row for c in shape.cells()}
+    phi = psi = ONE
+    for s in shape.outer.cells():
+        if s.col in cols:
+            phi = phi * b_by_division(shape.outer, s) \
+                / b_by_division(shape.inner, s)
+        elif s.row in rows:
+            psi = psi * b_by_division(shape.inner, s) \
+                / b_by_division(shape.outer, s)
+    return phi, psi
+
+
+def strips(inner_max=7, k_max=3):
+    for d in range(inner_max + 1):
+        for lam in partitions_of(d):
+            for k in range(1, k_max + 1):
+                for mu in horizontal_strips(lam, k):
+                    yield SkewShape(mu, lam)
+
+
+def same(x, y):
+    return (x.num, x.den, x.fac) == (y.num, y.den, y.fac)
+
+
+class TestExponentSpace:
+    # the Macdonald coefficients are built from their binomial factors;
+    # Scalar division by the same binomials is the independent route
+
+    def test_strips_match_division(self):
+        count = 0
+        for shape in strips():
+            got = macdonald_phi_psi(shape)
+            want = phi_psi_by_division(shape)
+            assert all(map(same, got, want)), shape
+            count += 1
+        assert count == 521
+
+    def test_weights_params_and_z_match_division(self):
+        a = macdonald_rep().params
+        for k in range(1, 9):
+            assert same(a.value(k), (ONE - T ** k) / (ONE - Q ** k)), k
+        for d in range(7):
+            for lam in partitions_of(d):
+                want = z_of(lam)
+                for part in lam:
+                    want = want * (ONE - Q ** part) / (ONE - T ** part)
+                assert same(deformed_z(lam), want), lam
+                for cell in lam.cells() + [(1, lam.part(1) + 1)]:
+                    assert same(macdonald_b(lam, cell),
+                                b_by_division(lam, cell)), (lam, cell)
+
+    def test_operator_entries_divide_nothing(self, monkeypatch):
+        # U_k and D_k entries up to degree 5 take no trial division, probe
+        # or generic gcd; the first build registers the factors (a probe
+        # each), so it runs before the count
+        def build():
+            rep = type(macdonald_rep())()
+            for d in range(6):
+                for lam in partitions_of(d):
+                    for k in range(1, d + 2):
+                        rep.raw_U(k, lam)
+                        rep.raw_D(k, lam)
+            for k in range(1, 6):
+                type(rep).params._gen(k)
+                deformed_z(P((k,)))
+        build()
+        calls = []
+        for name in ("_strip", "_trial", "_probe"):
+            real = getattr(scalars, name)
+
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(scalars, name, counting)
+        cofactors = IntPoly.cofactors
+        monkeypatch.setattr(IntPoly, "cofactors", lambda *args: (
+            calls.append("cofactors"), cofactors(*args))[1])
+        build()
+        assert calls == []
 
 
 class TestMacdonaldRep:

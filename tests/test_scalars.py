@@ -23,6 +23,7 @@ from fockbridge.reps import macdonald_rep
 from fockbridge import scalars as scalars_module
 from fockbridge.scalars import (
     _FACTORS,
+    _binomial_ratio,
     _factor,
     _pack,
     _tq_gcd_heu,
@@ -850,6 +851,18 @@ class TestPackedTrialDivision:
         assert str(y) == "(t^6 - 1)/(q - 1)"
         assert_canonical(y)
 
+    def test_refused_sum_is_stripped_once(self, monkeypatch):
+        # a sum's numerator that _strip refuses goes to the probe route
+        # directly, not through a second packed division first
+        inv = ONE / (Q - 1)
+        addends = [Q * T * inv, -4 * inv]
+        strips = record(monkeypatch, "_strip")
+        x = scalar_sum(addends)
+        monkeypatch.undo()
+        assert sum(r is None for _, r in strips) <= 1
+        assert x == (Q * T - 4) * inv
+        assert_canonical(x)
+
     @pytest.mark.parametrize("text, want", [
         ("(q^300*t^300+1)/(1-q*t)^2 + 1/(1-q*t)^2",
          "(q^300*t^300 + 2)/(1 - q*t)^2"),
@@ -887,6 +900,61 @@ class TestPackedTrialDivision:
         assert packs == []
         assert total == functools.reduce(operator.add, xs, ZERO)
         assert grouped[0] == functools.reduce(operator.add, xs[::2], ZERO)
+
+
+binomials = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
+
+
+class TestExponentSpace:
+    # products of binomials 1 - q^a t^b built from their cyclotomic
+    # factors, and integers times factored values: neither divides
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(binomials, max_size=5), st.lists(binomials, max_size=5))
+    def test_binomial_ratio_matches_division(self, ups, downs):
+        want = ONE
+        for a, b in ups:
+            want = want * (ONE - Q ** a * T ** b)
+        for a, b in downs:
+            want = want / (ONE - Q ** a * T ** b)
+        got = _binomial_ratio(ups, downs)
+        assert (got.num, got.den, got.fac) == (want.num, want.den, want.fac)
+        assert_canonical(got)
+
+    @pytest.mark.parametrize("ups, downs", [
+        ([(0, 0)], []), ([(1, 0)], [(0, 0)]), ([(0, 0)], [(0, 0)])])
+    def test_zero_binomial_is_refused(self, ups, downs):
+        # gcd(0, 0) = 0 would otherwise count no factor and give -1
+        with pytest.raises(ValueError, match="zero"):
+            _binomial_ratio(ups, downs)
+
+    def test_integer_cancels_the_den_content(self, monkeypatch):
+        x = Q / (6 * (ONE - Q * T))
+        cancels = record(monkeypatch, "_cancel")
+        y, z = 4 * x, x * Scalar.from_int(-9)
+        monkeypatch.undo()
+        assert cancels == []
+        assert str(y) == "(-2*q)/(3*q*t - 3)" and y.fac[0] == 3
+        assert str(z) == "(3*q)/(2*q*t - 2)" and z.fac[0] == 2
+        assert x * 1 is x and ONE * x is x
+        assert_canonical(y)
+        assert_canonical(z)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scalars(), st.integers(-12, 12), st.sampled_from([1, 2, 4, 6]),
+           st.booleans())
+    def test_integer_times_scalar_matches_general_route(self, x, n, c,
+                                                        outside):
+        # n may share a factor with the den's integer part; outside of the
+        # alphabet (fac None) the product takes the general route
+        x = x / c
+        if outside:
+            x = x / parse_scalar("1 + q + t")
+        want = Scalar(x.num.mul_int(n), x.den)
+        for y in (x * n, n * x, x * Scalar.from_int(n),
+                  Scalar.from_int(n) * x):
+            assert (y.num, y.den, y.fac) == (want.num, want.den, want.fac)
+            assert_canonical(y)
 
 
 def test_generic_gcd_degree_bound():
