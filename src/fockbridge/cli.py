@@ -182,7 +182,9 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _cmd_expand(args):
+def _shape_and_base(args):
+    # (rep, bindings, shape, base) of expand and tableaux, the shape within
+    # the degree cap
     cap = _degree_cap(args)
     rep = _parse_rep(args.rep, cap)
     bindings = _parse_bindings(args.spec)
@@ -196,6 +198,11 @@ def _cmd_expand(args):
     if rep.degree_of(shape) > cap:
         raise UsageError(
             f"shape degree {rep.degree_of(shape)} exceeds cap {cap}")
+    return rep, bindings, shape, base
+
+
+def _cmd_expand(args):
+    rep, bindings, shape, base = _shape_and_base(args)
     fn = compute_F if args.fn == "F" else compute_G
     f = convert(fn(rep, shape, base), args.basis)
     if bindings:
@@ -288,19 +295,7 @@ def _cmd_verify(args):
 
 
 def _cmd_tableaux(args):
-    cap = _degree_cap(args)
-    rep = _parse_rep(args.rep, cap)
-    bindings = _parse_bindings(args.spec)
-    shape = _parse_index(rep, args.shape)
-    if args.base is not None:
-        base = _parse_index(rep, args.base)
-    elif rep.highest is not None:
-        base = rep.highest
-    else:
-        raise UsageError("rep has no distinguished vector; pass --base")
-    if rep.degree_of(shape) > cap:
-        raise UsageError(
-            f"shape degree {rep.degree_of(shape)} exceeds cap {cap}")
+    rep, bindings, shape, base = _shape_and_base(args)
     try:
         weight = tuple(int(x) for x in args.weight.split(",") if x.strip())
     except ValueError:

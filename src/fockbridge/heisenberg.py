@@ -245,12 +245,11 @@ def apply_D(rep, k, v):
     return StateVec(_linear(rep, "D", k, v.terms))
 
 
-def _fg_degree(rep, s, t):
-    diff = rep.degree_of(s) - rep.degree_of(t)
-    d, r = divmod(diff, rep.degree_step)
-    if r or d < 0:
-        return None
-    return d
+def _fg_degree(rep, upper, lower):
+    # the degree of F_{s/t} and G_{s/t} from the degrees of s and t: None
+    # off the lattice of degree steps
+    d, r = divmod(upper - lower, rep.degree_step)
+    return d if not r and d >= 0 else None
 
 
 def _fg(rep, fn, s, t):
@@ -262,7 +261,7 @@ def _fg(rep, fn, s, t):
     hit = rep._cache.get(key)
     if hit is not None:
         return hit
-    d = _fg_degree(rep, s, t)
+    d = _fg_degree(rep, rep.degree_of(s), rep.degree_of(t))
     src, dst = (t, s) if fn == "F" else (s, t)
     lams = partitions_of(d) if d is not None else ()
     if rep.raw_B is None:

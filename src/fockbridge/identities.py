@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .heisenberg import (
     BundleRep,
     StateVec,
+    _fg_degree,
     apply_B,
     apply_D,
     apply_U,
@@ -137,17 +138,12 @@ def verify_pieri(rep, k_max, d_max, window=None):
     rpt = VerifyReport("pieri")
     b = rep.highest
     m = rep.degree_step
-    fs, gs = {}, {}
 
-    def f_of(s):
-        if s not in fs:
-            fs[s] = compute_F(rep, s, b)
-        return fs[s]
+    def f_of(s):        # compute_F and compute_G cache on the rep
+        return compute_F(rep, s, b)
 
     def g_of(s):
-        if s not in gs:
-            gs[s] = compute_G(rep, s, b)
-        return gs[s]
+        return compute_G(rep, s, b)
 
     def combine(pairs, fn):
         # sum of c * fn(t) over (t, c), each coefficient reduced once
@@ -218,12 +214,6 @@ def verify_du(rep, ab_max, d_max, window=None):
     return rpt
 
 
-def _fg_index_degree(rep, upper, lower):
-    diff = rep.degree_of(upper) - rep.degree_of(lower)
-    d, r = divmod(diff, rep.degree_step)
-    return d if not r and d >= 0 else None
-
-
 def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
     """Skew kernel identity, truncated to total degree d_max in
     x_1..x_{x_count}, y_1..y_{y_count}."""
@@ -246,8 +236,8 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
 
     lhs = VarPoly.zero(names)
     for big in range(max(deg_t, deg_r) + m * d_max + 1):
-        df = _fg_index_degree_from(big, deg_t, m)
-        dg = _fg_index_degree_from(big, deg_r, m)
+        df = _fg_degree(rep, big, deg_t)
+        dg = _fg_degree(rep, big, deg_r)
         if df is None or dg is None or df + dg > d_max:
             continue
         for s in rep.basis_of_degree(big):
@@ -274,8 +264,8 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
     small_sum = VarPoly.zero(names)
     for small in range(min(deg_t, deg_r) + 1):
         for s in rep.basis_of_degree(small):
-            jf = _fg_index_degree(rep, r, s)
-            jg = _fg_index_degree(rep, t, s)
+            jf = _fg_degree(rep, deg_r, small)
+            jg = _fg_degree(rep, deg_t, small)
             if jf is None or jg is None or jf + jg > d_max:
                 continue
             fx = in_x(compute_F(rep, r, s))
@@ -293,11 +283,6 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
         rpt.record(
             f"x={x_count} y={y_count} dmax={d_max} t={t} r={r}", lhs, rhs)
     return rpt
-
-
-def _fg_index_degree_from(big, low, m):
-    d, rem = divmod(big - low, m)
-    return d if not rem and d >= 0 else None
 
 
 def verify_bf(rep, d_max, l_set):

@@ -28,218 +28,6 @@ class SpecializationPoleError(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# dense helpers for Z[q]: a polynomial is a list of int coefficients,
-# index = degree in q, no trailing zeros
-
-def _zq_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zq_content(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g
-
-
-def _zq_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _zq_trim(out)
-
-
-def _zq_prem(a, b):
-    # pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b; the full power of
-    # lc(b) is applied even when the degree drops early, so the subresultant
-    # divisions downstream stay exact
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    e = len(a) - len(b) + 1
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        rl = r[-1]
-        r = [lb * c for c in r]
-        e -= 1
-        for i, c in enumerate(b):
-            r[dr - db + i] -= rl * c
-        _zq_trim(r)
-    if r and e > 0:
-        m = lb ** e
-        r = [m * c for c in r]
-    return r
-
-
-def _zq_pow(a, n):
-    out = [1]
-    while n:
-        if n & 1:
-            out = _zq_mul(out, a)
-        a = _zq_mul(a, a)
-        n >>= 1
-    return out
-
-
-def _zq_gcd(a, b):
-    # subresultant PRS, so intermediate coefficients stay small without
-    # per-step content strips
-    if not a:
-        g = list(b)
-    elif not b:
-        g = list(a)
-    elif a == b:
-        g = list(a)
-    else:
-        ca, cb = _zq_content(a), _zq_content(b)
-        cg = math.gcd(ca, cb)
-        pa = [x // ca for x in a]
-        pb = [x // cb for x in b]
-        if len(pa) < len(pb):
-            pa, pb = pb, pa
-        gl = h = 1
-        while len(pb) > 1:
-            delta = len(pa) - len(pb)
-            r = _zq_prem(pa, pb)
-            pa, pb = pb, r
-            if not pb:
-                break
-            divisor = gl * h ** delta
-            if divisor != 1:
-                pb = _zq_divexact(pb, [divisor])
-            gl = pa[-1]
-            if delta == 1:
-                h = gl
-            elif delta > 1:
-                h = gl ** delta // h ** (delta - 1)
-        if pb:
-            # a nonzero constant appeared in the PRS: the primitive parts
-            # are coprime
-            g = [cg]
-        else:
-            cr = _zq_content(pa)
-            if cr > 1:
-                pa = [x // cr for x in pa]
-            g = [x * cg for x in pa]
-    if g and g[-1] < 0:
-        g = [-x for x in g]
-    return g
-
-
-def _zq_divexact(a, b):
-    # exact quotient in Z[q]; raises if b does not divide a
-    if not a:
-        return []
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if len(a) < len(b):
-        raise ValueError("inexact polynomial division")
-    q = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    lb = b[-1]
-    while r and len(r) >= len(b):
-        d = len(r) - len(b)
-        cq, rem = divmod(r[-1], lb)
-        if rem:
-            raise ValueError("inexact polynomial division")
-        q[d] = cq
-        for i, c in enumerate(b):
-            r[d + i] -= cq * c
-        _zq_trim(r)
-    if r:
-        raise ValueError("inexact polynomial division")
-    return q
-
-
-# ---------------------------------------------------------------------------
-# helpers for (Z[q])[t]: a list over t-degree whose entries are Z[q] lists,
-# the form of the subresultant remainder sequence, the gcd fallback
-
-def _tq_trim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _tq_content(f):
-    g = []
-    for c in f:
-        if c:
-            g = _zq_gcd(g, c)
-    return g
-
-
-def _tq_div_zq(f, c):
-    return [_zq_divexact(x, c) if x else [] for x in f]
-
-
-def _tq_prem(f, g):
-    # same full-power convention as _zq_prem, with Z[q] coefficients
-    dg = len(g) - 1
-    lg = g[-1]
-    r = [list(x) for x in f]
-    e = len(f) - len(g) + 1
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        rl = r[-1]
-        r = [_zq_mul(x, lg) for x in r]
-        e -= 1
-        for i, gc in enumerate(g):
-            idx = dr - dg + i
-            prod = _zq_mul(rl, gc)
-            if prod:
-                cur = list(r[idx])
-                n = max(len(cur), len(prod))
-                cur += [0] * (n - len(cur))
-                for j, y in enumerate(prod):
-                    cur[j] -= y
-                r[idx] = _zq_trim(cur)
-        _tq_trim(r)
-    if r and e > 0:
-        m = _zq_pow(lg, e)
-        r = [_zq_mul(x, m) for x in r]
-    return r
-
-
-def _tq_gcd_prs(f, g):
-    # subresultant remainder sequence fallback
-    cf, cg = _tq_content(f), _tq_content(g)
-    cc = _zq_gcd(cf, cg)
-    pf = _tq_div_zq(f, cf)
-    pg = _tq_div_zq(g, cg)
-    if len(pf) < len(pg):
-        pf, pg = pg, pf
-    gl = [1]
-    h = [1]
-    while len(pg) > 1:
-        delta = len(pf) - len(pg)
-        r = _tq_prem(pf, pg)
-        pf, pg = pg, r
-        if not pg:
-            cr = _tq_content(pf)
-            if cr != [1]:
-                pf = _tq_div_zq(pf, cr)
-            return [_zq_mul(x, cc) for x in pf]
-        divisor = _zq_mul(gl, _zq_pow(h, delta))
-        if divisor != [1]:
-            pg = _tq_div_zq(pg, divisor)
-        gl = pf[-1]
-        if delta == 1:
-            h = gl
-        elif delta > 1:
-            h = _zq_divexact(_zq_pow(gl, delta), _zq_pow(h, delta - 1))
-    # a nonzero t-constant appeared: coprime in t, only the content survives
-    return [cc]
-
-
-# ---------------------------------------------------------------------------
 # Kronecker packing of term dicts: {(i, j): c} is the integer
 # sum c * 2^(i*zbits + j*tbits), its value at q = 2^zbits, t = 2^tbits
 # (Kronecker substitution; Harvey, JSC 2009).  Packing is a ring
@@ -391,6 +179,59 @@ def _tq_gcd_heu(f, g):
                         _poly(qg).mul_int(cj // c0))
         zbits += (zbits >> 1) + 8
     return None
+
+
+def _prs_gcd(f, g, v=1):
+    """A gcd of nonzero IntPolys f and g, up to sign, by a primitive
+    remainder sequence in t over Z[q] (Brown, JACM 1971): the fallback for
+    the pairs _tq_gcd_heu refuses, such as t + 4 and (q^2 - 1)(t + 5).
+    With v = 0 the same sequence runs in q over Z on t-free f and g, for
+    the contents in Z[q] of the sequence in t (_q_gcd)."""
+    def content(*ps):
+        # gcd of the coefficients of ps in the main variable
+        if not v:
+            return IntPoly.const(math.gcd(*(p.content() for p in ps)))
+        rows = []
+        for p in ps:
+            by_t = {}
+            for (i, j), c in p.terms.items():
+                by_t.setdefault(j, {})[(i, 0)] = c
+            rows += map(_poly, by_t.values())
+        return functools.reduce(_q_gcd, rows)
+
+    def lead(p):
+        # (degree in the main variable, the coefficient of that power)
+        d = max(k[v] for k in p.terms)
+        return d, _poly({(k[0] * v, 0): c for k, c in p.terms.items()
+                         if k[v] == d})
+
+    cf, cg = content(f), content(g)
+    c = content(cf, cg)
+    f, g = f.divexact(cf), g.divexact(cg)
+    if lead(f)[0] < lead(g)[0]:
+        f, g = g, f
+    dg, lg = lead(g)
+    while dg:
+        r = f               # pseudo-remainder of f by g, then its primitive part
+        while r.terms:
+            dr, lr = lead(r)
+            if dr < dg:
+                break
+            r = r * lg - (g * lr).shifted((dr - dg) * (1 - v), (dr - dg) * v)
+        if not r.terms:
+            return g * c
+        f, g = g, r.divexact(content(r))
+        dg, lg = lead(g)
+    # a constant in the main variable appeared: the primitive parts are coprime
+    return c
+
+
+def _q_gcd(f, g):
+    # a gcd of t-free IntPolys: by GCDHEU, else by the sequence in q; the
+    # remainders in t have coefficients of high q-degree, whose gcds the
+    # heuristic takes in one integer gcd
+    got = _tq_gcd_heu(f.terms, g.terms)
+    return got[0] if got else _prs_gcd(f, g, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -549,22 +390,6 @@ class IntPoly:
             return self
         return _poly({(a + dq, b + dt): c for (a, b), c in self.terms.items()})
 
-    def _to_tq(self):
-        dt_max = max(k[1] for k in self.terms)
-        f = [[] for _ in range(dt_max + 1)]
-        for (dq, dt), c in self.terms.items():
-            row = f[dt]
-            if len(row) <= dq:
-                row += [0] * (dq + 1 - len(row))
-                f[dt] = row
-            f[dt][dq] = c
-        return [_zq_trim(x) for x in f]
-
-    @staticmethod
-    def _from_tq(f):
-        return _poly({(dq, dt): c for dt, row in enumerate(f)
-                      for dq, c in enumerate(row) if c})
-
     def gcd(self, other):
         return self.cofactors(other)[0]
 
@@ -601,11 +426,8 @@ class IntPoly:
                         _DEGREE_LIMIT:
                     raise ValueError(f"gcd of polynomials over total degree "
                                      f"{_DEGREE_LIMIT} is not supported")
-                res = None          # the heuristic needs both to involve t
-                if max(map(_T_DEG, a.terms)) and max(map(_T_DEG, b.terms)):
-                    res = _tq_gcd_heu(a.terms, b.terms)
-                g, ca, cb = res or (IntPoly._from_tq(
-                    _tq_gcd_prs(a._to_tq(), b._to_tq())), None, None)
+                g, ca, cb = _tq_gcd_heu(a.terms, b.terms) or \
+                    (_prs_gcd(a, b), None, None)
                 if g.is_constant:
                     g = ca = None
                 else:
@@ -753,12 +575,13 @@ _PACK_BITS = 1 << 15
 
 @functools.cache
 def _cyclotomic(d):
-    # Phi_d as a dense coefficient list
-    f = [-1] + [0] * (d - 1) + [1]
+    # Phi_d as a dense coefficient list: q^d - 1 over each Phi_e, e | d, e < d
+    f = IntPoly({(d, 0): 1, (0, 0): -1})
     for e in range(1, d):
         if d % e == 0:
-            f = _zq_divexact(f, _cyclotomic(e))
-    return f
+            f = f.divexact(_poly({(i, 0): c for i, c in
+                                  enumerate(_cyclotomic(e)) if c}))
+    return [f.terms.get((i, 0), 0) for i in range(max(f.terms)[0] + 1)]
 
 
 def _fac(c, *parts):
@@ -1018,11 +841,7 @@ def _fac_sum(xs):
     # neither a_i nor L / d_i of that addend.  So only factors whose top two
     # or more addends share are trial-divided (Henrici, for two addends).
     # Addends over one den are added first; their sum counts once per
-    # addend, since it need not be coprime to the den.  Returns None, for
-    # pairwise +, when more than two dens have an lcm of at least 1.5 times
-    # the degree of the widest: such sums cancel heavily, pairwise
-    # reduction keeps the partial sums small, and on the Macdonald
-    # operators it was the faster of the two from that width on.
+    # addend, since it need not be coprime to the den.
     nums, count = {}, {}
     for x in xs:
         p = nums.get(x.fac)
@@ -1044,9 +863,6 @@ def _fac_sum(xs):
             elif e == m:
                 seen[f] += count[fac]
     tops = sorted(top.items())
-    if len(nums) > 2 and \
-            2 * sum(_FACTOR_DEGS[f] * m for f, m in tops) >= 3 * widest > 0:
-        return None
     parts = []
     for (c, fl), p in nums.items():
         if p.terms:
@@ -1078,16 +894,16 @@ def _fac_sum(xs):
 
 def scalar_sum(xs):
     """The sum of the Scalars xs, reduced once: integers add as integers,
-    factored values through one common denominator (_fac_sum); a value
-    with a denominator outside the alphabet, or dens whose lcm is much
-    wider than each of them, by pairwise +."""
+    factored values through one common denominator (_fac_sum), and any
+    value with a denominator outside the alphabet by pairwise +."""
     xs = [x for x in xs if x.num.terms]
     if len(xs) < 2:
         return xs[0] if xs else ZERO
     if all(x.den.is_one for x in xs):
         return Scalar._raw(_poly_sum([x.num for x in xs]), _POLY_ONE, _UNIT)
-    total = None if any(x.fac is None for x in xs) else _fac_sum(xs)
-    return functools.reduce(operator.add, xs) if total is None else total
+    if any(x.fac is None for x in xs):
+        return functools.reduce(operator.add, xs)
+    return _fac_sum(xs)
 
 
 def accumulate(pairs):

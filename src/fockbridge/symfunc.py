@@ -164,33 +164,6 @@ def sym_s(lam):
 # ---------------------------------------------------------------------------
 # transition matrices, cached per (basis, degree)
 
-class TransitionCache:
-    """Caches per-degree expansions into m and their exact inverses."""
-
-    def __init__(self):
-        self._to_m = {}
-        self._from_m = {}
-
-    def to_m(self, basis, d):
-        key = (basis, d)
-        hit = self._to_m.get(key)
-        if hit is None:
-            hit = _build_to_m(basis, d)
-            self._to_m[key] = hit
-        return hit
-
-    def from_m(self, basis, d):
-        key = (basis, d)
-        hit = self._from_m.get(key)
-        if hit is None:
-            hit = _invert_rows(self.to_m(basis, d), d)
-            self._from_m[key] = hit
-        return hit
-
-
-_CACHE = TransitionCache()
-
-
 def _m_times_pk(expansion, k):
     """Multiply an m-basis dict by p_k, staying in the m basis."""
     pairs = []
@@ -265,7 +238,9 @@ def _s_to_m_row(lam):
     return row
 
 
-def _build_to_m(basis, d):
+@lru_cache(maxsize=None)
+def _to_m(basis, d):
+    """Expansions into m of the basis elements of degree d."""
     rows = {}
     for lam in partitions_of(d):
         if basis == "m":
@@ -318,6 +293,12 @@ def _invert_rows(rows, d):
     return out
 
 
+@lru_cache(maxsize=None)
+def _from_m(basis, d):
+    """Expansions in the basis of the m_mu of degree d."""
+    return _invert_rows(_to_m(basis, d), d)
+
+
 def convert(f, target):
     """Rewrite f in the target basis."""
     if target not in BASES:
@@ -327,10 +308,10 @@ def convert(f, target):
     out = f.terms
     if f.basis != "m":
         out = accumulate((mu, c * w) for lam, c in out.items() for mu, w
-                         in _CACHE.to_m(f.basis, lam.size)[lam].items())
+                         in _to_m(f.basis, lam.size)[lam].items())
     if target != "m":
         out = accumulate((lam, c * w) for mu, c in out.items() for lam, w
-                         in _CACHE.from_m(target, mu.size)[mu].items())
+                         in _from_m(target, mu.size)[mu].items())
     return SymFunc(target, out)
 
 

@@ -24,10 +24,11 @@ from fockbridge import scalars as scalars_module
 from fockbridge.scalars import (
     _FACTORS,
     _binomial_ratio,
+    _cyclotomic,
     _factor,
     _pack,
+    _prs_gcd,
     _tq_gcd_heu,
-    _tq_gcd_prs,
     _unpack,
     IntPoly,
     Scalar,
@@ -299,12 +300,12 @@ class TestCofactors:
             aq, at = a.min_degrees()
             bq, bt = b.min_degrees()
             f, h = a.shifted(-aq, -at), b.shifted(-bq, -bt)
-            if not (max(j for _, j in f.terms) and max(j for _, j in h.terms)):
+            if f.is_constant or h.is_constant:
                 continue
             res = _tq_gcd_heu(f.terms, h.terms)
             assert res is not None
             g_heu, cf, ch = res
-            g_prs = IntPoly._from_tq(_tq_gcd_prs(f._to_tq(), h._to_tq()))
+            g_prs = _prs_gcd(f, h)
             assert g_heu in (g_prs, -g_prs)
             assert g_heu * cf == f
             assert g_heu * ch == h
@@ -328,10 +329,25 @@ class TestCofactors:
         def to_sympy(p):
             return sum(c * q**dq * t**dt for (dq, dt), c in p.terms.items())
 
-        for a, b in shaped_pairs(40, seed=3):
+        # GCDHEU refuses t + 4 and (q^2 - 1)(t + 5) at every width: packing
+        # sends t to 4 x^D, and both images share x + 1.  So cofactors falls
+        # back to _prs_gcd
+        refused = (IntPoly({(0, 1): 1, (0, 0): 4}),
+                   IntPoly({(2, 0): 1, (0, 0): -1}) *
+                   IntPoly({(0, 1): 1, (0, 0): 5}))
+        assert _tq_gcd_heu(refused[0].terms, refused[1].terms) is None
+        t_free = [
+            (IntPoly({(2, 0): 2, (0, 0): -2}), IntPoly({(3, 0): 6, (0, 0): 6})),
+            (IntPoly({(4, 0): 1, (2, 0): 1, (0, 0): 1}),
+             IntPoly({(3, 0): 1, (2, 0): -2, (1, 0): 2, (0, 0): -1})),
+        ]
+        for a, b in [refused, *t_free, *shaped_pairs(40, seed=3)]:
             want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), q, t)
-            got = sympy.Poly(to_sympy(a.gcd(b)), q, t)
-            assert got in (want, -want), (a, b)
+            got = [a.gcd(b), _prs_gcd(a, b)]
+            if (a, b) in t_free:        # the sequence in q over Z alone
+                got.append(_prs_gcd(a, b, 0))
+            for g in got:
+                assert sympy.Poly(to_sympy(g), q, t) in (want, -want), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +684,17 @@ class TestFactored:
             expr = sum(c * q ** i * t ** j for (i, j), c in f.terms.items())
             _, parts = sympy.factor_list(expr)
             assert len(parts) == 1 and parts[0][1] == 1, f
+
+    def test_cyclotomic_products(self):
+        # q^d - 1 is the product of the Phi_e(q) over the divisors e of d
+        assert _cyclotomic(12) == [1, 0, -1, 0, 1]
+        for d in range(1, 129):
+            prod = IntPoly.const(1)
+            for e in range(1, d + 1):
+                if d % e == 0:
+                    prod = prod * IntPoly(
+                        {(i, 0): c for i, c in enumerate(_cyclotomic(e))})
+            assert prod == IntPoly({(d, 0): 1, (0, 0): -1}), d
 
 
 def test_power_size_bound():
