@@ -109,7 +109,7 @@ class StateVec:
             itertools.chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
-        return self + other.scaled(Scalar.from_int(-1))
+        return self + StateVec({i: -c for i, c in other.terms.items()})
 
     def scaled(self, c):
         if isinstance(c, int):

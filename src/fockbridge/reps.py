@@ -23,7 +23,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .scalars import ONE, Scalar, _binomial_ratio, accumulate, scalar_sum
+from .scalars import ONE, _binomial_ratio, accumulate, scalar_sum
 from .symfunc import SymFunc, convert, sym_m
 
 __all__ = [
@@ -78,8 +78,11 @@ class _FermionicRep(Rep):
             resorted = rest[:p] + [nb] + rest[p:]
             mu = Partition(tuple(x for x in
                                  (resorted[r] + r for r in range(w)) if x))
-            pairs.append((mu, Scalar.from_int(-1 if (p - j) % 2 else 1)))
+            pairs.append((mu, _SIGNS[(p - j) % 2]))
         return accumulate(pairs)
+
+
+_SIGNS = (ONE, -ONE)        # shared by every raw_B entry
 
 
 _FERMIONIC = _FermionicRep()

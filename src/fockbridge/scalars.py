@@ -565,8 +565,9 @@ _FACTOR_IDS = {}                            # (d, a, b) -> fid
 _FACTOR_VALS = [_probe(f) for f in _FACTORS]
 _FACTOR_DEGS = [1, 1]                       # total degrees
 _FACTOR_FORMS = [([0, 1], 1, 0), ([0, 1], 0, 1)]  # (P, a, b): P(q^a t^b)
-_EXPANSIONS = {}                  # fac -> den
 _UNIT = (1, ())
+_EXPANSIONS = {_UNIT: _POLY_ONE}  # fac -> den
+_UNITS = ({(0, 0): 1}, {(0, 0): -1})    # x * (+-1) is +-x: no arithmetic
 # dividends pack up to _PACK_BITS bits, else go to the probe point: packing
 # is dense (q^300 t^300 + 2 takes millions of bits), and past this size the
 # probe was the faster on the Macdonald Heisenberg sweep
@@ -892,18 +893,38 @@ def _fac_sum(xs):
     return Scalar._raw(num, _expand(fac, (wide, part)), fac)
 
 
+def _rat(p, m, fl=()):
+    # p / (m * prod f^e over fl), p prime to each (primitive) f: the two can
+    # share only an integer, which one gcd with p's coefficients cancels
+    if m == 1 and not fl:
+        return Scalar._raw(p, _POLY_ONE, _UNIT)
+    g = math.gcd(m, *p.terms.values())
+    if g != 1:
+        p, m = _poly({k: c // g for k, c in p.terms.items()}), m // g
+    fac = (m, fl)
+    return Scalar._raw(p, _expand(fac), fac)
+
+
+def _rat_sum(xs):
+    # a sum over integer dens, over their lcm; constant numerators as ints
+    m, n = math.lcm(*[x.fac[0] for x in xs]), 0
+    for x in xs:
+        if not x.num.is_constant:
+            return _rat(_poly_sum([y.num.mul_int(m // y.fac[0])
+                                   for y in xs]), m)
+        n += x.num.terms.get((0, 0), 0) * (m // x.fac[0])
+    return _rat(IntPoly.const(n), m)
+
+
 def scalar_sum(xs):
-    """The sum of the Scalars xs, reduced once: integers add as integers,
-    factored values through one common denominator (_fac_sum), and any
-    value with a denominator outside the alphabet by pairwise +."""
+    """The sum of the Scalars xs, reduced once: by _rat_sum over integer
+    dens, by _fac_sum over factored ones, else by pairwise +."""
     xs = [x for x in xs if x.num.terms]
     if len(xs) < 2:
         return xs[0] if xs else ZERO
-    if all(x.den.is_one for x in xs):
-        return Scalar._raw(_poly_sum([x.num for x in xs]), _POLY_ONE, _UNIT)
     if any(x.fac is None for x in xs):
         return functools.reduce(operator.add, xs)
-    return _fac_sum(xs)
+    return (_fac_sum if any(x.fac[1] for x in xs) else _rat_sum)(xs)
 
 
 def accumulate(pairs):
@@ -994,13 +1015,11 @@ class Scalar:
             other = Scalar.from_int(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if b.is_one and d.is_one:
-            return Scalar._raw(a + c, _POLY_ONE, _UNIT)
-        if self.fac is not None and other.fac is not None:
-            return _fac_sum((self, other))
-        g0, b1, d1 = b.cofactors(d)
-        num = a * d1 + c * b1
+        x, y = self.fac, other.fac
+        if x is not None and y is not None:
+            return (_fac_sum if x[1] or y[1] else _rat_sum)((self, other))
+        g0, b1, d1 = self.den.cofactors(other.den)
+        num = self.num * d1 + other.num * b1
         if g0.is_one:
             return _signfix(num, b1 * d1)
         _, num, g0 = num.cofactors(g0)
@@ -1024,33 +1043,29 @@ class Scalar:
             other = Scalar.from_int(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
+        a, c, x, y = self.num, other.num, self.fac, other.fac
+        if y == _UNIT and c.terms in _UNITS:
+            return self if c.terms[0, 0] == 1 else -self
+        if x == _UNIT and a.terms in _UNITS:
+            return other if a.terms[0, 0] == 1 else -other
         if a.is_zero or c.is_zero:
             return ZERO
-        if b.is_one and d.is_one:
-            return Scalar._raw(a * c, _POLY_ONE, _UNIT)
-        if self.fac is not None and other.fac is not None:
-            for x, n in ((self, other), (other, self)):
-                if n.is_integer:
-                    return x._times_int(n.num.as_int())
-            a, cd, fd = _cancel(a, *other.fac)
-            c, cb, fb = _cancel(c, *self.fac)
+        if x is not None and y is not None:
+            for u, v in ((self, other), (other, self)):
+                if not v.fac[1] and v.num.is_constant:      # a rational
+                    return _rat(u.num.mul_int(v.num.terms[0, 0]),
+                                u.fac[0] * v.fac[0], u.fac[1])
+            if not x[1] and not y[1]:   # polynomials over integer dens
+                return _rat(a * c, x[0] * y[0])
+            a, cd, fd = _cancel(a, *y)
+            c, cb, fb = _cancel(c, *x)
             fac = _fac(cb * cd, (1, fb), (1, fd))
             return Scalar._raw(a * c, _expand(fac, ((cb, fb), (cd, fd))), fac)
-        _, a, d = a.cofactors(d)
-        _, c, b = c.cofactors(b)
+        _, a, d = a.cofactors(other.den)
+        _, c, b = c.cofactors(self.den)
         return _signfix(a * c, b * d)
 
     __rmul__ = __mul__
-
-    def _times_int(self, n):
-        # self * n for an int n != 0, self with a fac (c, fl): the factors
-        # are primitive, so gcd(n * num, c * prod f^e) = gcd(n, c)
-        if n == 1:
-            return self
-        (c, fl), g = self.fac, math.gcd(n, self.fac[0])
-        fac = (c // g, fl)      # its den from the memo, shared
-        return Scalar._raw(self.num.mul_int(n // g), _expand(fac), fac)
 
     def __truediv__(self, other):
         if isinstance(other, int):

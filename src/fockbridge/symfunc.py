@@ -99,10 +99,10 @@ class SymFunc:
             itertools.chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
-        return self.__add__(other.scaled(-1))
+        return self.__add__(-other)
 
     def __neg__(self):
-        return self.scaled(-1)
+        return SymFunc(self.basis, {lam: -c for lam, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -435,7 +435,8 @@ class VarPoly:
         return p
 
     def __sub__(self, other):
-        return self + other.scaled(Scalar.from_int(-1))
+        return self + VarPoly(other.names,
+                              {e: -c for e, c in other.terms.items()})
 
     def scaled(self, c):
         p = VarPoly(self.names)

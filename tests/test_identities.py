@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fockbridge import identities
+from fockbridge import identities, scalars
 from fockbridge.heisenberg import (
     HeisenbergParams,
     load_bundle,
@@ -125,6 +125,29 @@ class TestPieriVerifier:
         bundle["U"]["2"]["1"][2][0] = "1"  # (1) -> (1,1,1) is not a strip
         r = verify_pieri(load_bundle(bundle), 2, 2)
         assert not r.passed
+
+
+class TestRationalSweeps:
+    # the fermionic module has rational coefficients only: its sweeps stay
+    # on the integer-denominator route of Scalar arithmetic, and never
+    # reach the factored sum, trial division or a polynomial product
+    @pytest.mark.parametrize("verify", [verify_pieri, verify_heisenberg])
+    def test_skip_the_polynomial_layer(self, monkeypatch, verify):
+        calls = {"_fac_sum": 0, "_cancel": 0, "IntPoly.__mul__": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+        for name in ("_fac_sum", "_cancel"):
+            monkeypatch.setattr(scalars, name,
+                                counting(name, getattr(scalars, name)))
+        monkeypatch.setattr(scalars.IntPoly, "__mul__", counting(
+            "IntPoly.__mul__", scalars.IntPoly.__mul__))
+        fresh = type(fermionic_rep())()     # an empty operator cache
+        assert verify(fresh, 2, 4).passed
+        assert calls == {"_fac_sum": 0, "_cancel": 0, "IntPoly.__mul__": 0}
 
 
 class TestDUVerifier:

@@ -5,6 +5,7 @@ fractions.Fraction, bypassing all of the polynomial gcd machinery.
 """
 
 import functools
+import math
 import operator
 import os
 import random
@@ -982,6 +983,105 @@ class TestExponentSpace:
                   Scalar.from_int(n) * x):
             assert (y.num, y.den, y.fac) == (want.num, want.den, want.fac)
             assert_canonical(y)
+
+
+# n / m with n in [-50, 50] and m in [1, 60]; 0, 1, -1 and m = 1 drawn often
+rationals = st.tuples(
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50)),
+    st.one_of(st.just(1), st.integers(1, 60)))
+
+
+def triple(x):
+    return x.num, x.den, x.fac
+
+
+def generic(num, den):
+    # num / den for ints or IntPolys, reduced by the generic constructor
+    return Scalar(IntPoly.const(num) if isinstance(num, int) else num,
+                  IntPoly.const(den) if isinstance(den, int) else den)
+
+
+class TestRationalRoute:
+    # values over integer dens, fac (c, ()), multiply, divide and add over
+    # those integers; each result is the generic constructor's, with the
+    # same (num, den, fac)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals, rationals)
+    def test_binary_ops_match_generic(self, a, b):
+        (n1, m1), (n2, m2) = a, b
+        x, y = generic(n1, m1), generic(n2, m2)
+        assert triple(x * y) == triple(generic(n1 * n2, m1 * m2))
+        assert triple(x + y) == triple(generic(n1 * m2 + n2 * m1, m1 * m2))
+        assert triple(x - y) == triple(generic(n1 * m2 - n2 * m1, m1 * m2))
+        if n2:
+            assert triple(x / y) == triple(generic(n1 * m2, m1 * n2))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(rationals, min_size=2, max_size=6))
+    def test_scalar_sum_matches_generic(self, pairs):
+        # cross-multiplied over the product of the dens, reduced once
+        den = math.prod(m for _, m in pairs)
+        num = sum(n * (den // m) for n, m in pairs)
+        got = scalar_sum([generic(n, m) for n, m in pairs])
+        assert triple(got) == triple(generic(num, den))
+
+    @settings(max_examples=100, deadline=None)
+    @given(intpolys(), intpolys(), st.integers(1, 60), st.integers(1, 60),
+           rationals)
+    def test_polynomial_numerators_match_generic(self, a, b, m1, m2, r):
+        x, y, z = generic(a, m1), generic(b, m2), generic(*r)
+        assert triple(x * y) == triple(generic(a * b, m1 * m2))
+        assert triple(x + y) == \
+            triple(generic(a.mul_int(m2) + b.mul_int(m1), m1 * m2))
+        assert triple(x * z) == triple(generic(a.mul_int(r[0]), m1 * r[1]))
+        if r[0]:
+            assert triple(x / z) == \
+                triple(generic(a.mul_int(r[1]), m1 * r[0]))
+
+    @pytest.mark.parametrize("got, num, den", [
+        (lambda: parse_scalar("(1+q)/6") * 4, "2 + 2*q", "3"),
+        (lambda: 4 * parse_scalar("(1+q)/6"), "2 + 2*q", "3"),
+        (lambda: parse_scalar("(1+q)/6") / parse_scalar("-3/4"),
+         "-2 - 2*q", "9"),
+        (lambda: parse_scalar("q/2") + parse_scalar("t/3"), "3*q + 2*t", "6"),
+        (lambda: parse_scalar("(1+q)/6") * parse_scalar("q/4"), "q + q^2",
+         "24"),
+        (lambda: parse_scalar("(1+q)/6") - parse_scalar("q/6"), "1", "6")])
+    def test_integer_dens_times_polynomials(self, got, num, den):
+        x = got()
+        assert triple(x) == \
+            triple(generic(parse_scalar(num).num, parse_scalar(den).num))
+        assert_canonical(x)
+
+    @pytest.mark.parametrize("text, kind", [
+        ("0", "int"), ("1", "int"), ("-1", "int"), ("-7", "int"),
+        ("3/4", "int"), ("(1+q)/6", "int"), ("q/(1-q*t)", "factored"),
+        ("(q+2)/(q^2+q+3)", "generic")])
+    def test_unit_rule(self, text, kind):
+        x = parse_scalar(text)
+        assert {None: "generic", (): "int"}.get(
+            x.fac and x.fac[1], "factored") == kind
+        assert x * ONE is x and x * 1 is x and triple(ONE * x) == triple(x)
+        for y in (x * -ONE, -ONE * x, x * -1, -1 * x):
+            assert triple(y) == triple(-x) == \
+                triple(generic(x.num.mul_int(-1), x.den))
+
+    def test_no_polynomial_reduction(self, monkeypatch):
+        # the route takes no polynomial gcd, trial division or factored sum
+        xs = [generic(n, m) for n, m in [(3, 4), (-1, 6), (5, 1), (-2, 9)]]
+        calls = count_generic_gcds(monkeypatch)
+        cancels = record(monkeypatch, "_cancel")
+        sums = record(monkeypatch, "_fac_sum")
+        for x in xs:
+            for y in xs:
+                x * y, x / y, x + y, x - y
+        scalar_sum(xs)
+        monkeypatch.undo()
+        assert calls == [] and cancels == [] and sums == []
 
 
 def test_generic_gcd_degree_bound():
