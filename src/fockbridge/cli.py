@@ -394,16 +394,12 @@ def main(argv=None):
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn_impl(args)
-    except UsageError as e:
+    # first: the bundle errors are ValueErrors.  SpecializationPoleError is
+    # a ZeroDivisionError, so it is named on its own
+    except (UsageError, BundleFormatError, BundleRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (BundleFormatError, BundleRangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SpecializationPoleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as e:
+    except (SpecializationPoleError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ G family is linearly independent degree by degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .heisenberg import (
@@ -197,6 +198,9 @@ def verify_du(rep, ab_max, d_max, window=None):
     """
     rpt = VerifyReport("du")
     m = rep.degree_step
+    # each h_j<a> once per call, and only when a term needs it: a bundle's
+    # missing a_k must not be read before its missing U_k is
+    kernel = functools.cache(functools.partial(h_kernel, params=rep.params))
     for a in range(1, ab_max + 1):
         deep = d_max if window is None else min(d_max, window - m * a)
         if deep < 0:
@@ -206,7 +210,7 @@ def verify_du(rep, ab_max, d_max, window=None):
                 v = StateVec.basis(s)
                 lhs = apply_D(rep, b, apply_U(rep, a, v))
                 rhs = StateVec(accumulate(
-                    (i, c * h_kernel(j, rep.params))
+                    (i, c * kernel(j))
                     for j in range(min(a, b) + 1)
                     for i, c in apply_U(rep, a - j,
                                         apply_D(rep, b - j, v)).terms.items()))

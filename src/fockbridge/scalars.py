@@ -540,9 +540,10 @@ def _poly_str(p):
 # factored denominators.  The Macdonald operators divide only by q, t and
 # binomials 1 - q^a t^b, so their denominators are an integer times a product
 # of irreducibles q, t and Phi_d(q^a t^b) with gcd(a, b) = 1 (Macdonald, ch.
-# VI §6).  A Scalar whose den factors so carries fac = (c, ((fid, e), ...)),
-# den = c * prod _FACTORS[fid]^e; its add and mul need only exponent minima
-# and trial division, and the generic gcd runs when an operand's fac is None.
+# VI §6).  A Scalar whose den factors so stores fac = (c, ((fid, e), ...)),
+# not its den: den = c * prod _FACTORS[fid]^e is multiplied out when first
+# read (_expand).  Its add, mul and == need only exponents, the integer c
+# and trial division; the generic gcd runs when an operand's fac is None.
 
 def _probe(p, _pows=([1], [1])):
     # p at q = 1000003, t = 1000033, where no factor vanishes (|q^a t^b| >
@@ -563,10 +564,8 @@ def _probe(p, _pows=([1], [1])):
 _FACTORS = [IntPoly.monomial(1, 0), IntPoly.monomial(0, 1)]  # fid 0 q, 1 t
 _FACTOR_IDS = {}                            # (d, a, b) -> fid
 _FACTOR_VALS = [_probe(f) for f in _FACTORS]
-_FACTOR_DEGS = [1, 1]                       # total degrees
 _FACTOR_FORMS = [([0, 1], 1, 0), ([0, 1], 0, 1)]  # (P, a, b): P(q^a t^b)
 _UNIT = (1, ())
-_EXPANSIONS = {_UNIT: _POLY_ONE}  # fac -> den
 _UNITS = ({(0, 0): 1}, {(0, 0): -1})    # x * (+-1) is +-x: no arithmetic
 # dividends pack up to _PACK_BITS bits, else go to the probe point: packing
 # is dense (q^300 t^300 + 2 takes millions of bits), and past this size the
@@ -687,7 +686,6 @@ def _register(d, a, b):
         f = IntPoly({(a * i, b * i): x for i, x in enumerate(_cyclotomic(d))})
         _FACTORS.append(f)
         _FACTOR_VALS.append(_probe(f))
-        _FACTOR_DEGS.append((len(_cyclotomic(d)) - 1) * (a + b))
         _FACTOR_FORMS.append((_cyclotomic(d), a, b))
     return fid
 
@@ -724,8 +722,7 @@ def _binomial_ratio(ups, downs):
             _count_binomial(a, b, exps, e=e)
     num = _expand(_fac(1, (1, ((f, e) for f, e in exps.items() if e > 0))))
     fac = _fac(1, (-1, ((f, e) for f, e in exps.items() if e < 0)))
-    return Scalar._raw(-num if (len(ups) + len(downs)) % 2 else num,
-                       _expand(fac), fac)
+    return Scalar._raw(-num if (len(ups) + len(downs)) % 2 else num, fac)
 
 
 def _register_edges(r):
@@ -793,16 +790,12 @@ def _factor(p):
     return _fac(c, (1, exps.items()))
 
 
-def _expand(fac, parts=()):
-    # den of fac: from the memo, else as the product of the dens of the two
-    # facs in parts, which the caller knows, else from the factors
-    p = _EXPANSIONS.get(fac)
-    if p is None:
-        p = _expand(parts[0]) * _expand(parts[1]) if parts else math.prod(
-            (_FACTORS[f] ** e for f, e in fac[1]), start=IntPoly.const(fac[0]))
-        if len(_EXPANSIONS) < _GCD_MEMO_LIMIT:
-            _EXPANSIONS[fac] = p
-    return p
+def _expand(fac):
+    # c * prod _FACTORS[fid]^e, the polynomial of fac = (c, ((fid, e), ...))
+    if fac == _UNIT:
+        return _POLY_ONE
+    return math.prod((_FACTORS[f] ** e for f, e in fac[1]),
+                     start=IntPoly.const(fac[0]))
 
 
 def _cancel(n, c, fl, pack=True):
@@ -848,15 +841,12 @@ def _fac_sum(xs):
         p = nums.get(x.fac)
         nums[x.fac] = x.num if p is None else p + x.num
         count[x.fac] = count.get(x.fac, 0) + 1
-    lc, top, seen, widest, wide = 1, {}, {}, 0, _UNIT
+    lc, top, seen = 1, {}, {}
     for fac, p in nums.items():
         if not p.terms:
             continue
         c, fl = fac
         lc = lc // math.gcd(lc, c) * c
-        width = sum(_FACTOR_DEGS[f] * e for f, e in fl)
-        if width > widest:
-            widest, wide = width, fac
         for f, e in fl:
             m = top.get(f, 0)
             if e > m:
@@ -886,23 +876,18 @@ def _fac_sum(xs):
     num, c, rest = _cancel(num, lc, cands, pack=False)
     fac = _fac(c, (1, ((f, m) for f, m in tops if seen[f] == 1)),
                (1, got[1] if got else rest))
-    # the den as the widest addend's den times the rest, when it divides
-    part = _fac(c // wide[0], (1, fac[1]), (-1, wide[1]))
-    if c % wide[0] or any(e < 0 for _, e in part[1]):
-        return Scalar._raw(num, _expand(fac), fac)
-    return Scalar._raw(num, _expand(fac, (wide, part)), fac)
+    return Scalar._raw(num, fac)
 
 
 def _rat(p, m, fl=()):
     # p / (m * prod f^e over fl), p prime to each (primitive) f: the two can
     # share only an integer, which one gcd with p's coefficients cancels
     if m == 1 and not fl:
-        return Scalar._raw(p, _POLY_ONE, _UNIT)
+        return Scalar._raw(p, _UNIT)
     g = math.gcd(m, *p.terms.values())
     if g != 1:
         p, m = _poly({k: c // g for k, c in p.terms.items()}), m // g
-    fac = (m, fl)
-    return Scalar._raw(p, _expand(fac), fac)
+    return Scalar._raw(p, (m, fl))
 
 
 def _rat_sum(xs):
@@ -950,9 +935,12 @@ class Scalar:
 
     Invariants: gcd(num, den) = 1, den is never zero, zero is 0/1, and the
     lexicographic leading coefficient of den (by (deg_q, deg_t)) is positive.
+    A value whose den factors over the registered factors stores num and
+    fac, and multiplies den out when it is first read; otherwise fac is
+    None and den is stored.
     """
 
-    __slots__ = ("num", "den", "fac")
+    __slots__ = ("num", "fac", "_den")
 
     def __init__(self, num, den=None):
         if isinstance(num, int):
@@ -963,18 +951,20 @@ class Scalar:
             den = IntPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("scalar with zero denominator")
-        self.num, self.den, self.fac = _reduce(num, den)
+        x = _signfix(*num.cofactors(den)[1:])
+        self.num, self.fac, self._den = x.num, x.fac, x._den
 
     @classmethod
-    def _raw(cls, num, den, fac):
-        # trusted constructor: (num, den) already canonical, fac its den's
+    def _raw(cls, num, fac, den=None):
+        # trusted constructor: num over fac's den, or over den when fac is
+        # None, already canonical
         s = cls.__new__(cls)
-        s.num, s.den, s.fac = num, den, fac
+        s.num, s.fac, s._den = num, fac, den
         return s
 
     @classmethod
     def from_int(cls, n):
-        return cls._raw(IntPoly.const(n), _POLY_ONE, _UNIT)
+        return cls._raw(IntPoly.const(n), _UNIT)
 
     @classmethod
     def fraction(cls, a, b):
@@ -985,15 +975,22 @@ class Scalar:
         return self.num.is_zero
 
     @property
+    def den(self):
+        d = self._den
+        if d is None:
+            d = self._den = _expand(self.fac)
+        return d
+
+    @property
     def is_one(self):
-        return self.num.is_one and self.den.is_one
+        return self.fac == _UNIT and self.num.is_one
 
     @property
     def is_integer(self):
-        return self.den.is_one and self.num.is_constant
+        return self.fac == _UNIT and self.num.is_constant
 
     def as_int(self):
-        if not self.den.is_one:
+        if self.fac != _UNIT:
             raise ValueError("not an integer scalar")
         return self.num.as_int()
 
@@ -1002,9 +999,15 @@ class Scalar:
             other = Scalar.from_int(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
+        # the registered factors are distinct irreducibles, so a fac is
+        # canonical; a value whose den was not factored compares by den
+        if self.fac is not None and other.fac is not None:
+            return self.fac == other.fac and self.num == other.num
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # not by fac: whether a den factors depends on which factors are
+        # registered when it is built, so one value may have either
         return hash((self.num, self.den))
 
     def __bool__(self):
@@ -1028,7 +1031,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._raw(-self.num, self.den, self.fac)
+        return Scalar._raw(-self.num, self.fac, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Scalar)):
@@ -1059,8 +1062,7 @@ class Scalar:
                 return _rat(a * c, x[0] * y[0])
             a, cd, fd = _cancel(a, *y)
             c, cb, fb = _cancel(c, *x)
-            fac = _fac(cb * cd, (1, fb), (1, fd))
-            return Scalar._raw(a * c, _expand(fac, ((cb, fb), (cd, fd))), fac)
+            return Scalar._raw(a * c, _fac(cb * cd, (1, fb), (1, fd)))
         _, a, d = a.cofactors(other.den)
         _, c, b = c.cofactors(self.den)
         return _signfix(a * c, b * d)
@@ -1076,7 +1078,7 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         num, den = _signfix_pair(other.den, other.num)
         fac = self.fac and _factor(den)     # None: generic path anyway
-        return self.__mul__(Scalar._raw(num, den, fac))
+        return self.__mul__(Scalar._raw(num, fac, den))
 
     def __rtruediv__(self, other):
         if isinstance(other, int):
@@ -1119,13 +1121,6 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _reduce(num, den):
-    if num.is_zero:
-        return _POLY_ZERO, _POLY_ONE, _UNIT
-    num, den = _signfix_pair(*num.cofactors(den)[1:])
-    return num, den, _factor(den)
-
-
 def _signfix_pair(num, den):
     if num.is_zero:
         return _POLY_ZERO, _POLY_ONE
@@ -1136,7 +1131,8 @@ def _signfix_pair(num, den):
 
 def _signfix(num, den):
     num, den = _signfix_pair(num, den)
-    return Scalar._raw(num, den, _factor(den))
+    fac = _factor(den)
+    return Scalar._raw(num, fac, den if fac is None else None)
 
 
 def _poly_specialize(p, bindings):
@@ -1153,8 +1149,8 @@ def _poly_specialize(p, bindings):
 
 ZERO = Scalar.from_int(0)
 ONE = Scalar.from_int(1)
-Q = Scalar._raw(IntPoly.monomial(1, 0), _POLY_ONE, _UNIT)
-T = Scalar._raw(IntPoly.monomial(0, 1), _POLY_ONE, _UNIT)
+Q = Scalar._raw(IntPoly.monomial(1, 0), _UNIT)
+T = Scalar._raw(IntPoly.monomial(0, 1), _UNIT)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,6 @@ def _h_to_p_single(k):
     return {lam: ONE / z_of(lam) for lam in partitions_of(k)}
 
 
-@lru_cache(maxsize=None)
 def _h_to_p_row(lam):
     row = {EMPTY: ONE}
     for k in lam:
@@ -229,16 +228,6 @@ def _chain_count(inner, outer, sizes):
 
 
 @lru_cache(maxsize=None)
-def _s_to_m_row(lam):
-    row = {}
-    for mu in partitions_of(lam.size):
-        c = _chain_count(EMPTY, lam, tuple(mu))
-        if c:
-            row[mu] = Scalar.from_int(c)
-    return row
-
-
-@lru_cache(maxsize=None)
 def _to_m(basis, d):
     """Expansions into m of the basis elements of degree d."""
     rows = {}
@@ -248,7 +237,7 @@ def _to_m(basis, d):
         elif basis == "p":
             rows[lam] = dict(_p_to_m_row(lam))
         elif basis == "s":
-            rows[lam] = dict(_s_to_m_row(lam))
+            rows[lam] = schur_tableaux(lam).terms
         elif basis == "h":
             rows[lam] = accumulate(
                 (nu, c * c2) for mu, c in _h_to_p_row(lam).items()

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import fockbridge
 from fockbridge.identities import verify_du, verify_pieri
-from fockbridge.reps import macdonald_rep
+from fockbridge.reps import macdonald_b, macdonald_rep
 from fockbridge import scalars as scalars_module
 from fockbridge.scalars import (
     _FACTORS,
@@ -479,7 +479,7 @@ class TestPacking:
 # keep den = c * prod f^e over registered irreducibles, and stay canonical
 
 def fac_expansion(fac):
-    # the product of a fac, computed here rather than read from the memo
+    # the product of a fac, computed here rather than by Scalar.den
     c, fl = fac
     p = IntPoly.const(c)
     for fid, e in fl:
@@ -696,6 +696,60 @@ class TestFactored:
                     prod = prod * IntPoly(
                         {(i, 0): c for i, c in enumerate(_cyclotomic(e))})
             assert prod == IntPoly({(d, 0): 1, (0, 0): -1}), d
+
+
+class TestDenOnDemand:
+    """A factored value stores num and fac; its den is multiplied out only
+    when read, and kept."""
+
+    def test_arithmetic_reads_no_den(self, monkeypatch):
+        rep = macdonald_rep()
+        lam = fockbridge.Partition([3, 2, 1])
+        xs = [macdonald_b(lam, (i, j)) for i in (1, 2, 3) for j in (1, 2)]
+        xs += rep.raw_U(2, lam).values()        # Pieri coefficients
+        xs += rep.raw_D(1, lam).values()
+        v = ONE / (ONE - Q)
+        w = v ** 900
+        assert all(x.fac is not None for x in xs + [w])
+        assert sum(bool(x.fac[1]) for x in xs) > 10
+        reads = []
+        den = Scalar.den
+        monkeypatch.setattr(Scalar, "den", property(
+            lambda x: reads.append(x) or den.fget(x)))
+        products = [x * y for x in xs for y in xs]
+        sums = [x + y for x in xs for y in xs]
+        assert all(x._den is None for x in sums)        # stored: num, fac
+        built = products + sums
+        built += [x * w for x in xs + [w]]
+        built += [w + xs[0], w - v, -w]
+        built += [-x for x in xs]
+        built += [scalar_sum(xs + products),
+                  scalar_sum([w, w * Q, -w, w * xs[3]])]
+        assert all(x == -(-x) and x * 1 == x for x in built)
+        pairs = [(x, y) for x in xs + products for y in xs]
+        eqs = [x == y for x, y in pairs]
+        assert reads == []
+        monkeypatch.undo()
+        assert eqs == [(x.num, x.den) == (y.num, y.den) for x, y in pairs]
+        assert 0 < sum(eqs) < len(eqs)
+        assert w.den == (Q - ONE).num ** 900 and w.den is w.den
+        for x in xs + built:
+            assert x.fac is not None
+            if sum(e for _, e in x.fac[1]) < 60:
+                assert x.den == fac_expansion(x.fac), x
+                assert x.den is x.den
+
+    def test_value_built_before_its_factor_registers(self):
+        # Phi_67(q^2 t^3): its Newton polygon's one edge is longer than 64,
+        # so _factor registers nothing for it until 1 - q^134 t^201 does
+        phi = IntPoly({(2 * i, 3 * i): c for i, c in
+                       enumerate(_cyclotomic(67))})
+        a = Scalar(IntPoly.const(1), phi)
+        _binomial_ratio([(134, 201)], [])
+        b = Scalar(IntPoly.const(1), phi)
+        assert a.fac is None and b.fac is not None
+        assert a == b and b == a
+        assert len({a, b}) == 1
 
 
 def test_power_size_bound():
