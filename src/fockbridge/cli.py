@@ -182,9 +182,15 @@ def _emit(args, payload, text):
         print(text)
 
 
+def _check_degree(rep, what, index, cap):
+    if index is not None and rep.degree_of(index) > cap:
+        raise UsageError(
+            f"{what} degree {rep.degree_of(index)} exceeds cap {cap}")
+
+
 def _shape_and_base(args):
-    # (rep, bindings, shape, base) of expand and tableaux, the shape within
-    # the degree cap
+    # (rep, bindings, shape, base) of expand and tableaux, both within the
+    # degree cap
     cap = _degree_cap(args)
     rep = _parse_rep(args.rep, cap)
     bindings = _parse_bindings(args.spec)
@@ -195,9 +201,8 @@ def _shape_and_base(args):
         base = rep.highest
     else:
         raise UsageError("rep has no distinguished vector; pass --base")
-    if rep.degree_of(shape) > cap:
-        raise UsageError(
-            f"shape degree {rep.degree_of(shape)} exceeds cap {cap}")
+    _check_degree(rep, "shape", shape, cap)
+    _check_degree(rep, "base", base, cap)
     return rep, bindings, shape, base
 
 
@@ -267,6 +272,9 @@ def _cmd_verify(args):
 
     t = _parse_index(rep, args.t) if args.t is not None else None
     r = _parse_index(rep, args.r) if args.r is not None else None
+    if args.suite == "cauchy":
+        for flag, anchor in (("--t", t), ("--r", r)):
+            _check_degree(rep, flag, anchor, cap)
     if bindings:
         rep = specialize_rep(rep, bindings)
     if args.suite == "pieri":
@@ -302,6 +310,13 @@ def _cmd_tableaux(args):
         raise UsageError(f"bad --weight {args.weight!r}") from None
     if any(w < 1 for w in weight):
         raise UsageError("--weight parts must be positive")
+    # every path climbs from base by each weight part: bound where it ends
+    reach = rep.degree_of(base) + rep.degree_step * sum(weight)
+    cap = _degree_cap(args)
+    if reach > cap:
+        raise UsageError(f"--weight {args.weight} from base degree "
+                         f"{rep.degree_of(base)} reaches degree {reach}, "
+                         f"over the degree cap {cap}")
 
     paths = [((base,), ONE)]
     for k in weight:

@@ -343,13 +343,11 @@ class _AdjointRep(Rep):
         return self.base.degree_of(index)
 
     def raw_B(self, k, index):
-        target = self.degree_of(index) - self.degree_step * k
-        out = {}
-        for j in self.base.basis_of_degree(target):
-            c = _op_single(self.base, "B", -k, j).get(index)
-            if c is not None:
-                out[j] = c
-        return out
+        # <B_k v_index, v_j> = <B_-k v_j, v_index>: a row of B_-k's block
+        src = _target(self.degree_step, "B", k, self.degree_of(index))
+        return {j: col[index]
+                for j, col in _block(self.base, "B", -k, src).items()
+                if index in col}
 
 
 def adjoint_rep(rep):
@@ -417,17 +415,34 @@ class BundleRangeError(ValueError):
     """Requested data beyond the kmax/dmax the bundle was exported with."""
 
 
+def _target(m, op, k, d):
+    # the degree op_k sends degree d to: U_k raises by m*k, D_k and B_k lower
+    return d + m * k if op == "U" else d - m * k
+
+
+def _block(rep, op, k, d):
+    """op_k from degree d as {src: column}, in basis order; a column is the
+    cached {dst: entry} of _op_single.  Empty below degree 0."""
+    if d < 0:
+        return {}
+    return {i: _op_single(rep, op, k, i) for i in rep.basis_of_degree(d)}
+
+
+def _rows(block):
+    """The transpose of a block: {dst: {src: entry}}, sources in order."""
+    rows = {}
+    for src, col in block.items():
+        for dst, c in col.items():
+            rows.setdefault(dst, {})[src] = c
+    return rows
+
+
 def graded_matrix(rep, op, k, d):
     """Matrix of U_k or D_k from degree d, rows indexed by the target basis."""
-    m = rep.degree_step
-    target = d + m * k if op == "U" else d - m * k
-    source_basis = rep.basis_of_degree(d)
-    target_basis = rep.basis_of_degree(target) if target >= 0 else ()
-    rows = []
-    cols = [_op_single(rep, op, k, i) for i in source_basis]
-    for tgt in target_basis:
-        rows.append([col.get(tgt, ZERO) for col in cols])
-    return rows
+    target = _target(rep.degree_step, op, k, d)
+    rows = rep.basis_of_degree(target) if target >= 0 else ()
+    cols = _block(rep, op, k, d).values()
+    return [[col.get(t, ZERO) for col in cols] for t in rows]
 
 
 def rep_to_bundle(rep, kmax, dmax):
@@ -441,20 +456,16 @@ def rep_to_bundle(rep, kmax, dmax):
                   for d in range(dmax + 1)},
         "params": {str(k): str(rep.params.value(k))
                    for k in range(1, kmax + 1)},
-        "U": {},
-        "D": {},
+        "U": {str(k): {} for k in range(1, kmax + 1)},
+        "D": {str(k): {} for k in range(1, kmax + 1)},
     }
     for k in range(1, kmax + 1):
-        u_k, d_k = {}, {}
         for d in range(dmax + 1):
-            if d + m * k <= dmax:
-                u_k[str(d)] = [[str(c) for c in row]
-                               for row in graded_matrix(rep, "U", k, d)]
-            if d - m * k >= 0:
-                d_k[str(d)] = [[str(c) for c in row]
-                               for row in graded_matrix(rep, "D", k, d)]
-        bundle["U"][str(k)] = u_k
-        bundle["D"][str(k)] = d_k
+            for op in ("U", "D"):
+                if 0 <= _target(m, op, k, d) <= dmax:
+                    bundle[op][str(k)][str(d)] = [
+                        [str(c) for c in row]
+                        for row in graded_matrix(rep, op, k, d)]
     return bundle
 
 
@@ -464,7 +475,7 @@ def _require(cond, msg):
 
 
 def load_bundle(source):
-    """Build a Rep from a bundle dict, a JSON string path, or a file path."""
+    """Build a BundleRep from a bundle dict or a file path."""
     if isinstance(source, dict):
         data = source
     else:
@@ -500,42 +511,49 @@ def load_bundle(source):
             raise BundleFormatError(f"bad scalar for a_{k}: {e}") from None
         _require(not params[k].is_zero, f"parameter a_{k} is zero")
 
-    def read_matrix(side, k, d, nrows, ncols):
+    def read_columns(side, k, d, target):
+        # U[k][d] or D[k][d] as the columns of its sources (d, i); D_k below
+        # degree m*k is zero, and not stored
+        cols = [{} for _ in labels[d]]
+        columns.update(((side, k, (d, i)), col) for i, col in enumerate(cols))
+        if target < 0:
+            return
+        nrows, ncols = len(labels[target]), len(cols)
         block = data[side].get(str(k), {})
         _require(isinstance(block, dict), f"{side}[{k}] must be an object")
         mat = block.get(str(d))
         _require(mat is not None, f"{side}[{k}][{d}] missing")
         _require(isinstance(mat, list) and len(mat) == nrows,
                  f"{side}[{k}][{d}] wants a list of {nrows} rows")
-        out = []
-        for row in mat:
+        for r, row in enumerate(mat):
             _require(isinstance(row, list) and len(row) == ncols,
                      f"{side}[{k}][{d}] wants rows of {ncols} cols")
             _require(all(isinstance(x, str) for x in row),
                      f"{side}[{k}][{d}] entries must be strings")
             try:
-                out.append([parse_scalar(x) for x in row])
+                row = [parse_scalar(x) for x in row]
             except ValueError as e:
                 raise BundleFormatError(
                     f"bad scalar in {side}[{k}][{d}]: {e}") from None
-        return out
+            for col, c in zip(cols, row):
+                if not c.is_zero:
+                    col[(target, r)] = c
 
-    u_mats, d_mats = {}, {}
+    columns = {}
     for k in range(1, kmax + 1):
         for d in range(dmax + 1):
-            if d + m * k <= dmax:
-                u_mats[(k, d)] = read_matrix(
-                    "U", k, d, len(labels[d + m * k]), len(labels[d]))
-            if d - m * k >= 0:
-                d_mats[(k, d)] = read_matrix(
-                    "D", k, d, len(labels[d - m * k]), len(labels[d]))
-    return BundleRep(m, kmax, dmax, labels, params, u_mats, d_mats)
+            for side in ("U", "D"):
+                target = _target(m, side, k, d)
+                if target <= dmax:
+                    read_columns(side, k, d, target)
+    return BundleRep(m, kmax, dmax, labels, params, columns)
 
 
 class BundleRep(Rep):
-    """Rep backed by explicit matrices; indices are (degree, position)."""
+    """Rep backed by explicit matrices; indices are (degree, position).
+    The columns load_bundle reads, keyed (op, k, index), seed the cache."""
 
-    def __init__(self, m, kmax, dmax, labels, params, u_mats, d_mats):
+    def __init__(self, m, kmax, dmax, labels, params, columns):
         super().__init__()
         self.degree_step = m
         self.kmax = kmax
@@ -543,8 +561,8 @@ class BundleRep(Rep):
         self.labels = labels
         self._params_table = params
         self.params = HeisenbergParams(self._param)
-        self._U = u_mats
-        self._D = d_mats
+        self.columns = columns
+        self._cache.update(columns)
         self.highest = (0, 0) if labels.get(0) else None
 
     def _param(self, k):
@@ -576,23 +594,12 @@ class BundleRep(Rep):
         if k > self.kmax:
             raise BundleRangeError(f"operator order {k} beyond bundle kmax={self.kmax}")
 
+    # the stored columns are cached: these run only past the stored range
     def raw_U(self, k, index):
         self._check_k(k)
-        d, i = index
-        target = d + self.degree_step * k
-        if target > self.dmax:
-            raise BundleRangeError(
-                f"U_{k} from degree {d} leaves bundle dmax={self.dmax}")
-        mat = self._U[(k, d)]
-        return {(target, r): mat[r][i]
-                for r in range(len(mat)) if not mat[r][i].is_zero}
+        raise BundleRangeError(
+            f"U_{k} from degree {index[0]} leaves bundle dmax={self.dmax}")
 
     def raw_D(self, k, index):
         self._check_k(k)
-        d, i = index
-        target = d - self.degree_step * k
-        if target < 0:
-            return {}
-        mat = self._D[(k, d)]
-        return {(target, r): mat[r][i]
-                for r in range(len(mat)) if not mat[r][i].is_zero}
+        return {}

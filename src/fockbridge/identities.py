@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from .heisenberg import (
     BundleRep,
     StateVec,
+    _block,
     _fg_degree,
+    _rows,
     apply_B,
     apply_D,
     apply_U,
@@ -73,11 +75,9 @@ class VerifyReport:
     def passed(self):
         return not self.failures
 
-    def record(self, instance, lhs, rhs, equal=None):
+    def record(self, instance, lhs, rhs):
         self.checked.append((self.identity, instance))
-        if equal is None:
-            equal = lhs == rhs
-        if not equal:
+        if lhs != rhs:
             self.failures.append((instance, str(lhs), str(rhs)))
 
     def to_json_dict(self):
@@ -146,47 +146,37 @@ def verify_pieri(rep, k_max, d_max, window=None):
     def g_of(s):
         return compute_G(rep, s, b)
 
-    def combine(pairs, fn):
-        # sum of c * fn(t) over (t, c), each coefficient reduced once
+    def combine(col, fn):
+        # sum of c * fn(t) over the entries t: c, each coefficient reduced once
         return SymFunc("p", accumulate(
-            (lam, x * c) for t, c in pairs if not c.is_zero
+            (lam, x * c) for t, c in col.items()
             for lam, x in fn(t).terms.items()))
-
-    def transpose(op, k, d):
-        # {s: [(t, <op_k t, s>), ...]} over the basis t of degree d, in
-        # basis order: one application per t, shared by every source s
-        cols = {}
-        for t in rep.basis_of_degree(d) if d >= 0 else ():
-            for s, c in op(rep, k, StateVec.basis(t)).terms.items():
-                cols.setdefault(s, []).append((t, c))
-        return cols
 
     for k in range(1, k_max + 1):
         deep = d_max if window is None else min(d_max, window - m * k)
         if deep < 0:
             continue
         hk = h_multiplier(k, rep.params)
-        at = None
-        for d, s in _indices_up_to(rep, deep):
-            if d != at:         # the transposes of degree d's neighbours
-                at = d
-                ups = transpose(apply_D, k, d + m * k)
-                downs = transpose(apply_U, k, d - m * k)
-
-            v = StateVec.basis(s)
-            rhs = combine(apply_U(rep, k, v).terms.items(), g_of)
-            rpt.record(f"k={k} s={s} raise-G", multiply(hk, g_of(s)), rhs)
-
-            rhs = combine(ups.get(s, ()), f_of)
-            rpt.record(f"k={k} s={s} raise-F", multiply(hk, f_of(s)), rhs)
-
-            rhs = combine(apply_D(rep, k, v).terms.items(), g_of)
-            rpt.record(f"k={k} s={s} lower-G",
-                       perp_apply(sym_h(k), g_of(s)), rhs)
-
-            rhs = combine(downs.get(s, ()), f_of)
-            rpt.record(f"k={k} s={s} lower-F",
-                       perp_apply(sym_h(k), f_of(s)), rhs)
+        for d in range(deep + 1):
+            down_cols = _block(rep, "D", k, d)
+            if not down_cols:       # no source, so no neighbour is read
+                continue
+            # raise-F and lower-F read <D_k t, s> and <U_k t, s> over the
+            # basis t one step away: the transposes of the neighbour blocks
+            ups = _rows(_block(rep, "D", k, d + m * k))
+            downs = _rows(_block(rep, "U", k, d - m * k))
+            up_cols = _block(rep, "U", k, d)
+            for s, down in down_cols.items():
+                rhs = combine(up_cols[s], g_of)
+                rpt.record(f"k={k} s={s} raise-G", multiply(hk, g_of(s)), rhs)
+                rhs = combine(ups.get(s, {}), f_of)
+                rpt.record(f"k={k} s={s} raise-F", multiply(hk, f_of(s)), rhs)
+                rhs = combine(down, g_of)
+                rpt.record(f"k={k} s={s} lower-G",
+                           perp_apply(sym_h(k), g_of(s)), rhs)
+                rhs = combine(downs.get(s, {}), f_of)
+                rpt.record(f"k={k} s={s} lower-F",
+                           perp_apply(sym_h(k), f_of(s)), rhs)
     return rpt
 
 
@@ -405,7 +395,7 @@ def diagnose_converse(bundle, params=None, d_max=None, k_max=None):
     if params is not None:
         table = {k: params.value(k) for k in range(1, rep.kmax + 1)}
         rep = BundleRep(rep.degree_step, rep.kmax, rep.dmax, rep.labels,
-                        table, rep._U, rep._D)
+                        table, rep.columns)
     m = rep.degree_step
     cap = min(rep.dmax, m * rep.kmax)
     d_eff = cap if d_max is None else min(d_max, cap)

@@ -985,10 +985,6 @@ class Scalar:
     def is_one(self):
         return self.fac == _UNIT and self.num.is_one
 
-    @property
-    def is_integer(self):
-        return self.fac == _UNIT and self.num.is_constant
-
     def as_int(self):
         if self.fac != _UNIT:
             raise ValueError("not an integer scalar")
@@ -1089,9 +1085,6 @@ class Scalar:
         if n < 0:
             return (ONE / self) ** (-n)
         return _power(self, n, ONE)
-
-    def inverse(self):
-        return ONE / self
 
     def specialize(self, bindings):
         """Substitute Scalars for q and/or t.

@@ -70,13 +70,6 @@ class SymFunc:
     def is_zero(self):
         return not self.terms
 
-    def degrees(self):
-        return sorted({lam.size for lam in self.terms})
-
-    def homogeneous(self, d):
-        return SymFunc(self.basis,
-                       {lam: c for lam, c in self.terms.items() if lam.size == d})
-
     def coefficient(self, lam):
         return self.terms.get(Partition(lam), ZERO)
 
@@ -450,11 +443,6 @@ class VarPoly:
         if isinstance(other, VarPoly):
             return self.mul(other)
         return NotImplemented
-
-    def truncate(self, dmax):
-        p = VarPoly(self.names)
-        p.terms = {e: c for e, c in self.terms.items() if sum(e) <= dmax}
-        return p
 
     def embed(self, names, offset):
         """View this polynomial inside a larger variable list."""

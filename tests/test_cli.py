@@ -287,6 +287,44 @@ class TestVerify:
         assert "pass" in out
 
 
+class TestDegreesInsideCap:
+    # every degree a command touches lies inside the cap; past it these
+    # ran to "0" or "pass", and a 14-part tableaux weight or a cauchy anchor
+    # of degree 50 took most of a minute and 700 MB at the default cap
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--rep", "fermionic", "--shape", "[2]", "--base", "[3,2]"),
+        ("tableaux", "--rep", "fermionic", "--shape", "[2,2]",
+         "--base", "[1]", "--weight", "1,1,1,1"),
+        ("tableaux", "--rep", "llt1:2", "--shape", "[2,2]",
+         "--weight", "1,1,1"),
+        ("verify", "cauchy", "--rep", "fermionic", "--dmax", "2",
+         "--t", "[3,2]", "--r", "[1]"),
+        ("verify", "cauchy", "--rep", "fermionic", "--dmax", "2",
+         "--t", "[1]", "--r", "[1,1,1,1,1]"),
+    ])
+    def test_past_cap_exits_two(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv, "--degree-cap", "4")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap" in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (("expand", "--rep", "fermionic", "--shape", "[2,2]",
+          "--base", "[2,2]"), "p[] 1"),
+        (("tableaux", "--rep", "fermionic", "--shape", "[2,2]",
+          "--base", "[1]", "--weight", "1,1,1"), "total: 2"),
+        (("tableaux", "--rep", "llt1:2", "--shape", "[2,2]",
+          "--weight", "1,1"), "total: 2"),
+        (("verify", "cauchy", "--rep", "fermionic", "--dmax", "2",
+          "--t", "[2,2]", "--r", "[2,1,1]"), "cauchy: pass"),
+    ])
+    def test_at_cap(self, capsys, argv, want):
+        rc, out, _ = run_cli(capsys, *argv, "--degree-cap", "4")
+        assert rc == 0
+        assert out.startswith(want)
+
+
 class TestBundleHandling:
     @pytest.fixture
     def bundle_path(self, tmp_path):

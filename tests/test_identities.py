@@ -1,12 +1,14 @@
 """Verifier suite: positive runs on the built-in reps, mutation
 sensitivity through corrupted bundles, and the converse diagnostic."""
 
+import collections
 import json
 
 import pytest
 
 from fockbridge import identities, scalars
 from fockbridge.heisenberg import (
+    BundleRep,
     HeisenbergParams,
     load_bundle,
     rep_to_bundle,
@@ -93,22 +95,19 @@ class TestPieriVerifier:
 
     def test_transposes_once_per_degree(self, monkeypatch):
         # the raise-F and lower-F sides read <D_k t, s> and <U_k t, s> over
-        # the basis t one degree away: one application per t and degree,
-        # not one per t and source s
-        calls = {"U": 0, "D": 0}
-        for op in calls:
-            real = getattr(identities, f"apply_{op}")
+        # the basis t one degree away: each (k, d) reads the blocks of U_k
+        # and D_k at d and at its neighbours once, not once per source s
+        reads = collections.Counter()
+        real = identities._block
 
-            def counting(*args, op=op, real=real):
-                calls[op] += 1
-                return real(*args)
-            monkeypatch.setattr(identities, f"apply_{op}", counting)
+        def counting(rep, op, k, d):
+            reads[(op, k, d)] += 1
+            return real(rep, op, k, d)
+        monkeypatch.setattr(identities, "_block", counting)
         assert verify_pieri(fermionic_rep(), 2, 4).passed
-        n = [len(partitions_of(d)) for d in range(7)]
-        degrees = [(k, d) for k in (1, 2) for d in range(5)]
-        assert calls["D"] == sum(n[d] + n[d + k] for k, d in degrees)
-        assert calls["U"] == sum(n[d] + (n[d - k] if d >= k else 0)
-                                 for k, d in degrees)
+        assert reads == collections.Counter(
+            (op, k, e) for k in (1, 2) for d in range(5)
+            for op, e in (("U", d), ("D", d), ("D", d + k), ("U", d - k)))
 
     def test_tensor_passes(self):
         assert verify_pieri(tensor(fermionic_rep(), fermionic_rep()), 2, 2).passed
@@ -302,6 +301,21 @@ class TestConverse:
         assert set(d["conditions"]) == {"commutation", "du", "pieri"}
         assert d["conditions"]["du"]["identity"] == "du"
         json.dumps(d)
+
+    def test_stored_columns_need_no_raw_action(self, monkeypatch):
+        # load_bundle caches every stored column, so inside the stored
+        # range no suite asks the bundle's raw_U or raw_D
+        calls = []
+        for name in ("raw_U", "raw_D"):
+            def counting(self, k, index, name=name,
+                         real=getattr(BundleRep, name)):
+                calls.append((name, k, index))
+                return real(self, k, index)
+            monkeypatch.setattr(BundleRep, name, counting)
+        rep = load_bundle(fermionic_bundle())
+        assert verify_pieri(rep, 4, 4, window=4).passed
+        assert diagnose_converse(rep).passed
+        assert calls == []
 
     def test_accepts_loaded_rep_and_path(self, tmp_path):
         bundle = fermionic_bundle(2, 2)
