@@ -239,15 +239,25 @@ def _cmd_verify(args):
     if dmax > cap:
         raise UsageError(f"--dmax {dmax} exceeds degree cap {cap}")
     # the suites climb by the operator orders, so an order is bounded like
-    # a degree, and heisenberg by the degree it reaches, dmax + 2*kmax - 1
+    # a degree, and each suite by the degree it reaches
     for flag, n in (("--kmax", args.kmax), ("--abmax", args.abmax),
                     ("--lmax", args.lmax)):
         if n is not None and n > cap:
             raise UsageError(f"{flag} {n} exceeds degree cap {cap}")
-    if args.suite == "heisenberg" and dmax + 2 * kmax - 1 > cap:
-        raise UsageError(f"heisenberg with --kmax {kmax} --dmax {dmax} "
-                         f"reaches degree {dmax + 2 * kmax - 1}, over the "
-                         f"degree cap {cap}")
+    abmax = args.abmax if args.abmax is not None else 2
+    lmax = args.lmax if args.lmax is not None else 2
+    # U_k, U_a and phi of B_-l v climb by order times step; cauchy stays
+    # out until it is bounded in Sym, not in variables
+    step = rep.degree_step
+    flag, n, reach = {
+        "heisenberg": ("--kmax", kmax, dmax + 2 * kmax - 1),
+        "pieri": ("--kmax", kmax, dmax + kmax * step),
+        "du": ("--abmax", abmax, dmax + abmax * step),
+        "bf": ("--lmax", lmax, dmax + lmax * step),
+    }.get(args.suite, (None, 0, 0))
+    if reach > cap:
+        raise UsageError(f"{args.suite} with {flag} {n} --dmax {dmax} "
+                         f"reaches degree {reach}, over the degree cap {cap}")
     if args.suite == "cauchy":
         # a symmetric function of degree <= cap is determined by cap variables
         for flag, n in (("--xvars", args.xvars), ("--yvars", args.yvars)):
@@ -280,12 +290,10 @@ def _cmd_verify(args):
     if args.suite == "pieri":
         rpt = verify_pieri(rep, kmax, dmax)
     elif args.suite == "du":
-        abmax = args.abmax if args.abmax is not None else 2
         rpt = verify_du(rep, abmax, dmax)
     elif args.suite == "cauchy":
         rpt = verify_cauchy(rep, args.xvars, args.yvars, dmax, t=t, r=r)
     elif args.suite == "bf":
-        lmax = args.lmax if args.lmax is not None else 2
         ls = [l for l in range(-lmax, lmax + 1) if l]
         rpt = verify_bf(rep, dmax, ls)
     else:

@@ -23,7 +23,8 @@ import itertools
 import json
 
 from .partitions import Partition, partitions_of, z_of
-from .scalars import ONE, Scalar, ZERO, accumulate, parse_scalar
+from .scalars import (ONE, Scalar, ZERO, _printer, accumulate, parse_scalar,
+                      product)
 from .symfunc import SymFunc, convert, multiply, perp_apply, sym_p
 
 __all__ = [
@@ -169,7 +170,7 @@ class Rep:
 # operator calculus
 
 def _linear(rep, op, k, terms):
-    return accumulate((j, w * c) for i, c in terms.items()
+    return accumulate((j, product(w, c)) for i, c in terms.items()
                       for j, w in _op_single(rep, op, k, i).items())
 
 
@@ -310,7 +311,7 @@ def phi_map(rep, v):
     if rep.highest is None:
         raise ValueError("rep has no designated highest index")
     return SymFunc("p", accumulate(
-        (lam, x * c) for s, c in v.terms.items()
+        (lam, product(x, c)) for s, c in v.terms.items()
         for lam, x in compute_G(rep, s, rep.highest).terms.items()))
 
 
@@ -448,13 +449,14 @@ def graded_matrix(rep, op, k, d):
 def rep_to_bundle(rep, kmax, dmax):
     """Export the U/D action matrices for degrees <= dmax, orders <= kmax."""
     m = rep.degree_step
+    text = _printer()
     bundle = {
         "degree_step": m,
         "kmax": kmax,
         "dmax": dmax,
         "basis": {str(d): [str(i) for i in rep.basis_of_degree(d)]
                   for d in range(dmax + 1)},
-        "params": {str(k): str(rep.params.value(k))
+        "params": {str(k): text(rep.params.value(k))
                    for k in range(1, kmax + 1)},
         "U": {str(k): {} for k in range(1, kmax + 1)},
         "D": {str(k): {} for k in range(1, kmax + 1)},
@@ -464,7 +466,7 @@ def rep_to_bundle(rep, kmax, dmax):
             for op in ("U", "D"):
                 if 0 <= _target(m, op, k, d) <= dmax:
                     bundle[op][str(k)][str(d)] = [
-                        [str(c) for c in row]
+                        [text(c) for c in row]
                         for row in graded_matrix(rep, op, k, d)]
     return bundle
 

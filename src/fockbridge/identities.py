@@ -28,7 +28,7 @@ from .heisenberg import (
     phi_map,
 )
 from .partitions import partitions_of
-from .scalars import ONE, accumulate
+from .scalars import ONE, accumulate, product
 from .symfunc import (
     SymFunc,
     VarPoly,
@@ -149,7 +149,7 @@ def verify_pieri(rep, k_max, d_max, window=None):
     def combine(col, fn):
         # sum of c * fn(t) over the entries t: c, each coefficient reduced once
         return SymFunc("p", accumulate(
-            (lam, x * c) for t, c in col.items()
+            (lam, product(x, c)) for t, c in col.items()
             for lam, x in fn(t).terms.items()))
 
     for k in range(1, k_max + 1):

@@ -251,25 +251,26 @@ _DEGREE_LIMIT = 1024
 class IntPoly:
     """Integer polynomial in q and t, stored as {(deg_q, deg_t): coeff}."""
 
-    __slots__ = ("terms", "_hash")
+    # _val: None, or the value at the probe point (_value); it hashes
+    __slots__ = ("terms", "_val")
 
     def __init__(self, terms=None):
         if terms:
             self.terms = {k: c for k, c in terms.items() if c}
         else:
             self.terms = {}
-        self._hash = None
+        self._val = None
 
     @classmethod
     def const(cls, n):
         p = cls.__new__(cls)
-        p.terms, p._hash = {(0, 0): n} if n else {}, None
+        p.terms, p._val = {(0, 0): n} if n else {}, None
         return p
 
     @classmethod
     def monomial(cls, dq, dt, c=1):
         p = cls.__new__(cls)
-        p.terms, p._hash = {(dq, dt): c} if c else {}, None
+        p.terms, p._val = {(dq, dt): c} if c else {}, None
         return p
 
     @property
@@ -297,11 +298,7 @@ class IntPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(tuple(sorted(self.terms.items())))
-            self._hash = h
-        return h
+        return hash(_value(self))
 
     def __add__(self, other):
         return _poly_sum((self, other))
@@ -413,19 +410,20 @@ class IntPoly:
             if c == 1:
                 return _POLY_ONE, self, other
             return IntPoly.const(c), IntPoly.const(x // c), IntPoly.const(y // c)
-        key = (self, other)
-        g = _GCD_MEMO.get(key)
-        ca = cb = None
-        if g is None:
-            aq, at = self.min_degrees()
-            bq, bt = other.min_degrees()
-            mq, mt = min(aq, bq), min(at, bt)
-            a, b = self.shifted(-aq, -at), other.shifted(-bq, -bt)
-            if not (a.is_constant or b.is_constant):
-                if max(i + j for p in (a, b) for i, j in p.terms) > \
-                        _DEGREE_LIMIT:
-                    raise ValueError(f"gcd of polynomials over total degree "
-                                     f"{_DEGREE_LIMIT} is not supported")
+        aq, at = self.min_degrees()
+        bq, bt = other.min_degrees()
+        mq, mt = min(aq, bq), min(at, bt)
+        a, b = self.shifted(-aq, -at), other.shifted(-bq, -bt)
+        g = ca = cb = None
+        if not (a.is_constant or b.is_constant):
+            if max(i + j for p in (a, b) for i, j in p.terms) > _DEGREE_LIMIT:
+                raise ValueError(f"gcd of polynomials over total degree "
+                                 f"{_DEGREE_LIMIT} is not supported")
+            # keyed by the shifted pair: its degree is bounded, and so is
+            # the cost of the probe values that hash it.  None: coprime
+            key = (a, b)
+            g = _GCD_MEMO.get(key, False)
+            if g is False:
                 g, ca, cb = _tq_gcd_heu(a.terms, b.terms) or \
                     (_prs_gcd(a, b), None, None)
                 if g.is_constant:
@@ -435,19 +433,18 @@ class IntPoly:
                         ca, cb = a.divexact(g), b.divexact(g)
                     if g.lex_leading()[1] < 0:
                         g, ca, cb = -g, -ca, -cb
-                    g = g.shifted(mq, mt)
-                    ca = ca.shifted(aq - mq, at - mt)
-                    cb = cb.shifted(bq - mq, bt - mt)
-            if g is None:
-                g = IntPoly.monomial(mq, mt, math.gcd(a.content(), b.content()))
-            if len(_GCD_MEMO) < _GCD_MEMO_LIMIT:
-                _GCD_MEMO[key] = g
-        if ca is None:
-            # a memo hit or a monomial gcd: divide by it
-            if g.is_one:
-                return g, self, other
-            ca, cb = self.divexact(g), other.divexact(g)
-        return g, ca, cb
+                if len(_GCD_MEMO) < _GCD_MEMO_LIMIT:
+                    _GCD_MEMO[key] = g
+        if g is None:       # the gcd of the contents, times a monomial
+            g = IntPoly.const(math.gcd(a.content(), b.content()))
+        g = g.shifted(mq, mt)
+        if ca is not None:
+            return (g, ca.shifted(aq - mq, at - mt),
+                    cb.shifted(bq - mq, bt - mt))
+        # a memo hit or a monomial gcd: divide by it
+        if g.is_one:
+            return g, self, other
+        return g, self.divexact(g), other.divexact(g)
 
     def _pos_leading(self):
         if self.terms and self.lex_leading()[1] < 0:
@@ -502,7 +499,7 @@ def _power(x, n, one):
 def _poly(terms):
     # trusted constructor: terms has no zero coefficient
     p = IntPoly.__new__(IntPoly)
-    p.terms, p._hash = terms, None
+    p.terms, p._val = terms, None
     return p
 
 
@@ -561,6 +558,18 @@ def _probe(p, _pows=([1], [1])):
     return sum(c * xs[i] * ys[j] for (i, j), c in p.terms.items())
 
 
+# An IntPoly keeps its probe value once computed.  f | n implies _probe(f) |
+# _probe(n), so a factor whose value does not divide n's is not tried.  An
+# exact quotient by prod f^k has value v // prod _FACTOR_VALS[f]^k, a content
+# division by g v // g, and a product the product of the values.
+
+def _value(p):
+    v = p._val
+    if v is None:
+        v = p._val = _probe(p)
+    return v
+
+
 _FACTORS = [IntPoly.monomial(1, 0), IntPoly.monomial(0, 1)]  # fid 0 q, 1 t
 _FACTOR_IDS = {}                            # (d, a, b) -> fid
 _FACTOR_VALS = [_probe(f) for f in _FACTORS]
@@ -593,11 +602,11 @@ def _fac(c, *parts):
     return (c, tuple(sorted((f, e) for f, e in exps.items() if e)))
 
 
-def _trial(n, v, cands):
-    # divide n, with v = _probe(n), by each factor (fid, most) of cands up
-    # to most times: (quotient, its probe, counts).  The counts v allows go
-    # in one division by their product, else each alone, from its count down
-    ks, w = [], v
+def _trial(n, cands):
+    # divide n by each factor (fid, most) of cands up to most times:
+    # (quotient, counts).  The counts n's probe value allows go in one
+    # division by their product, else each alone, from its count down
+    ks, w = [], _value(n)
     for fid, most in cands:
         fv, k = _FACTOR_VALS[fid], 0
         while k < most and w % fv == 0:
@@ -605,13 +614,15 @@ def _trial(n, v, cands):
         ks.append(k)
     try:
         fl = tuple((f, k) for (f, _), k in zip(cands, ks) if k)
-        return n.divexact(_expand((1, fl))), w, ks
+        n = n.divexact(_expand((1, fl)))
+        n._val = w
+        return n, ks
     except ValueError:
         if len(cands) == 1:
-            return _trial(n, v, [(cands[0][0], ks[0] - 1)])
+            return _trial(n, [(cands[0][0], ks[0] - 1)])
         for i, c in enumerate(cands):
-            n, v, (ks[i],) = _trial(n, v, [c])
-        return n, v, ks
+            n, (ks[i],) = _trial(n, [c])
+        return n, ks
 
 
 def _at(fid, zbits, tbits):
@@ -631,7 +642,11 @@ def _strip(parts, fl, n=None):
     packs to a multiple of the value of q - 1 at every width."""
     dq = dt = h = 0
     for p, (m, cfl) in parts:
-        pq, pt, ph, _ = _scan(p.terms)
+        if type(p) is tuple:    # a pair from product: degrees add
+            (aq, at, ah, an), (cq, ct, ch, cn) = map(_scan, _terms(p))
+            pq, pt, ph = aq + cq, at + ct, ah * ch * min(an, cn)
+        else:
+            pq, pt, ph, _ = _scan(p.terms)
         for f, e in cfl:
             cs, a, b = _FACTOR_FORMS[f]
             pq, pt = pq + e * (len(cs) - 1) * a, pt + e * (len(cs) - 1) * b
@@ -653,9 +668,9 @@ def _strip(parts, fl, n=None):
         tbits = zbits * (dq + 1) + 2
         if (dt + 1) * tbits > _PACK_BITS:
             return None
-        v = sum(_pack(p.terms, zbits, tbits) * m * math.prod(
-            _at(f, zbits, tbits) ** e for f, e in cfl)
-            for p, (m, cfl) in parts)
+        v = sum(math.prod(_pack(a, zbits, tbits) for a in _terms(p)) * m *
+                math.prod(_at(f, zbits, tbits) ** e for f, e in cfl)
+                for p, (m, cfl) in parts)
         if not v:
             return _POLY_ZERO, fl
     for fid, e, cs, ga, gb in tries:
@@ -754,6 +769,11 @@ def _register_edges(r):
                     _register(d, a, b)
 
 
+# den part -> len(_FACTORS) when _factor refused it: until a factor
+# registers, _factor would refuse it again
+_REFUSED = {}
+
+
 def _factor(p):
     """fac of p (positive lex-leading coefficient), or None when what the
     registered factors, and those its Newton polygon's edges allow, leave
@@ -774,10 +794,12 @@ def _factor(p):
             max(diffs) + min(diffs) != dq - dt:
         return None
     if not _split_binomial(r, exps):
-        v, start = _probe(r), 2
+        if _REFUSED.get(r) == len(_FACTORS):   # no factor registered since
+            return None
+        key, start = r, 2
         while True:
             end = len(_FACTORS)
-            r, v, ks = _trial(r, v, [(fid, most) for fid in range(start, end)])
+            r, ks = _trial(r, [(fid, most) for fid in range(start, end)])
             exps.update(zip(range(start, end), ks))
             if r.is_constant or _split_binomial(r, exps):
                 break
@@ -785,6 +807,8 @@ def _factor(p):
             # registered yet; try those its Newton polygon allows
             _register_edges(r)
             if len(_FACTORS) == end:
+                if len(_REFUSED) < _GCD_MEMO_LIMIT:
+                    _REFUSED[key] = end
                 return None
             start = end
     return _fac(c, (1, exps.items()))
@@ -800,19 +824,63 @@ def _expand(fac):
 
 def _cancel(n, c, fl, pack=True):
     """Divide nonzero n and c * prod f^e by their gcd: (n', c', fl').  The
-    factors go as in _strip, or at the probe point when that gives None or
-    pack is false (for a sum's numerator that _strip refused)."""
+    factors but q and t (which go by degrees) whose value does not divide
+    n's are left; before n's value is known, so are those of more degree,
+    as past _probe's tables a value costs a power per term.  The rest go
+    as in _strip, or at the probe point when that gives None or pack is
+    false (for a sum's numerator that _strip refused)."""
     if fl and not n.is_constant:
-        got = pack and _strip([(n, _UNIT)], fl, n)
-        if not got:
-            n, _, ks = _trial(n, _probe(n), fl)
-            got = n, tuple((f, e - k) for (f, e), k in zip(fl, ks) if e > k)
-        n, fl = got
+        fits = fl
+        if n._val is None:
+            dq, dt = max(n.terms)[0], max(map(_T_DEG, n.terms))
+            fits = [(f, e) for f, e in fl if f < 2 or _fits(f, dq, dt)]
+        cands = [(f, e) for f, e in fits
+                 if f < 2 or _value(n) % _FACTOR_VALS[f] == 0]
+        if cands:
+            v = n._val
+            got = pack and _strip([(n, _UNIT)], cands, n)
+            if got:
+                n, ks = got[0], dict(cands)
+                for f, e in got[1]:
+                    ks[f] -= e
+                if v is not None:
+                    n._val = v // math.prod(_FACTOR_VALS[f] ** k
+                                            for f, k in ks.items())
+            else:
+                n, counts = _trial(n, cands)
+                ks = {f: k for (f, _), k in zip(cands, counts)}
+            fl = tuple((f, e - ks.get(f, 0)) for f, e in fl
+                       if e > ks.get(f, 0))
     # the factors are primitive: dividing by them leaves n's content
     g = math.gcd(c, n.content()) if c != 1 else 1
     if g != 1:
-        c, n = c // g, IntPoly({k: x // g for k, x in n.terms.items()})
+        v = n._val
+        c, n = c // g, _poly({k: x // g for k, x in n.terms.items()})
+        if v is not None:
+            n._val = v // g
     return n, c, fl
+
+
+def _fits(fid, dq, dt):
+    # whether factor fid's degrees are at most dq in q and dt in t
+    cs, a, b = _FACTOR_FORMS[fid]
+    return (len(cs) - 1) * a <= dq and (len(cs) - 1) * b <= dt
+
+
+def _terms(p):
+    # the term dicts of a numerator: one, or the two of a pair (product)
+    return (p[0].terms, p[1].terms) if type(p) is tuple else (p.terms,)
+
+
+def _out(p):
+    # a numerator multiplied out, a pair's probe value carried
+    if type(p) is not tuple:
+        return p
+    a, c = p
+    n = a * c
+    if a._val is not None and c._val is not None:
+        n._val = a._val * c._val
+    return n
 
 
 def _poly_sum(ps):
@@ -828,6 +896,27 @@ def _poly_sum(ps):
     return _poly(acc)
 
 
+def _numerator(parts):
+    # the sum of p * _expand(cof) over parts (p, cof).  A factor power all
+    # cofactors but one hold (one addend alone reaches its top exponent) is
+    # multiplied in once, after the others are summed, the largest first;
+    # with two parts it lies in one cofactor either way
+    exps, best = [dict(cfl) for _, (_, cfl) in parts], (0,)
+    for f in set().union(*exps) if len(parts) > 2 else ():
+        lack = [i for i, ex in enumerate(exps) if f not in ex]
+        if len(lack) == 1:
+            e = min(ex[f] for ex in exps if f in ex)
+            cs, a, b = _FACTOR_FORMS[f]
+            best = max(best, (e * (len(cs) - 1) * (a + b), lack[0], f, e))
+    if len(best) == 1:
+        return _poly_sum([_out(p) * _expand(cof) for p, cof in parts])
+    _, i, f, e = best
+    (p, cof), rest = parts[i], parts[:i] + parts[i + 1:]
+    rest = [(r, (m, _fac(1, (1, cfl), (-1, ((f, e),)))[1]))
+            for r, (m, cfl) in rest]
+    return _out(p) * _expand(cof) + _numerator(rest) * _FACTORS[f] ** e
+
+
 def _fac_sum(xs):
     # sum a_i / d_i over L = lcm d_i: the integer lcm and each factor's top
     # exponent.  A factor whose top exponent one addend alone reaches cannot
@@ -839,11 +928,11 @@ def _fac_sum(xs):
     nums, count = {}, {}
     for x in xs:
         p = nums.get(x.fac)
-        nums[x.fac] = x.num if p is None else p + x.num
+        nums[x.fac] = x.num if p is None else _out(p) + _out(x.num)
         count[x.fac] = count.get(x.fac, 0) + 1
     lc, top, seen = 1, {}, {}
     for fac, p in nums.items():
-        if not p.terms:
+        if type(p) is not tuple and not p.terms:
             continue
         c, fl = fac
         lc = lc // math.gcd(lc, c) * c
@@ -856,7 +945,7 @@ def _fac_sum(xs):
     tops = sorted(top.items())
     parts = []
     for (c, fl), p in nums.items():
-        if p.terms:
+        if type(p) is tuple or p.terms:
             own = dict(fl)
             parts.append((p, (lc // c, tuple((f, m - own.get(f, 0))
                                              for f, m in tops
@@ -869,8 +958,7 @@ def _fac_sum(xs):
     if got:         # only the integer content is left to cancel
         num, cands = got[0], ()
     else:
-        num = _poly_sum([p * _expand(cof) for p, cof in parts]) if parts \
-            else _POLY_ZERO
+        num = _numerator(parts) if parts else _POLY_ZERO
     if num.is_zero:
         return ZERO
     num, c, rest = _cancel(num, lc, cands, pack=False)
@@ -904,17 +992,23 @@ def _rat_sum(xs):
 def scalar_sum(xs):
     """The sum of the Scalars xs, reduced once: by _rat_sum over integer
     dens, by _fac_sum over factored ones, else by pairwise +."""
-    xs = [x for x in xs if x.num.terms]
+    xs = [x for x in xs if type(x.num) is tuple or x.num.terms]
     if len(xs) < 2:
-        return xs[0] if xs else ZERO
+        return _settled(xs[0]) if xs else ZERO
     if any(x.fac is None for x in xs):
-        return functools.reduce(operator.add, xs)
+        return functools.reduce(operator.add, map(_settled, xs))
     return (_fac_sum if any(x.fac[1] for x in xs) else _rat_sum)(xs)
+
+
+def _settled(x):
+    # x with a pair numerator multiplied out
+    return Scalar._raw(_out(x.num), x.fac) if type(x.num) is tuple else x
 
 
 def accumulate(pairs):
     """{key: the sum of its values} over (key, Scalar) pairs, zero sums
-    dropped; each key's values are summed once, by scalar_sum."""
+    dropped; each key's values are summed once, by scalar_sum.  The
+    values may come from product."""
     groups = {}
     for k, x in pairs:
         g = groups.get(k)
@@ -925,7 +1019,9 @@ def accumulate(pairs):
     out = {}
     for k, g in groups.items():
         x = g[0] if len(g) == 1 else scalar_sum(g)
-        if x.num.terms:
+        if type(x.num) is tuple:
+            out[k] = _settled(x)
+        elif x.num.terms:
             out[k] = x
     return out
 
@@ -1042,26 +1138,8 @@ class Scalar:
             other = Scalar.from_int(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        a, c, x, y = self.num, other.num, self.fac, other.fac
-        if y == _UNIT and c.terms in _UNITS:
-            return self if c.terms[0, 0] == 1 else -self
-        if x == _UNIT and a.terms in _UNITS:
-            return other if a.terms[0, 0] == 1 else -other
-        if a.is_zero or c.is_zero:
-            return ZERO
-        if x is not None and y is not None:
-            for u, v in ((self, other), (other, self)):
-                if not v.fac[1] and v.num.is_constant:      # a rational
-                    return _rat(u.num.mul_int(v.num.terms[0, 0]),
-                                u.fac[0] * v.fac[0], u.fac[1])
-            if not x[1] and not y[1]:   # polynomials over integer dens
-                return _rat(a * c, x[0] * y[0])
-            a, cd, fd = _cancel(a, *y)
-            c, cb, fb = _cancel(c, *x)
-            return Scalar._raw(a * c, _fac(cb * cd, (1, fb), (1, fd)))
-        _, a, d = a.cofactors(other.den)
-        _, c, b = c.cofactors(self.den)
-        return _signfix(a * c, b * d)
+        x = product(self, other)
+        return x if type(x.num) is not tuple else _settled(x)
 
     __rmul__ = __mul__
 
@@ -1112,6 +1190,53 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def product(x, y):
+    """x * y for accumulate and scalar_sum: two factored operands of two or
+    more terms each keep their cancelled numerators as a pair (a, c), which
+    _strip packs as _pack(a) * _pack(c); Scalar.__mul__ multiplies it out."""
+    a, c, fx, fy = x.num, y.num, x.fac, y.fac
+    if fy == _UNIT and c.terms in _UNITS:
+        return x if c.terms[0, 0] == 1 else -x
+    if fx == _UNIT and a.terms in _UNITS:
+        return y if a.terms[0, 0] == 1 else -y
+    if a.is_zero or c.is_zero:
+        return ZERO
+    if fx is not None and fy is not None:
+        for u, v in ((x, y), (y, x)):
+            if not v.fac[1] and v.num.is_constant:      # a rational
+                return _rat(u.num.mul_int(v.num.terms[0, 0]),
+                            u.fac[0] * v.fac[0], u.fac[1])
+        if not fx[1] and not fy[1]:     # polynomials over integer dens
+            return _rat(a * c, fx[0] * fy[0])
+        a, cd, fd = _cancel(a, *fy)
+        c, cb, fb = _cancel(c, *fx)
+        fac = _fac(cb * cd, (1, fb), (1, fd))
+        n = (a, c)
+        if not fac[1] or len(a.terms) < 2 or len(c.terms) < 2:
+            n = _out(n)
+        return Scalar._raw(n, fac)
+    _, a, d = a.cofactors(y.den)
+    _, c, b = c.cofactors(x.den)
+    return _signfix(a * c, b * d)
+
+
+def _printer():
+    # str of Scalars, each fac's den multiplied out and printed once per
+    # printer: the values of one bundle share few dens
+    dens = {}
+
+    def text(x):
+        if x.fac == _UNIT:
+            return _poly_str(x.num)
+        if x.fac is None:
+            return str(x)
+        d = dens.get(x.fac)
+        if d is None:
+            d = dens[x.fac] = _poly_str(x.den)
+        return f"({_poly_str(x.num)})/({d})"
+    return text
 
 
 def _signfix_pair(num, den):

@@ -20,7 +20,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .scalars import ONE, Scalar, ZERO, accumulate, scalar_sum
+from .scalars import ONE, Scalar, ZERO, accumulate, product, scalar_sum
 
 __all__ = [
     "BASES",
@@ -289,11 +289,11 @@ def convert(f, target):
         return f
     out = f.terms
     if f.basis != "m":
-        out = accumulate((mu, c * w) for lam, c in out.items() for mu, w
-                         in _to_m(f.basis, lam.size)[lam].items())
+        out = accumulate((mu, product(c, w)) for lam, c in out.items()
+                         for mu, w in _to_m(f.basis, lam.size)[lam].items())
     if target != "m":
-        out = accumulate((lam, c * w) for mu, c in out.items() for lam, w
-                         in _from_m(target, mu.size)[mu].items())
+        out = accumulate((lam, product(c, w)) for mu, c in out.items()
+                         for lam, w in _from_m(target, mu.size)[mu].items())
     return SymFunc(target, out)
 
 

@@ -259,9 +259,41 @@ class TestVerify:
 
     def test_orders_at_cap(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "du", "--rep", "fermionic",
-                             "--dmax", "1", "--abmax", "3", "--degree-cap", "3")
+                             "--dmax", "0", "--abmax", "3", "--degree-cap", "3")
         assert rc == 0
         assert "pass" in out
+
+    # (suite, rep, flags, the degree the flags reach): pieri reaches
+    # dmax + kmax*step, du dmax + abmax*step, bf dmax + lmax*step; llt1:2
+    # has step 2
+    REACH = [
+        ("pieri", "fermionic", ("--kmax", "2", "--dmax", "2"), 4),
+        ("pieri", "llt1:2", ("--kmax", "1", "--dmax", "2"), 4),
+        ("du", "fermionic", ("--abmax", "3", "--dmax", "1"), 4),
+        ("du", "llt1:2", ("--abmax", "1", "--dmax", "2"), 4),
+        ("bf", "fermionic", ("--lmax", "2", "--dmax", "2"), 4),
+        ("bf", "llt1:2", ("--lmax", "1", "--dmax", "2"), 4),
+    ]
+
+    @pytest.mark.parametrize("suite, rep, flags, reach", REACH)
+    def test_suite_reach_at_cap(self, capsys, suite, rep, flags, reach):
+        rc, out, _ = run_cli(capsys, "verify", suite, "--rep", rep, *flags,
+                             "--degree-cap", str(reach))
+        assert rc == 0
+        assert "pass" in out
+
+    @pytest.mark.parametrize("suite, rep, flags, reach, cap", [
+        r + (r[3] - 1,) for r in REACH] + [
+        # it ran for 15 s at the default cap 8, reaching degree 16
+        ("pieri", "fermionic", ("--kmax", "8", "--dmax", "8"), 16, 8)])
+    def test_suite_reach_past_cap_exits_two(self, capsys, suite, rep, flags,
+                                            reach, cap):
+        rc, out, err = run_cli(capsys, "verify", suite, "--rep", rep, *flags,
+                               "--degree-cap", str(cap))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"reaches degree {reach}, over the degree cap {cap}" in err
 
     @pytest.mark.parametrize("bounds", [
         ("--kmax", "8", "--dmax", "0"),

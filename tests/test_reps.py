@@ -10,6 +10,7 @@ from fockbridge.heisenberg import (
     apply_U,
     compute_F,
     compute_G,
+    graded_matrix,
     load_bundle,
     monomial_coeff,
     phi_map,
@@ -376,6 +377,26 @@ class TestMacdonaldRep:
                             assert got.terms == want.terms, (fn, s, t)
                             checked += not got.is_zero
         assert checked > 100
+
+    def test_bundle_prints_each_den_once(self, monkeypatch):
+        # the entries of a bundle share few dens; each is multiplied out
+        # once per export, not once per entry
+        rep, kmax, dmax = type(macdonald_rep())(), 3, 5
+        for k in range(1, kmax + 1):
+            rep.params.value(k)
+            for d in range(dmax + 1):
+                graded_matrix(rep, "D", k, d)
+                if d + k <= dmax:
+                    graded_matrix(rep, "U", k, d)
+        expands = []
+        real = scalars._expand
+        monkeypatch.setattr(scalars, "_expand",
+                            lambda fac: expands.append(fac) or real(fac))
+        bundle = rep_to_bundle(rep, kmax, dmax)
+        monkeypatch.undo()
+        assert len(expands) > 10
+        assert len(expands) == len(set(expands))
+        assert bundle == rep_to_bundle(macdonald_rep(), kmax, dmax)
 
     def test_deformed_z_reduces(self):
         # q = t collapses the deformation to plain z

@@ -23,11 +23,13 @@ from fockbridge.identities import verify_du, verify_pieri
 from fockbridge.reps import macdonald_b, macdonald_rep
 from fockbridge import scalars as scalars_module
 from fockbridge.scalars import (
+    _FACTOR_VALS,
     _FACTORS,
     _binomial_ratio,
     _cyclotomic,
     _factor,
     _pack,
+    _probe,
     _prs_gcd,
     _tq_gcd_heu,
     _unpack,
@@ -36,6 +38,7 @@ from fockbridge.scalars import (
     SpecializationPoleError,
     accumulate,
     parse_scalar,
+    product,
     scalar_sum,
     ZERO,
     ONE,
@@ -612,6 +615,18 @@ class TestFactored:
         assert _factor(parse_scalar("(1 - q)^3*(1 + q*t^2)").num
                        ._pos_leading()) is not None
 
+    def test_refused_den_is_not_factored_again(self, monkeypatch):
+        # each parse divides by q^2 + q + 3, a den outside the alphabet:
+        # _factor refuses it once, and again only after a factor registers
+        calls = []
+        real = scalars_module._register_edges
+        monkeypatch.setattr(scalars_module, "_register_edges",
+                            lambda r: calls.append(r) or real(r))
+        for _ in range(1000):
+            x = parse_scalar("(q+2)/(q^2+q+3)")
+        assert x.fac is None and str(x) == "(q + 2)/(q^2 + q + 3)"
+        assert len(calls) <= 2
+
     def test_high_multiplicity(self, monkeypatch):
         # a factor's multiplicity is found in one division, not one per copy
         ONE / (ONE - Q)
@@ -738,6 +753,21 @@ class TestDenOnDemand:
             if sum(e for _, e in x.fac[1]) < 60:
                 assert x.den == fac_expansion(x.fac), x
                 assert x.den is x.den
+
+    def test_shared_factor_power_is_multiplied_in_once(self):
+        # only (1/(1-q))^900 reaches the top exponent of 1 - q, so every
+        # other addend's cofactor holds (1-q)^898 or more: multiplied out
+        # per addend, the sum took 43 s
+        rep = macdonald_rep()
+        lam = fockbridge.Partition([3, 2, 1])
+        xs = [macdonald_b(lam, (i, j)) for i in (1, 2, 3) for j in (1, 2)]
+        xs += rep.raw_U(2, lam).values()
+        xs += rep.raw_D(1, lam).values()
+        xs.append((ONE / (ONE - Q)) ** 900)
+        start = time.perf_counter()
+        got = scalar_sum(xs)
+        assert time.perf_counter() - start < 15
+        assert got == functools.reduce(operator.add, xs)
 
     def test_value_built_before_its_factor_registers(self):
         # Phi_67(q^2 t^3): its Newton polygon's one edge is longer than 64,
@@ -881,6 +911,68 @@ def test_packed_and_probe_reduction_agree(xs):
     assert_canonical(packed)
 
 
+@st.composite
+def product_sums(draw):
+    """(key, value) pairs for accumulate: products of two values, each a
+    small polynomial, maybe times a binomial of its den, over a product of
+    alphabet binomials (product keeps most such products as pairs), and
+    some plain values, one in ten over 1 + q + t, outside the alphabet."""
+    pool = [ONE - Q, ONE + Q, ONE - Q * T, ONE - Q ** 2 * T, ONE + T, Q]
+
+    def value():
+        den = ONE
+        for f in draw(st.lists(st.sampled_from(pool), max_size=3)):
+            den = den * f
+        if draw(st.integers(0, 9)) == 0:
+            den = den * parse_scalar("1 + q + t")
+        num = Scalar(draw(intpolys())) + draw(st.sampled_from([ONE, Q, T]))
+        if draw(st.booleans()):
+            num = num * draw(st.sampled_from(pool))
+        return num / den
+
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        x = value()
+        out.append((draw(st.integers(0, 2)),
+                    (x, value()) if draw(st.integers(0, 3)) else (x,)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_sums())
+def test_sums_of_products_match_generic(items):
+    got = accumulate((k, product(*xs) if len(xs) == 2 else xs[0])
+                     for k, xs in items)
+    for key in {k for k, _ in items}:
+        num, den = IntPoly.const(0), IntPoly.const(1)
+        for k, xs in items:
+            if k == key:
+                xn, xd = IntPoly.const(1), IntPoly.const(1)
+                for x in xs:
+                    xn, xd = xn * x.num, xd * x.den
+                num, den = num * xd + xn * den, den * xd
+        want = Scalar(num, den)
+        x = got.get(key, ZERO)
+        assert type(x.num) is IntPoly
+        assert (x.num, x.den) == (want.num, want.den), items
+        if x.fac is not None and want.fac is not None:
+            assert x.fac == want.fac
+        assert_canonical(x)
+
+
+def test_product_keeps_a_pair_only_for_sums():
+    x, y = parse_scalar("(1+q)/(1-q*t)"), parse_scalar("(2+t)/(1-q)")
+    p = product(x, y)
+    assert type(p.num) is tuple and p.fac == (x * y).fac
+    assert type((x * y).num) is IntPoly
+    assert (x * y).num == p.num[0] * p.num[1]
+    assert scalar_sum([p]) == x * y and accumulate([(0, p)]) == {0: x * y}
+    assert scalar_sum([p, p, -(x * y)]) == x * y
+    # over different dens that share 1 - q*t the pairs are packed
+    z = parse_scalar("(3+q)/(1+t)")
+    assert scalar_sum([p, product(x, z)]) == x * y + x * z
+
+
 def record(monkeypatch, name):
     # the (args, result) of each call of a scalars function
     calls = []
@@ -915,10 +1007,12 @@ class TestPackedTrialDivision:
 
     @pytest.mark.parametrize("summed", [False, True])
     def test_false_positive_reaches_the_fallback(self, monkeypatch, summed):
-        # q*t - 4 packs, at every width, to Z*4Z^2 - 4 (Z = 2^zbits), a
-        # multiple of Z - 1, the value of q - 1, which does not divide it
-        num, inv = Q * T - 4, ONE / (Q - 1)
-        addends = [Q * T * inv, -4 * inv]
+        # 333334*q*t - 1333336 packs, at every width, to 1333336*(Z^3 - 1)
+        # (Z = 2^zbits, t = 4Z^2), a multiple of Z - 1, the value of q - 1,
+        # and its probe value is a multiple of q - 1's too; yet q - 1 does
+        # not divide it
+        num, inv = 333334 * Q * T - 1333336, ONE / (Q - 1)
+        addends = [333334 * Q * T * inv, -1333336 * inv]
         strips = record(monkeypatch, "_strip")
         probes = record(monkeypatch, "_probe")
         x = scalar_sum(addends) if summed else num * inv
@@ -932,6 +1026,30 @@ class TestPackedTrialDivision:
         y = (T ** 6 - 1) * inv
         assert str(y) == "(t^6 - 1)/(q - 1)"
         assert_canonical(y)
+
+    def test_strip_gets_only_factors_whose_value_divides(self, monkeypatch):
+        # f | n implies f(P) | n(P) at the probe point P, so a factor whose
+        # value does not divide the numerator's is not tried: q*t - 4 at P
+        # is no multiple of q - 1 at P, and reaches no packed division
+        strips = record(monkeypatch, "_strip")
+        x = (Q * T - 4) * (ONE / (Q - 1))
+        assert strips == []
+        assert x.num == (Q * T - 4).num and x.den == (Q - 1).num
+        assert_canonical(x)
+        assert verify_pieri(type(macdonald_rep())(), 2, 3).passed
+        monkeypatch.undo()
+        from_cancel = [args for args, _ in strips if len(args) == 3]
+        assert from_cancel
+        for _, fl, n in from_cancel:
+            assert all(_probe(n) % _FACTOR_VALS[f] == 0 for f, _ in fl)
+
+    def test_factors_of_more_degree_go_before_the_probe(self, monkeypatch):
+        # past _probe's tables the value of q^100000 is a 2-Mbit power,
+        # which took 0.16 s; 1 - t has more t-degree, so no value is needed
+        probes = record(monkeypatch, "_probe")
+        x = parse_scalar("q^100000/(1-t)")
+        assert probes == []
+        assert x == Q ** 100000 / (ONE - T)
 
     def test_refused_sum_is_stripped_once(self, monkeypatch):
         # a sum's numerator that _strip refuses goes to the probe route
@@ -1146,6 +1264,20 @@ def test_generic_gcd_degree_bound():
         parse_scalar("1/(q^100000-1)+1/(1-q)")
     assert time.perf_counter() - start < 1
     assert parse_scalar("q^100000/(1-t)") * (ONE - T) == Q ** 100000
+
+
+def test_generic_gcd_hashes_bounded_polynomials(monkeypatch):
+    # the gcd memo is keyed by the pair with its monomials divided out,
+    # whose degree the limit bounds: hashed by its probe value, a 20-Mbit
+    # power, q^1000000 took 4 s to key
+    probes = record(monkeypatch, "_probe")
+    with pytest.raises(ValueError, match="total degree"):
+        parse_scalar("1/(q^1000000-1)+1/(1-q)")
+    x = parse_scalar("q^1000000*(1+q)/(1+q+t)")
+    assert probes
+    assert all(max(i + j for i, j in p.terms) <= 1024 for (p,), _ in probes)
+    monkeypatch.undo()
+    assert x * parse_scalar("1+q+t") == Q ** 1000000 * (ONE + Q)
 
 
 def test_factor_registers_binomials_from_newton_polygon():
