@@ -25,8 +25,7 @@ from .heisenberg import (
     BundleFormatError,
     BundleRangeError,
     BundleRep,
-    StateVec,
-    apply_U,
+    _op_single,
     compute_F,
     compute_G,
     load_bundle,
@@ -326,18 +325,24 @@ def _cmd_tableaux(args):
                          f"{rep.degree_of(base)} reaches degree {reach}, "
                          f"over the degree cap {cap}")
 
-    paths = [((base,), ONE)]
+    # the indices each step reaches from base, then, backwards, those of
+    # them from which shape can still be reached: paths grow only there
+    reach = [{base}]
     for k in weight:
-        grown = []
-        for path, c in paths:
-            step = apply_U(rep, k, StateVec.basis(path[-1]))
-            for nxt, cs in step.terms.items():
-                grown.append((path + (nxt,), c * cs))
-        paths = grown
-    chains = sorted(
-        (([_label(rep, i) for i in path], c)
-         for path, c in paths if path[-1] == shape),
-        key=lambda pc: pc[0])
+        reach.append({nxt for i in reach[-1]
+                      for nxt in _op_single(rep, "U", k, i)})
+    keep = [{shape} & reach[-1]]
+    for k, level in zip(reversed(weight), reversed(reach[:-1])):
+        keep.append({i for i in level
+                     if not keep[-1].isdisjoint(_op_single(rep, "U", k, i))})
+    keep.reverse()
+    paths = [((base,), ONE)] if base in keep[0] else []
+    for k, level in zip(weight, keep[1:]):
+        paths = [(path + (nxt,), c * cs) for path, c in paths
+                 for nxt, cs in _op_single(rep, "U", k, path[-1]).items()
+                 if nxt in level]
+    chains = sorted((([_label(rep, i) for i in path], c) for path, c in paths),
+                    key=lambda pc: pc[0])
 
     total = scalar_sum([c for _, c in chains])
     if bindings:

@@ -15,6 +15,14 @@ The payoff is the pair of symmetric functions attached to basis indices s, t:
 and the linear map phi sending v to sum_s <v, v_s> G_{s/highest}, which
 intertwines the module action with the polynomial model on symmetric
 functions (multiplication by a_k p_k against k d/dp_k).
+
+G is built degree by degree.  With j the smallest part of lam and nu = lam
+minus one part j, B_lam = B_nu B_j and z_lam = z_nu j m_j(lam), so
+
+    G_{s/t}[p_lam] = sum over u of <B_j v_s, v_u> G_{u/t}[p_nu] / (j m_j(lam))
+
+reads the G of the indices u one lowering step below s.  A rep without raw_B
+runs the same recursion on the m_lam coefficients <D_lam v_s, v_t>.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .partitions import Partition, partitions_of, z_of
+from .partitions import EMPTY, partitions_of, z_of
 from .scalars import (ONE, Scalar, ZERO, _printer, accumulate, parse_scalar,
                       product)
 from .symfunc import SymFunc, convert, multiply, perp_apply, sym_p
@@ -169,9 +177,14 @@ class Rep:
 # ---------------------------------------------------------------------------
 # operator calculus
 
+def _pairs(rep, op, k, terms):
+    # the (index, product) pairs whose sums are op_k applied to terms
+    return ((j, product(w, c)) for i, c in terms.items()
+            for j, w in _op_single(rep, op, k, i).items())
+
+
 def _linear(rep, op, k, terms):
-    return accumulate((j, product(w, c)) for i, c in terms.items()
-                      for j, w in _op_single(rep, op, k, i).items())
+    return accumulate(_pairs(rep, op, k, terms))
 
 
 def _op_single(rep, op, k, index):
@@ -253,40 +266,83 @@ def _fg_degree(rep, upper, lower):
     return d if not r and d >= 0 else None
 
 
-def _fg(rep, fn, s, t):
-    # the m_lam coefficient of F_{s/t} is <U_lam v_t, v_s>, that of G_{s/t}
-    # <D_lam v_s, v_t>: a rep with U/D actions but no raw_B sums these
-    # chains and converts to p once; one with raw_B takes B products,
-    # <B_{-+lam} ...> / z_lam in the p basis, without Newton's identities
-    key = (fn, s, t)
+def compute_F(rep, s, t):
+    """F_{s/t} in the power-sum basis; zero off the degree lattice."""
+    # the m_lam coefficient is <U_lam v_t, v_s>: a rep with U/D actions but
+    # no raw_B sums these chains and converts to p once; one with raw_B
+    # takes B products, <B_{-lam} v_t, v_s> / z_lam in the p basis, without
+    # Newton's identities.  The chains from t are shared per tail
+    key = ("F", s, t)
     hit = rep._cache.get(key)
     if hit is not None:
         return hit
     d = _fg_degree(rep, rep.degree_of(s), rep.degree_of(t))
-    src, dst = (t, s) if fn == "F" else (s, t)
     lams = partitions_of(d) if d is not None else ()
     if rep.raw_B is None:
-        op = "U" if fn == "F" else "D"
-        m = {lam: _chain(rep, op, lam, src).get(dst, ZERO) for lam in lams}
+        m = {lam: _chain(rep, "U", lam, t).get(s, ZERO) for lam in lams}
         out = convert(SymFunc("m", m), "p")
     else:
-        sign = -1 if fn == "F" else 1
-        chains = {lam: _chain(rep, "B", tuple(sign * p for p in lam), src)
+        chains = {lam: _chain(rep, "B", tuple(-p for p in lam), t)
                   for lam in lams}
-        out = SymFunc("p", {lam: v[dst] / z_of(lam)
-                            for lam, v in chains.items() if dst in v})
+        out = SymFunc("p", {lam: v[s] / z_of(lam)
+                            for lam, v in chains.items() if s in v})
     rep._cache[key] = out
     return out
 
 
-def compute_F(rep, s, t):
-    """F_{s/t} in the power-sum basis; zero off the degree lattice."""
-    return _fg(rep, "F", s, t)
-
-
 def compute_G(rep, s, t):
     """G_{s/t} in the power-sum basis; zero off the degree lattice."""
-    return _fg(rep, "G", s, t)
+    # built from the G of the indices one lowering step below s (_lowered):
+    # in the p basis from B products on a rep with raw_B; else from the m
+    # coefficients <D_lam v_s, v_t>, converted to p once
+    if rep.raw_B is not None:
+        return _g_p(rep, s, t)
+    key = ("G", s, t)
+    hit = rep._cache.get(key)
+    if hit is None:
+        hit = rep._cache[key] = convert(SymFunc("m", _g_m(rep, s, t)), "p")
+    return hit
+
+
+def _lowered(rep, op, s, t, below):
+    # the degree recursion of G_{s/t}, as pairs (lam, product) for
+    # accumulate: with j the smallest part of lam and nu = lam - j, the
+    # lam coefficient sums op_j[u, s] times below(u)'s nu coefficient over
+    # the column of s.  At degree 0 it is <v_s, v_t>
+    d = _fg_degree(rep, rep.degree_of(s), rep.degree_of(t))
+    if not d:
+        return [(EMPTY, ONE)] if d == 0 and s == t else []
+    pairs = []
+    for lam in partitions_of(d):
+        nu = lam[:-1]
+        for u, w in _op_single(rep, op, lam[-1], s).items():
+            x = below(u).get(nu)
+            if x is not None:
+                pairs.append((lam, product(w, x)))
+    return pairs
+
+
+def _g_m(rep, s, t):
+    # {lam: <D_lam v_s, v_t>}: D_lam = D_nu D_j
+    key = ("Gm", s, t)
+    hit = rep._cache.get(key)
+    if hit is None:
+        hit = rep._cache[key] = accumulate(
+            _lowered(rep, "D", s, t, lambda u: _g_m(rep, u, t)))
+    return hit
+
+
+def _g_p(rep, s, t):
+    # G_{s/t} from B products: B_lam = B_nu B_j and z_lam = z_nu j m_j(lam)
+    key = ("G", s, t)
+    hit = rep._cache.get(key)
+    if hit is None:
+        sums = accumulate(_lowered(
+            rep, "B", s, t, lambda u: _g_p(rep, u, t).terms))
+        hit = rep._cache[key] = SymFunc("p", {
+            lam: x / (lam[-1] * lam.multiplicity(lam[-1])) if lam else x
+            for lam, x in sums.items()})
+    return hit
 
 
 def monomial_coeff(rep, s, t, alpha):
@@ -306,13 +362,17 @@ def monomial_coeff(rep, s, t, alpha):
     return terms.get(s, ZERO)
 
 
-def phi_map(rep, v):
-    """The correspondence map: v -> sum_s <v, v_s> G_{s/highest}."""
+def _phi_pairs(rep, terms):
+    # the (lam, product) pairs whose sums are phi of sum c v_s over terms
     if rep.highest is None:
         raise ValueError("rep has no designated highest index")
-    return SymFunc("p", accumulate(
-        (lam, product(x, c)) for s, c in v.terms.items()
-        for lam, x in compute_G(rep, s, rep.highest).terms.items()))
+    return ((lam, product(x, c)) for s, c in terms.items()
+            for lam, x in compute_G(rep, s, rep.highest).terms.items())
+
+
+def phi_map(rep, v):
+    """The correspondence map: v -> sum_s <v, v_s> G_{s/highest}."""
+    return SymFunc("p", accumulate(_phi_pairs(rep, v.terms)))
 
 
 def bosonic_apply_B(f, k, params):

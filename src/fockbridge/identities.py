@@ -1,7 +1,10 @@
 """Executable verifiers for the operator identities.
 
-Each verifier sweeps a bounded grid of instances, compares both sides
-exactly, and returns a VerifyReport; failures are data, not exceptions.
+Each verifier sweeps a bounded grid of instances, checks each exactly, and
+returns a VerifyReport; failures are data, not exceptions.  The commutator,
+exchange and intertwining checks sum the products of lhs and of -rhs once
+per coefficient and pass when every sum is zero, which is exact in Q(q,t);
+only a failure builds the two sides.  Pieri and Cauchy compare both sides.
 diagnose_converse runs the commutation / exchange / Pieri trio on a matrix
 bundle and reports which conditions hold, after checking that the derived
 G family is linearly independent degree by degree.
@@ -10,13 +13,16 @@ G family is linearly independent degree by degree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import itertools
 
 from .heisenberg import (
     BundleRep,
     StateVec,
     _block,
     _fg_degree,
+    _op_single,
+    _pairs,
+    _phi_pairs,
     _rows,
     apply_B,
     apply_D,
@@ -65,11 +71,14 @@ def h_kernel(k, params):
     return kappa_eval(sym_h(k), params)
 
 
-@dataclass
 class VerifyReport:
-    identity: str
-    checked: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    """The instances one suite checked, and the failures among them as
+    (instance, lhs, rhs) strings."""
+
+    def __init__(self, identity, checked=None, failures=None):
+        self.identity = identity
+        self.checked = [] if checked is None else checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self):
@@ -79,6 +88,14 @@ class VerifyReport:
         self.checked.append((self.identity, instance))
         if lhs != rhs:
             self.failures.append((instance, str(lhs), str(rhs)))
+
+    def record_zero(self, instance, pairs, sides):
+        """Check lhs - rhs = 0, given as the (key, Scalar) pairs of lhs and
+        of -rhs: they are summed once, by accumulate.  sides() builds the
+        two sides for the failure record, only when the sum is not zero."""
+        self.checked.append((self.identity, instance))
+        if accumulate(pairs):
+            self.failures.append((instance, *map(str, sides())))
 
     def to_json_dict(self):
         return {
@@ -103,28 +120,44 @@ def _indices_up_to(rep, d_max):
             yield d, s
 
 
+def _negated(terms):
+    return {i: -c for i, c in terms.items()}
+
+
+def _commutator(rep, a, b, s):
+    # the pairs of [B_a, B_b] v_s, each product once: B_a B_b v_s and
+    # -B_b B_a v_s
+    return itertools.chain(
+        _pairs(rep, "B", a, _op_single(rep, "B", b, s)),
+        _pairs(rep, "B", b, _negated(_op_single(rep, "B", a, s))))
+
+
 def verify_heisenberg(rep, kl_max, d_max):
     """Commutators: [B_k, B_{-l}] = k a_k delta, same-sign pairs vanish."""
     rpt = VerifyReport("heisenberg")
+
+    def sides(a, b, s, want):
+        v = StateVec.basis(s)
+        return (apply_B(rep, a, apply_B(rep, b, v))
+                - apply_B(rep, b, apply_B(rep, a, v)), want)
+
     for k in range(1, kl_max + 1):
         for l in range(1, kl_max + 1):
             for d, s in _indices_up_to(rep, d_max):
-                v = StateVec.basis(s)
-                got = apply_B(rep, k, apply_B(rep, -l, v)) \
-                    - apply_B(rep, -l, apply_B(rep, k, v))
-                want = v.scaled(rep.params.value(k) * k) if k == l \
-                    else StateVec.zero()
-                rpt.record(f"[B_{k}, B_-{l}] at {s}", got, want)
+                want = {s: rep.params.value(k) * k} if k == l else {}
+                rpt.record_zero(
+                    f"[B_{k}, B_-{l}] at {s}",
+                    itertools.chain(_commutator(rep, k, -l, s),
+                                    _negated(want).items()),
+                    lambda: sides(k, -l, s, StateVec(want)))
     for k in range(1, kl_max + 1):
         for l in range(k + 1, kl_max + 1):
             for d, s in _indices_up_to(rep, d_max):
-                v = StateVec.basis(s)
-                up = apply_B(rep, -k, apply_B(rep, -l, v)) \
-                    - apply_B(rep, -l, apply_B(rep, -k, v))
-                rpt.record(f"[B_-{k}, B_-{l}] at {s}", up, StateVec.zero())
-                dn = apply_B(rep, k, apply_B(rep, l, v)) \
-                    - apply_B(rep, l, apply_B(rep, k, v))
-                rpt.record(f"[B_{k}, B_{l}] at {s}", dn, StateVec.zero())
+                for a, b in ((-k, -l), (k, l)):
+                    rpt.record_zero(
+                        f"[B_{a}, B_{b}] at {s}",
+                        _commutator(rep, a, b, s),
+                        lambda: sides(a, b, s, StateVec.zero()))
     return rpt
 
 
@@ -191,20 +224,31 @@ def verify_du(rep, ab_max, d_max, window=None):
     # each h_j<a> once per call, and only when a term needs it: a bundle's
     # missing a_k must not be read before its missing U_k is
     kernel = functools.cache(functools.partial(h_kernel, params=rep.params))
+
+    def lhs_minus_rhs(a, b, s):
+        # D_b U_a v_s, then -h_j<a> U_{a-j} D_{b-j} v_s for each j
+        yield from _pairs(rep, "D", b, _op_single(rep, "U", a, s))
+        for j in range(min(a, b) + 1):
+            yield from _pairs(rep, "U", a - j, {
+                i: c * -kernel(j)
+                for i, c in _op_single(rep, "D", b - j, s).items()})
+
+    def sides(a, b, s):
+        v = StateVec.basis(s)
+        rhs = StateVec(accumulate(
+            (i, c * kernel(j)) for j in range(min(a, b) + 1)
+            for i, c in apply_U(rep, a - j,
+                                apply_D(rep, b - j, v)).terms.items()))
+        return apply_D(rep, b, apply_U(rep, a, v)), rhs
+
     for a in range(1, ab_max + 1):
         deep = d_max if window is None else min(d_max, window - m * a)
         if deep < 0:
             continue
         for b in range(1, ab_max + 1):
             for d, s in _indices_up_to(rep, deep):
-                v = StateVec.basis(s)
-                lhs = apply_D(rep, b, apply_U(rep, a, v))
-                rhs = StateVec(accumulate(
-                    (i, c * kernel(j))
-                    for j in range(min(a, b) + 1)
-                    for i, c in apply_U(rep, a - j,
-                                        apply_D(rep, b - j, v)).terms.items()))
-                rpt.record(f"a={a} b={b} s={s}", lhs, rhs)
+                rpt.record_zero(f"a={a} b={b} s={s}", lhs_minus_rhs(a, b, s),
+                                lambda: sides(a, b, s))
     return rpt
 
 
@@ -282,29 +326,43 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
 def verify_bf(rep, d_max, l_set):
     """phi intertwines the module action with the polynomial model."""
     rpt = VerifyReport("bf")
+
+    def sides(l, s):
+        v = StateVec.basis(s)
+        return (phi_map(rep, apply_B(rep, l, v)),
+                bosonic_apply_B(phi_map(rep, v), l, rep.params))
+
     for l in sorted(l_set):
         if l == 0:
             raise ValueError("B_0 is not a generator")
         for d, s in _indices_up_to(rep, d_max):
-            v = StateVec.basis(s)
-            lhs = phi_map(rep, apply_B(rep, l, v))
-            rhs = bosonic_apply_B(phi_map(rep, v), l, rep.params)
-            rpt.record(f"l={l} s={s}", lhs, rhs)
+            # phi(v_s) is G_{s/highest}; _phi_pairs refuses a rep without
+            # a highest index
+            lhs = _phi_pairs(rep, _op_single(rep, "B", l, s))
+            rhs = bosonic_apply_B(compute_G(rep, s, rep.highest), l,
+                                  rep.params)
+            rpt.record_zero(f"l={l} s={s}",
+                            itertools.chain(lhs, _negated(rhs.terms).items()),
+                            lambda: sides(l, s))
     return rpt
 
 
 # ---------------------------------------------------------------------------
 # converse diagnostic
 
-@dataclass
 class ConverseReport:
-    precondition_ok: bool
-    independence_by_degree: dict
-    commutation: VerifyReport
-    du: VerifyReport
-    pieri: VerifyReport
-    d_max: int = 0
-    k_max: int = 0
+    """The converse diagnostic: the independence precondition by degree and
+    the reports of the three conditions."""
+
+    def __init__(self, precondition_ok, independence_by_degree, commutation,
+                 du, pieri, d_max=0, k_max=0):
+        self.precondition_ok = precondition_ok
+        self.independence_by_degree = independence_by_degree
+        self.commutation = commutation
+        self.du = du
+        self.pieri = pieri
+        self.d_max = d_max
+        self.k_max = k_max
 
     @property
     def equivalence_observed(self):

@@ -267,17 +267,20 @@ class _TensorRep(Rep):
             for j, c in _op_single(f, "B", k, i).items())
 
     def _convolve(self, op, k, index):
+        # a factor with order 0 acts as the identity: only the positions of
+        # a split's nonzero orders are rewritten
         pairs = []
         for split in _compositions(k, len(self.factors)):
-            partial = {(): ONE}
-            for f, i, ki in zip(self.factors, index, split):
-                block = _op_single(f, op, ki, i)
-                if not block:
-                    partial = {}
-                    break
-                partial = {t + (j,): c * cj
+            partial = {index: ONE}
+            for pos, ki in enumerate(split):
+                if not ki:
+                    continue
+                block = _op_single(self.factors[pos], op, ki, index[pos])
+                partial = {t[:pos] + (j,) + t[pos + 1:]: c * cj
                            for t, c in partial.items()
                            for j, cj in block.items()}
+                if not partial:
+                    break
             pairs.extend(partial.items())
         return accumulate(pairs)
 

@@ -298,7 +298,13 @@ class IntPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(_value(self))
+        # by the probe value while it comes from the power tables; past them
+        # each term would cost a big power, so by the terms.  Decided by
+        # degree, not by whether _val is cached, so equal polys hash alike
+        if all(i <= _TABLE_DEGREE and j <= _TABLE_DEGREE
+               for i, j in self.terms):
+            return hash(_value(self))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         return _poly_sum((self, other))
@@ -542,13 +548,17 @@ def _poly_str(p):
 # read (_expand).  Its add, mul and == need only exponents, the integer c
 # and trial division; the generic gcd runs when an operand's fac is None.
 
+# the power tables of _probe stop at this degree: to degree D they would hold
+# about 10 D^2 bits
+_TABLE_DEGREE = 256
+
+
 def _probe(p, _pows=([1], [1])):
     # p at q = 1000003, t = 1000033, where no factor vanishes (|q^a t^b| >
-    # 1): f | p in Z[q, t] implies _probe(f) | _probe(p) in Z.  The power
-    # tables stop at 256: to degree D they would hold about 10 D^2 bits.
+    # 1): f | p in Z[q, t] implies _probe(f) | _probe(p) in Z
     xs, ys = _pows
     for i, j in p.terms:
-        if i > 256 or j > 256:
+        if i > _TABLE_DEGREE or j > _TABLE_DEGREE:
             return sum(c * 1000003 ** i * 1000033 ** j
                        for (i, j), c in p.terms.items())
         while i >= len(xs):

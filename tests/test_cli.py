@@ -5,12 +5,15 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fockbridge
 from fockbridge.cli import _SUITES, main
 from fockbridge.heisenberg import BundleFormatError, load_bundle, rep_to_bundle
 from fockbridge.reps import fermionic_rep
@@ -505,6 +508,23 @@ class TestTableaux:
         assert "q" in data["total"] or "t" in data["total"]
         assert len(data["chains"]) == 1
 
+    def test_paths_grow_only_toward_shape(self, capsys):
+        # 720 chains end at the shape; the paths that cannot reach it are
+        # never grown (before, this took seconds and about 190 MB)
+        start = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "tableaux", "--rep", "tensor:fermionic^8",
+                             "--shape", "[1];[1];[1];[1];[1];[1];[];[]",
+                             "--weight", "1,1,1,1,1,1")
+        assert time.perf_counter() - start < 1
+        lines = out.strip().splitlines()
+        assert rc == 0 and lines[0] == "total: 720" and len(lines) == 721
+
+    def test_unreachable_shape(self, capsys):
+        rc, out, _ = run_cli(capsys, "tableaux", "--rep", "fermionic",
+                             "--shape", "[3]", "--base", "[1,1]",
+                             "--weight", "1")
+        assert rc == 0 and out.strip() == "total: 0"
+
     def test_bad_weight(self, capsys):
         rc, _, _ = run_cli(capsys, "tableaux", "--rep", "fermionic",
                            "--shape", "[1]", "--weight", "1,x")
@@ -659,3 +679,15 @@ class TestFuzz:
                 fh.write(text)
             rc, _, err = run_quiet(argv + ["--rep", f"bundle:{path}"])
         assert_handled(rc, err)
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds that
+    # every command pays at start-up
+    code = ("import sys, fockbridge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    root = os.path.dirname(os.path.dirname(fockbridge.__file__))
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=root),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stdout == "[]\n", res.stderr

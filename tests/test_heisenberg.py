@@ -32,7 +32,8 @@ from fockbridge.heisenberg import (
 )
 from fockbridge.partitions import EMPTY, Partition, partitions_of, z_of
 from fockbridge.scalars import ONE, Q, Scalar, ZERO
-from fockbridge.symfunc import convert, sym_p, theta_apply
+from fockbridge.reps import fermionic_rep, llt_q1_rep, macdonald_rep, tensor
+from fockbridge.symfunc import SymFunc, convert, sym_p, theta_apply
 
 P = Partition
 
@@ -376,3 +377,50 @@ class TestBundles:
     def test_d_below_zero_is_zero(self):
         b = load_bundle(rep_to_bundle(PolyModel(UNIT), kmax=2, dmax=3))
         assert apply_D(b, 2, StateVec.basis((1, 0))).is_zero
+
+
+def g_by_definition(rep, s, t):
+    """G_{s/t} twice from its definition, by repeated apply_B and apply_D:
+    <B_lam v_s, v_t> / z_lam in the p basis, and <D_lam v_s, v_t> in the m
+    basis, converted to p."""
+    d, r = divmod(rep.degree_of(s) - rep.degree_of(t), rep.degree_step)
+    by_b, by_d = {}, {}
+    for lam in partitions_of(d) if not r else ():
+        vb = vd = StateVec.basis(s)
+        for k in lam:
+            vb, vd = apply_B(rep, k, vb), apply_D(rep, k, vd)
+        by_b[lam] = vb.coefficient(t) / z_of(lam)
+        by_d[lam] = vd.coefficient(t)
+    return SymFunc("p", by_b), convert(SymFunc("m", by_d), "p")
+
+
+class TestGDefinition:
+    """compute_G builds G_{s/t} from the G one lowering step below s; it
+    must equal the definition for every pair s, t, skew t included."""
+
+    REPS = {
+        "fermionic": (fermionic_rep, 5),
+        "macdonald": (macdonald_rep, 5),
+        "llt1:2": (lambda: llt_q1_rep(2), 6),
+        "tensor:fermionic^2": (lambda: tensor(fermionic_rep(),
+                                              fermionic_rep()), 4),
+        "bundle": (lambda: load_bundle(rep_to_bundle(macdonald_rep(), 5, 5)),
+                   5),
+        "adjoint": (lambda: adjoint_rep(macdonald_rep()), 4),
+    }
+
+    @pytest.mark.parametrize("which", sorted(REPS))
+    def test_matches_definition(self, which):
+        make, dmax = self.REPS[which]
+        rep, ref = make(), make()
+        checked = skew = 0
+        for ds in range(dmax + 1):
+            for s in rep.basis_of_degree(ds):
+                for dt in range(ds + 1):
+                    for t in rep.basis_of_degree(dt):
+                        got = compute_G(rep, s, t)
+                        by_b, by_d = g_by_definition(ref, s, t)
+                        assert got == by_b == by_d, (s, t)
+                        checked += not got.is_zero
+                        skew += dt > 0 and not got.is_zero
+        assert checked > 20 and skew > 10

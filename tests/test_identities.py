@@ -10,7 +10,13 @@ from fockbridge import identities, scalars
 from fockbridge.heisenberg import (
     BundleRep,
     HeisenbergParams,
+    StateVec,
+    apply_B,
+    apply_D,
+    apply_U,
+    bosonic_apply_B,
     load_bundle,
+    phi_map,
     rep_to_bundle,
 )
 from fockbridge.identities import (
@@ -204,6 +210,80 @@ class TestBFVerifier:
         bundle["params"] = {k: "2" for k in bundle["params"]}
         r = verify_bf(load_bundle(bundle), 2, (-1, 1))
         assert not r.passed
+
+
+class TestFusedChecksFail:
+    """heisenberg, du and bf sum lhs - rhs once per instance; on a
+    corrupted bundle they must still fail, and each failure must carry the
+    two sides as the public calls build them."""
+
+    @staticmethod
+    def corrupted():
+        bundle = fermionic_bundle()
+        bundle["D"]["1"]["2"][0][1] = "-1"  # flip D_1 on the column shape
+        return load_bundle(bundle)
+
+    def assert_failures(self, rpt, sides):
+        # sides: instance -> (lhs, rhs), over every instance rpt checked
+        assert len(rpt.checked) == len(sides)
+        bad = {i for i, (l, r) in sides.items() if l != r}
+        assert bad and not rpt.passed
+        assert {i for i, _, _ in rpt.failures} == bad
+        for inst, lhs, rhs in rpt.failures:
+            assert (lhs, rhs) == tuple(map(str, sides[inst]))
+        for f in rpt.to_json_dict()["failures"]:
+            assert set(f) == {"instance", "lhs", "rhs"}
+            assert all(isinstance(v, str) for v in f.values())
+
+    def test_du(self):
+        rep = self.corrupted()
+        sides = {}
+        for a in (1, 2):
+            for b in (1, 2):
+                for d in range(3):
+                    for s in rep.basis_of_degree(d):
+                        v = StateVec.basis(s)
+                        rhs = StateVec()
+                        for j in range(min(a, b) + 1):
+                            rhs = rhs + apply_U(
+                                rep, a - j, apply_D(rep, b - j, v)).scaled(
+                                h_kernel(j, rep.params))
+                        sides[f"a={a} b={b} s={s}"] = (
+                            apply_D(rep, b, apply_U(rep, a, v)), rhs)
+        self.assert_failures(verify_du(rep, 2, 2), sides)
+
+    def test_bf(self):
+        rep = self.corrupted()
+        sides = {}
+        for l in (-1, 1):
+            for d in range(3):
+                for s in rep.basis_of_degree(d):
+                    v = StateVec.basis(s)
+                    sides[f"l={l} s={s}"] = (
+                        phi_map(rep, apply_B(rep, l, v)),
+                        bosonic_apply_B(phi_map(rep, v), l, rep.params))
+        self.assert_failures(verify_bf(rep, 2, (-1, 1)), sides)
+
+    def test_heisenberg(self):
+        rep = self.corrupted()
+        sides = {}
+        for k in (1, 2):
+            for l in (1, 2):
+                for d in range(2):
+                    for s in rep.basis_of_degree(d):
+                        v = StateVec.basis(s)
+                        got = apply_B(rep, k, apply_B(rep, -l, v)) \
+                            - apply_B(rep, -l, apply_B(rep, k, v))
+                        want = v.scaled(rep.params.value(k) * k) \
+                            if k == l else StateVec()
+                        sides[f"[B_{k}, B_-{l}] at {s}"] = (got, want)
+                        if l > k:
+                            for a, b in ((-k, -l), (k, l)):
+                                sides[f"[B_{a}, B_{b}] at {s}"] = (
+                                    apply_B(rep, a, apply_B(rep, b, v))
+                                    - apply_B(rep, b, apply_B(rep, a, v)),
+                                    StateVec())
+        self.assert_failures(verify_heisenberg(rep, 2, 1), sides)
 
 
 class TestReportShape:

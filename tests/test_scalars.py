@@ -1306,3 +1306,21 @@ def test_factor_registers_binomials_from_newton_polygon():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
+
+
+def test_hash_past_the_probe_tables():
+    # within the power tables a poly hashes by its probe value, past them by
+    # its terms: by degree, so a cached _val does not change the hash
+    for terms in ({(3, 1): 2, (0, 0): -1}, {(256, 256): 1, (1, 0): 5},
+                  {(300, 0): 1, (0, 2): 3}, {(0, 100000): -7}):
+        a, b = IntPoly(terms), IntPoly(terms)
+        scalars_module._value(b)
+        assert a._val is None and b._val is not None
+        assert a == b and hash(a) == hash(b)
+    assert hash(parse_scalar("(q^300 - 1)/(1 - t)")) == \
+        hash(parse_scalar("(1 - q^300)/(t - 1)"))
+    x = parse_scalar("q^1000000")
+    start = time.perf_counter()
+    hash(x)
+    assert time.perf_counter() - start < 0.1
+    assert len({x, parse_scalar("q^1000000"), Q ** 1000000}) == 1
