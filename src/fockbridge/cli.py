@@ -8,9 +8,9 @@ Three subcommands:
   tableaux  enumerate the U-chains behind one monomial coefficient
 
 Reps are named fermionic, macdonald, llt1:<n>, tensor:<rep>^<n>, or
-bundle:<path>.  Exit status: 0 all checks passed, 1 a verified failure or
-a computation error (e.g. a pole under --spec), 2 bad usage or an
-unreadable bundle.
+bundle:<path>.  Exit status: 0 all checks passed, 1 a verified failure, a
+computation error (e.g. a pole under --spec) or a closed stdout, 2 bad
+usage or an unreadable bundle.
 """
 
 from __future__ import annotations
@@ -341,7 +341,9 @@ def _cmd_tableaux(args):
         paths = [(path + (nxt,), c * cs) for path, c in paths
                  for nxt, cs in _op_single(rep, "U", k, path[-1]).items()
                  if nxt in level]
-    chains = sorted((([_label(rep, i) for i in path], c) for path, c in paths),
+    # paths run through the kept indices only: each index is labelled once
+    labels = {i: _label(rep, i) for i in {shape, base}.union(*keep)}
+    chains = sorted((([labels[i] for i in path], c) for path, c in paths),
                     key=lambda pc: pc[0])
 
     total = scalar_sum([c for _, c in chains])
@@ -351,8 +353,8 @@ def _cmd_tableaux(args):
 
     payload = {
         "rep": args.rep,
-        "shape": _label(rep, shape),
-        "base": _label(rep, base),
+        "shape": labels[shape],
+        "base": labels[base],
         "weight": list(weight),
         "total": str(total),
         "chains": [{"path": p, "coeff": str(c)} for p, c in chains],
@@ -433,4 +435,13 @@ def main(argv=None):
 
 
 def run():
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): exit 1 with no
+        # traceback, stdout pointed at devnull so that the flush at exit
+        # does not fail again (as the Python signal docs advise)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -1,10 +1,12 @@
 """Concrete graded representations.
 
 fermionic_rep: semi-infinite wedges encoded as partitions, B_k shifting one
-wedge index at a time.  macdonald_rep: partition basis with the arm/leg
-weighted Pieri actions.  direct_sum and tensor combine reps sharing
-parameters; llt_q1_rep transports an n-fold fermionic tensor through the
-core/quotient bijection so that the index set is again all partitions.
+wedge index (bead) at a time, U_k and D_k by the Schur Pieri rule: a sum
+over horizontal k-strips, each with coefficient 1.  macdonald_rep:
+partition basis with the arm/leg weighted Pieri actions.  direct_sum and
+tensor combine reps sharing parameters; llt_q1_rep transports an n-fold
+fermionic tensor through the core/quotient bijection so that the index set
+is again all partitions.
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ class _FermionicRep(Rep):
                                  (resorted[r] + r for r in range(w)) if x))
             pairs.append((mu, _SIGNS[(p - j) % 2]))
         return accumulate(pairs)
+
+    def raw_U(self, k, lam):
+        # the Pieri rule: U_k is multiplication by h_k on Schur functions and
+        # D_k its adjoint (Macdonald I (5.16)), so no chain of B products
+        # (Newton's identities) is needed for them
+        return dict.fromkeys(horizontal_strips(lam, k), ONE)
+
+    def raw_D(self, k, lam):
+        return dict.fromkeys(horizontal_strips_below(lam, k), ONE)
 
 
 _SIGNS = (ONE, -ONE)        # shared by every raw_B entry

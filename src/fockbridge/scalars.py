@@ -239,10 +239,11 @@ def _q_gcd(f, g):
 _GCD_MEMO = {}
 _GCD_MEMO_LIMIT = 200000
 # IntPoly products go through _pack when the smaller factor has more than
-# _PACK_TERMS terms and the term pairs number more than _PACK_PRODUCTS; on
-# the products of the Macdonald sweep that rule came closest to the faster
-# method for each product
-_PACK_TERMS, _PACK_PRODUCTS = 4, 160
+# _PACK_TERMS terms, the term pairs number more than _PACK_PRODUCTS and the
+# packed product takes at most _PACK_PAIR_BITS bits a pair (wide coefficients
+# and sparse t-rows cost more packed than term by term); on the products of
+# the Macdonald sweep that rule came closest to the faster method
+_PACK_TERMS, _PACK_PRODUCTS, _PACK_PAIR_BITS = 4, 160, 16
 # total degree above which neither the generic gcd nor _factor runs: both
 # would handle integers of millions of bits
 _DEGREE_LIMIT = 1024
@@ -334,10 +335,12 @@ class IntPoly:
                 return self if b is self.terms else other
             return _poly({(da + db, ta + tb): ca * cb
                           for (db, tb), cb in b.items()})
-        # packing pays for its conversions only when both factors are
-        # large; a small one times a large one is cheaper term by term
+        # packing pays only for two large factors of narrow coefficients
         if len(a) > _PACK_TERMS and len(a) * len(b) > _PACK_PRODUCTS:
-            return IntPoly._mul_packed(self, other)
+            n = IntPoly._mul_packed(self, other,
+                                    _PACK_PAIR_BITS * len(a) * len(b))
+            if n is not None:
+                return n
         out = {}
         for (da, ta), ca in a.items():
             for (db, tb), cb in b.items():
@@ -350,14 +353,16 @@ class IntPoly:
         return _poly(out)
 
     @staticmethod
-    def _mul_packed(x, y):
+    def _mul_packed(x, y, limit=None):
         # multiply through one big integer product; every coefficient of the
         # result is a sum of at most min(#terms) products, which fixes the
-        # digit width
-        dqa, _, ha, na = _scan(x.terms)
-        dqb, _, hb, nb = _scan(y.terms)
+        # digit width.  None if the product would take more than limit bits
+        dqa, dta, ha, na = _scan(x.terms)
+        dqb, dtb, hb, nb = _scan(y.terms)
         zbits = ha.bit_length() + hb.bit_length() + min(na, nb).bit_length() + 2
         tbits = zbits * (dqa + dqb + 1) + 1
+        if limit is not None and tbits * (dta + dtb + 1) > limit:
+            return None
         n = _pack(x.terms, zbits, tbits) * _pack(y.terms, zbits, tbits)
         return _poly(_unpack(n, zbits, tbits)[0])
 
@@ -374,15 +379,10 @@ class IntPoly:
         return _power(self, n, _POLY_ONE)
 
     def content(self):
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.terms.values())
 
     def min_degrees(self):
-        mq = min(k[0] for k in self.terms)
-        mt = min(k[1] for k in self.terms)
-        return mq, mt
+        return min(self.terms)[0], min(map(_T_DEG, self.terms))
 
     def lex_leading(self):
         k = max(self.terms)
@@ -989,25 +989,35 @@ def _rat(p, m, fl=()):
 
 
 def _rat_sum(xs):
-    # a sum over integer dens, over their lcm; constant numerators as ints
-    m, n = math.lcm(*[x.fac[0] for x in xs]), 0
+    # one pass over integer dens and their running lcm m, constant numerators
+    # summed as the int n; None at the first factored or generic den
+    m, n, poly = 1, 0, False
     for x in xs:
-        if not x.num.is_constant:
-            return _rat(_poly_sum([y.num.mul_int(m // y.fac[0])
-                                   for y in xs]), m)
-        n += x.num.terms.get((0, 0), 0) * (m // x.fac[0])
-    return _rat(IntPoly.const(n), m)
+        if x.fac is None or x.fac[1]:
+            return None
+        c, t = x.fac[0], x.num.terms
+        if m % c:
+            g = c // math.gcd(m, c)
+            m, n = m * g, n * g
+        v = t.get((0, 0), 0)
+        n, poly = n + v * (m // c), poly or len(t) > (v != 0)
+    p = _poly_sum([y.num.mul_int(m // y.fac[0]) for y in xs]) if poly \
+        else IntPoly.const(n)
+    return _rat(p, m) if p.terms else ZERO
 
 
 def scalar_sum(xs):
     """The sum of the Scalars xs, reduced once: by _rat_sum over integer
     dens, by _fac_sum over factored ones, else by pairwise +."""
+    x = _rat_sum(xs)
+    if x is not None:
+        return x
     xs = [x for x in xs if type(x.num) is tuple or x.num.terms]
     if len(xs) < 2:
         return _settled(xs[0]) if xs else ZERO
     if any(x.fac is None for x in xs):
         return functools.reduce(operator.add, map(_settled, xs))
-    return (_fac_sum if any(x.fac[1] for x in xs) else _rat_sum)(xs)
+    return _fac_sum(xs)
 
 
 def _settled(x):

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -518,6 +519,45 @@ class TestTableaux:
         assert time.perf_counter() - start < 1
         lines = out.strip().splitlines()
         assert rc == 0 and lines[0] == "total: 720" and len(lines) == 721
+
+    def test_each_index_labelled_once(self, capsys, monkeypatch):
+        # every chain of a tensor power visits the factors in some order;
+        # the text is the sorted labels of those chains, and each index is
+        # formatted once however many chains pass through it
+        from fockbridge import cli
+        calls = []
+        label = cli._label
+        monkeypatch.setattr(cli, "_label",
+                            lambda rep, i: calls.append(i) or label(rep, i))
+        rc, out, _ = run_cli(capsys, "tableaux", "--rep", "tensor:fermionic^4",
+                             "--shape", "[1];[1];[1];[1]",
+                             "--weight", "1,1,1,1")
+        assert rc == 0 and len(calls) == len(set(calls)) == 16
+        chains = []
+        for order in itertools.permutations(range(4)):
+            state, path = ["[]"] * 4, ["([];[];[];[])"]
+            for pos in order:
+                state[pos] = "[1]"
+                path.append("(" + ";".join(state) + ")")
+            chains.append(path)
+        assert out == "total: 24\n" + "".join(
+            "  " + " -> ".join(p) + "\n" for p in sorted(chains))
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the reader keeps one line of about 440 kB and closes the pipe
+        code = "from fockbridge.cli import run; run()"
+        root = os.path.dirname(os.path.dirname(fockbridge.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "tableaux", "--rep",
+             "tensor:fermionic^4", "--shape", "[2];[2];[2];[2]",
+             "--weight", "1,1,1,1,1,1,1,1"],
+            env=dict(os.environ, PYTHONPATH=root), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "total: 2520\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
 
     def test_unreachable_shape(self, capsys):
         rc, out, _ = run_cli(capsys, "tableaux", "--rep", "fermionic",

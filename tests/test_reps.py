@@ -2,9 +2,12 @@
 
 import pytest
 
+from fockbridge import heisenberg
 from fockbridge.heisenberg import (
     Rep,
     StateVec,
+    _op_single,
+    _ud_single,
     apply_B,
     apply_D,
     apply_U,
@@ -24,6 +27,7 @@ from fockbridge.partitions import (
     arm_leg,
     core_quotient,
     horizontal_strips,
+    horizontal_strips_below,
     partitions_of,
     z_of,
 )
@@ -56,9 +60,9 @@ def vec(lam):
     return StateVec.basis(P(lam))
 
 
-class NewtonB(Rep):
-    """A base rep's B, derived by Newton's identities from its U/D actions,
-    exposed as raw_B, so that compute_F/compute_G take B products."""
+class View(Rep):
+    """A base rep's basis, degrees and parameters, with the actions a
+    subclass exposes."""
 
     def __init__(self, base):
         super().__init__()
@@ -73,8 +77,21 @@ class NewtonB(Rep):
     def degree_of(self, index):
         return self.base.degree_of(index)
 
+
+class NewtonB(View):
+    """A base rep's B, derived by Newton's identities from its U/D actions,
+    exposed as raw_B, so that compute_F/compute_G take B products."""
+
     def raw_B(self, k, index):
         return apply_B(self.base, k, StateVec.basis(index)).terms
+
+
+class BOnly(View):
+    """A base rep's raw_B alone, so that U and D are derived from it by
+    Newton's identities: the counterpart of NewtonB."""
+
+    def raw_B(self, k, index):
+        return self.base.raw_B(k, index)
 
 
 class TestFermionicAction:
@@ -103,15 +120,38 @@ class TestFermionicAction:
         assert apply_U(rep, 2, vec((1,))) == vec((3,)) + vec((2, 1))
 
     def test_u_is_strip_sum(self):
-        from fockbridge.partitions import horizontal_strips
-        rep = fermionic_rep()
-        for d in range(5):
+        # fermionic_rep gives U_k and D_k by the Pieri rule; the Newton
+        # route, sum over lam of B_{-+lam} / z_lam on the B action alone,
+        # must give the same columns
+        rep, newton = fermionic_rep(), BOnly(fermionic_rep())
+        assert newton.raw_U is None and newton.raw_D is None
+        checked = 0
+        for d in range(8):
             for lam in partitions_of(d):
-                for k in (1, 2, 3):
-                    got = apply_U(rep, k, vec(lam))
-                    want = StateVec({mu: ONE
-                                     for mu in horizontal_strips(lam, k)})
-                    assert got == want, (lam, k)
+                for k in range(1, 5):
+                    for op, strips in (("U", horizontal_strips),
+                                       ("D", horizontal_strips_below)):
+                        want = dict.fromkeys(strips(lam, k), ONE)
+                        assert _op_single(rep, op, k, lam) == want
+                        got = _ud_single(newton, op, k, lam)
+                        assert got == want, (op, k, lam)
+                        checked += 1
+        assert checked == 360
+
+    def test_ud_columns_take_no_chain(self, monkeypatch):
+        # a fresh fermionic rep builds U_3 and D_3 from strips, not from
+        # chains of B products
+        calls = []
+        chain = heisenberg._chain
+        monkeypatch.setattr(heisenberg, "_chain",
+                            lambda *args: calls.append(args) or chain(*args))
+        rep = type(fermionic_rep())()
+        for lam in partitions_of(5):
+            assert apply_U(rep, 3, vec(lam)) == StateVec(
+                dict.fromkeys(horizontal_strips(lam, 3), ONE))
+            assert apply_D(rep, 3, vec(lam)) == StateVec(
+                dict.fromkeys(horizontal_strips_below(lam, 3), ONE))
+        assert calls == []
 
     def test_commutation_relations(self):
         rep = fermionic_rep()

@@ -415,6 +415,23 @@ class TestPacking:
             want = {k: c for k, c in want.items() if c}
             assert IntPoly._mul_packed(a, b).terms == want
 
+    def test_wide_sparse_products_go_term_by_term(self, monkeypatch):
+        # packed, (1 - q)^300, with coefficients of up to 297 bits, times a
+        # 6 x 6 bivariate block would take six t-rows 306 digits of 308
+        # bits wide: more bits a term pair than term by term costs.  Two
+        # narrow factors still pack
+        wide = (ONE - Q).num ** 300
+        block = IntPoly({(i, j): 1 + i - j for i in range(6)
+                         for j in range(6)})
+        packs = record(monkeypatch, "_pack")
+        got = wide * block
+        assert packs == []
+        assert got.terms == IntPoly._mul_packed(wide, block).terms
+        packs.clear()
+        assert (block * block).terms == \
+            IntPoly._mul_packed(block, block).terms
+        assert len(packs) == 4
+
     def test_divexact_on_macdonald_products(self):
         rng = random.Random(9)
         for _ in range(200):
@@ -1254,6 +1271,50 @@ class TestRationalRoute:
         scalar_sum(xs)
         monkeypatch.undo()
         assert calls == [] and cancels == [] and sums == []
+
+
+# values of the one-pass route: integers and rationals (zeros and +-1 often)
+# and polynomial numerators, over integer dens; and factored Macdonald
+# weights, which leave it for _fac_sum
+lane_values = st.one_of(
+    rationals.map(lambda r: generic(*r)),
+    st.tuples(intpolys(), st.integers(1, 60)).map(lambda r: generic(*r)))
+macdonald_values = st.sampled_from(
+    [((3, 2, 1), (1, 1)), ((2, 1), (1, 2)), ((3, 1), (1, 2)),
+     ((2, 2), (1, 1))]).map(lambda lc: macdonald_b(*lc))
+
+
+@st.composite
+def keyed_values(draw):
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), lane_values),
+                          max_size=14))
+    if draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     (draw(st.integers(0, 4)), draw(macdonald_values)))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_values())
+def test_accumulate_matches_fold(pairs):
+    # each key's sum is the fold by +, zero sums dropped; only a group with
+    # the Macdonald value and another nonzero value goes to _fac_sum
+    with pytest.MonkeyPatch.context() as mp:
+        fac_sums = record(mp, "_fac_sum")
+        got = accumulate(pairs)
+    groups = {}
+    for k, x in pairs:
+        groups.setdefault(k, []).append(x)
+    want = {k: functools.reduce(operator.add, xs) for k, xs in groups.items()}
+    assert got == {k: x for k, x in want.items() if not x.is_zero}
+    for k, x in got.items():
+        assert triple(x) == triple(want[k]) == triple(generic_sum(groups[k]))
+    assert len(fac_sums) == sum(
+        any(x.fac[1] for x in xs) and sum(not x.is_zero for x in xs) > 1
+        for xs in groups.values())
+    for xs in groups.values():      # a zero sum builds no new value
+        if scalar_sum(xs).is_zero and not any(x.fac[1] for x in xs):
+            assert scalar_sum(xs) is ZERO
 
 
 def test_generic_gcd_degree_bound():
