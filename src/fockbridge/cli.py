@@ -25,9 +25,8 @@ from .heisenberg import (
     BundleFormatError,
     BundleRangeError,
     BundleRep,
+    _fg,
     _op_single,
-    compute_F,
-    compute_G,
     load_bundle,
     specialize_rep,
 )
@@ -207,8 +206,7 @@ def _shape_and_base(args):
 
 def _cmd_expand(args):
     rep, bindings, shape, base = _shape_and_base(args)
-    fn = compute_F if args.fn == "F" else compute_G
-    f = convert(fn(rep, shape, base), args.basis)
+    f = convert(_fg(rep, args.fn, shape, base), args.basis)
     if bindings:
         f = f.map_coefficients(lambda c: c.specialize(bindings))
     terms = [(str(lam), str(c)) for lam, c in f.sorted_terms()]

@@ -22,7 +22,9 @@ minus one part j, B_lam = B_nu B_j and z_lam = z_nu j m_j(lam), so
     G_{s/t}[p_lam] = sum over u of <B_j v_s, v_u> G_{u/t}[p_nu] / (j m_j(lam))
 
 reads the G of the indices u one lowering step below s.  A rep without raw_B
-runs the same recursion on the m_lam coefficients <D_lam v_s, v_t>.
+runs the same recursion on the m_lam coefficients <D_lam v_s, v_t>, and
+builds F from the m_lam coefficients <U_lam v_t, v_s>: F and G stay in the
+basis they are built in (p or m) until a reader asks for another.
 """
 
 from __future__ import annotations
@@ -266,42 +268,66 @@ def _fg_degree(rep, upper, lower):
     return d if not r and d >= 0 else None
 
 
-def compute_F(rep, s, t):
-    """F_{s/t} in the power-sum basis; zero off the degree lattice."""
-    # the m_lam coefficient is <U_lam v_t, v_s>: a rep with U/D actions but
-    # no raw_B sums these chains and converts to p once; one with raw_B
-    # takes B products, <B_{-lam} v_t, v_s> / z_lam in the p basis, without
-    # Newton's identities.  The chains from t are shared per tail
-    key = ("F", s, t)
+def _basis(rep):
+    # the basis _fg builds F and G in: p from B products on a rep with
+    # raw_B, m from U/D chains on one without
+    return "m" if rep.raw_B is None else "p"
+
+
+def _fg(rep, fn, s, t):
+    """F_{s/t} (fn "F") or G_{s/t} (fn "G") in the rep's build basis,
+    cached; zero off the degree lattice."""
+    # F's m_lam coefficient is <U_lam v_t, v_s>, its p_lam coefficient
+    # <B_{-lam} v_t, v_s> / z_lam, from chains shared per tail.  G is built
+    # from the G of the indices one lowering step below s (_lowered): the m
+    # coefficients <D_lam v_s, v_t> with D_lam = D_nu D_j, or B products
+    # with B_lam = B_nu B_j and z_lam = z_nu j m_j(lam)
+    key = (fn, s, t)
     hit = rep._cache.get(key)
     if hit is not None:
         return hit
-    d = _fg_degree(rep, rep.degree_of(s), rep.degree_of(t))
-    lams = partitions_of(d) if d is not None else ()
-    if rep.raw_B is None:
-        m = {lam: _chain(rep, "U", lam, t).get(s, ZERO) for lam in lams}
-        out = convert(SymFunc("m", m), "p")
+    basis = _basis(rep)
+    if fn == "G":
+        terms = accumulate(_lowered(rep, "D" if basis == "m" else "B", s, t,
+                                    lambda u: _fg(rep, "G", u, t).terms))
+        if basis == "p":
+            terms = {lam: x / (lam[-1] * lam.multiplicity(lam[-1]))
+                     if lam else x for lam, x in terms.items()}
     else:
-        chains = {lam: _chain(rep, "B", tuple(-p for p in lam), t)
-                  for lam in lams}
-        out = SymFunc("p", {lam: v[s] / z_of(lam)
-                            for lam, v in chains.items() if s in v})
-    rep._cache[key] = out
-    return out
+        d = _fg_degree(rep, rep.degree_of(s), rep.degree_of(t))
+        lams = partitions_of(d) if d is not None else ()
+        if basis == "m":
+            terms = {lam: _chain(rep, "U", lam, t).get(s, ZERO)
+                     for lam in lams}
+        else:
+            chains = {lam: _chain(rep, "B", tuple(-p for p in lam), t)
+                      for lam in lams}
+            terms = {lam: v[s] / z_of(lam)
+                     for lam, v in chains.items() if s in v}
+    hit = rep._cache[key] = SymFunc(basis, terms)
+    return hit
+
+
+def _in_p(rep, fn, s, t):
+    # _fg in the power-sum basis: on a U/D rep converted once, and cached
+    f = _fg(rep, fn, s, t)
+    if f.basis == "p":
+        return f
+    key = ("p", fn, s, t)
+    hit = rep._cache.get(key)
+    if hit is None:
+        hit = rep._cache[key] = convert(f, "p")
+    return hit
+
+
+def compute_F(rep, s, t):
+    """F_{s/t} in the power-sum basis; zero off the degree lattice."""
+    return _in_p(rep, "F", s, t)
 
 
 def compute_G(rep, s, t):
     """G_{s/t} in the power-sum basis; zero off the degree lattice."""
-    # built from the G of the indices one lowering step below s (_lowered):
-    # in the p basis from B products on a rep with raw_B; else from the m
-    # coefficients <D_lam v_s, v_t>, converted to p once
-    if rep.raw_B is not None:
-        return _g_p(rep, s, t)
-    key = ("G", s, t)
-    hit = rep._cache.get(key)
-    if hit is None:
-        hit = rep._cache[key] = convert(SymFunc("m", _g_m(rep, s, t)), "p")
-    return hit
+    return _in_p(rep, "G", s, t)
 
 
 def _lowered(rep, op, s, t, below):
@@ -322,29 +348,6 @@ def _lowered(rep, op, s, t, below):
     return pairs
 
 
-def _g_m(rep, s, t):
-    # {lam: <D_lam v_s, v_t>}: D_lam = D_nu D_j
-    key = ("Gm", s, t)
-    hit = rep._cache.get(key)
-    if hit is None:
-        hit = rep._cache[key] = accumulate(
-            _lowered(rep, "D", s, t, lambda u: _g_m(rep, u, t)))
-    return hit
-
-
-def _g_p(rep, s, t):
-    # G_{s/t} from B products: B_lam = B_nu B_j and z_lam = z_nu j m_j(lam)
-    key = ("G", s, t)
-    hit = rep._cache.get(key)
-    if hit is None:
-        sums = accumulate(_lowered(
-            rep, "B", s, t, lambda u: _g_p(rep, u, t).terms))
-        hit = rep._cache[key] = SymFunc("p", {
-            lam: x / (lam[-1] * lam.multiplicity(lam[-1])) if lam else x
-            for lam, x in sums.items()})
-    return hit
-
-
 def monomial_coeff(rep, s, t, alpha):
     """Coefficient of x^alpha in F_{s/t}, via the U-operator chain applied
     in the order of alpha.
@@ -363,16 +366,18 @@ def monomial_coeff(rep, s, t, alpha):
 
 
 def _phi_pairs(rep, terms):
-    # the (lam, product) pairs whose sums are phi of sum c v_s over terms
+    # the (lam, product) pairs whose sums are phi of sum c v_s over terms,
+    # in the rep's build basis
     if rep.highest is None:
         raise ValueError("rep has no designated highest index")
     return ((lam, product(x, c)) for s, c in terms.items()
-            for lam, x in compute_G(rep, s, rep.highest).terms.items())
+            for lam, x in _fg(rep, "G", s, rep.highest).terms.items())
 
 
 def phi_map(rep, v):
     """The correspondence map: v -> sum_s <v, v_s> G_{s/highest}."""
-    return SymFunc("p", accumulate(_phi_pairs(rep, v.terms)))
+    return convert(SymFunc(_basis(rep), accumulate(_phi_pairs(rep, v.terms))),
+                   "p")
 
 
 def bosonic_apply_B(f, k, params):

@@ -2,9 +2,11 @@
 
 Each verifier sweeps a bounded grid of instances, checks each exactly, and
 returns a VerifyReport; failures are data, not exceptions.  The commutator,
-exchange and intertwining checks sum the products of lhs and of -rhs once
-per coefficient and pass when every sum is zero, which is exact in Q(q,t);
-only a failure builds the two sides.  Pieri and Cauchy compare both sides.
+straightening, Pieri and intertwining checks sum the products of lhs and of
+-rhs once per coefficient and pass when every sum is zero, which is exact in
+Q(q,t); only a failure builds the two sides, in p.  Cauchy compares both
+sides.  Pieri, bf, Cauchy and the converse read F and G in the basis the rep
+builds them in (heisenberg._fg).
 diagnose_converse runs the commutation / exchange / Pieri trio on a matrix
 bundle and reports which conditions hold, after checking that the derived
 G family is linearly independent degree by degree.
@@ -18,8 +20,11 @@ import itertools
 from .heisenberg import (
     BundleRep,
     StateVec,
+    _basis,
     _block,
+    _fg,
     _fg_degree,
+    _in_p,
     _op_single,
     _pairs,
     _phi_pairs,
@@ -172,24 +177,27 @@ def verify_pieri(rep, k_max, d_max, window=None):
     rpt = VerifyReport("pieri")
     b = rep.highest
     m = rep.degree_step
+    native = _basis(rep)
 
-    def f_of(s):        # compute_F and compute_G cache on the rep
-        return compute_F(rep, s, b)
+    def column(col, fn, basis):
+        # the pairs of sum c * X_t over the entries t: c, X = F or G (fn)
+        get = _fg if basis == native else _in_p
+        return ((lam, product(x, c)) for t, c in col.items()
+                for lam, x in get(rep, fn, t, b).terms.items())
 
-    def g_of(s):
-        return compute_G(rep, s, b)
-
-    def combine(col, fn):
-        # sum of c * fn(t) over the entries t: c, each coefficient reduced once
-        return SymFunc("p", accumulate(
-            (lam, product(x, c)) for t, c in col.items()
-            for lam, x in fn(t).terms.items()))
+    def check(instance, fn, col, lhs):
+        # -lhs, built in p from the source's X_s, plus the column sum, in
+        # the build basis; a failure prints both sides in p
+        rpt.record_zero(instance, itertools.chain(
+            _negated(convert(lhs, native).terms).items(),
+            column(col, fn, native)),
+            lambda: (lhs, SymFunc("p", accumulate(column(col, fn, "p")))))
 
     for k in range(1, k_max + 1):
         deep = d_max if window is None else min(d_max, window - m * k)
         if deep < 0:
             continue
-        hk = h_multiplier(k, rep.params)
+        hk, hk_perp = h_multiplier(k, rep.params), sym_h(k)
         for d in range(deep + 1):
             down_cols = _block(rep, "D", k, d)
             if not down_cols:       # no source, so no neighbour is read
@@ -200,16 +208,14 @@ def verify_pieri(rep, k_max, d_max, window=None):
             downs = _rows(_block(rep, "U", k, d - m * k))
             up_cols = _block(rep, "U", k, d)
             for s, down in down_cols.items():
-                rhs = combine(up_cols[s], g_of)
-                rpt.record(f"k={k} s={s} raise-G", multiply(hk, g_of(s)), rhs)
-                rhs = combine(ups.get(s, {}), f_of)
-                rpt.record(f"k={k} s={s} raise-F", multiply(hk, f_of(s)), rhs)
-                rhs = combine(down, g_of)
-                rpt.record(f"k={k} s={s} lower-G",
-                           perp_apply(sym_h(k), g_of(s)), rhs)
-                rhs = combine(downs.get(s, {}), f_of)
-                rpt.record(f"k={k} s={s} lower-F",
-                           perp_apply(sym_h(k), f_of(s)), rhs)
+                g, f = compute_G(rep, s, b), compute_F(rep, s, b)
+                check(f"k={k} s={s} raise-G", "G", up_cols[s], multiply(hk, g))
+                check(f"k={k} s={s} raise-F", "F", ups.get(s, {}),
+                      multiply(hk, f))
+                check(f"k={k} s={s} lower-G", "G", down,
+                      perp_apply(hk_perp, g))
+                check(f"k={k} s={s} lower-F", "F", downs.get(s, {}),
+                      perp_apply(hk_perp, f))
     return rpt
 
 
@@ -279,10 +285,10 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
         if df is None or dg is None or df + dg > d_max:
             continue
         for s in rep.basis_of_degree(big):
-            fx = in_x(compute_F(rep, s, t))
+            fx = in_x(_fg(rep, "F", s, t))
             if fx.is_zero:
                 continue
-            gy = in_y(compute_G(rep, s, r))
+            gy = in_y(_fg(rep, "G", s, r))
             if gy.is_zero:
                 continue
             lhs = lhs + fx.mul(gy, trunc=d_max)
@@ -306,10 +312,10 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
             jg = _fg_degree(rep, deg_t, small)
             if jf is None or jg is None or jf + jg > d_max:
                 continue
-            fx = in_x(compute_F(rep, r, s))
+            fx = in_x(_fg(rep, "F", r, s))
             if fx.is_zero:
                 continue
-            gy = in_y(compute_G(rep, t, s))
+            gy = in_y(_fg(rep, "G", t, s))
             if gy.is_zero:
                 continue
             small_sum = small_sum + fx.mul(gy, trunc=d_max)
@@ -337,10 +343,10 @@ def verify_bf(rep, d_max, l_set):
             raise ValueError("B_0 is not a generator")
         for d, s in _indices_up_to(rep, d_max):
             # phi(v_s) is G_{s/highest}; _phi_pairs refuses a rep without
-            # a highest index
+            # a highest index.  The sum runs in the build basis
             lhs = _phi_pairs(rep, _op_single(rep, "B", l, s))
-            rhs = bosonic_apply_B(compute_G(rep, s, rep.highest), l,
-                                  rep.params)
+            rhs = convert(bosonic_apply_B(compute_G(rep, s, rep.highest), l,
+                                          rep.params), _basis(rep))
             rpt.record_zero(f"l={l} s={s}",
                             itertools.chain(lhs, _negated(rhs.terms).items()),
                             lambda: sides(l, s))
@@ -472,7 +478,7 @@ def diagnose_converse(bundle, params=None, d_max=None, k_max=None):
         support = partitions_of(q)
         rows = []
         for s in basis:
-            g = convert(compute_G(rep, s, rep.highest), "m")
+            g = convert(_fg(rep, "G", s, rep.highest), "m")
             rows.append([g.coefficient(mu) for mu in support])
         independence[d] = _rank(rows) == len(basis)
     precondition_ok = all(independence.values())

@@ -11,6 +11,8 @@ is again all partitions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .heisenberg import HeisenbergParams, Rep, _op_single, params_equal
 from .partitions import (
     EMPTY,
@@ -232,13 +234,13 @@ def direct_sum(r1, r2):
     return _DirectSumRep(r1, r2)
 
 
+@lru_cache(maxsize=None)
 def _compositions(total, length):
+    # the length-tuples of nonnegative ints summing to total, in lex order
     if length == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, length - 1):
-            yield (head,) + tail
+        return ((total,),)
+    return tuple((head,) + tail for head in range(total + 1)
+                 for tail in _compositions(total - head, length - 1))
 
 
 class _TensorRep(Rep):

@@ -16,9 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fockbridge
 from fockbridge.cli import _SUITES, main
-from fockbridge.heisenberg import BundleFormatError, load_bundle, rep_to_bundle
-from fockbridge.reps import fermionic_rep
-from fockbridge.scalars import ONE, Q, T
+from fockbridge.heisenberg import (BundleFormatError, compute_F, compute_G,
+                                   load_bundle, rep_to_bundle)
+from fockbridge.partitions import Partition
+from fockbridge.reps import fermionic_rep, macdonald_rep
+from fockbridge.scalars import ONE, Q, T, ZERO
+from fockbridge.symfunc import convert
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +88,32 @@ class TestExpand:
                              "--shape", "[1];[1];[1]", "--basis", "s")
         assert rc == 0
         assert "s[2,1] 2" in out
+
+    @pytest.mark.parametrize("which", ["macdonald", "bundle", "q=0"])
+    def test_text_is_the_p_form_converted(self, capsys, tmp_path, which):
+        # expand reads F and G in the basis the rep builds them in (m on a
+        # U/D rep); its text must be that of the public p forms converted
+        rep, name, extra = macdonald_rep(), "macdonald", ()
+        if which == "bundle":
+            path = tmp_path / "mac.json"
+            path.write_text(json.dumps(rep_to_bundle(rep, 4, 4)))
+            rep, name = load_bundle(str(path)), f"bundle:{path}"
+        elif which == "q=0":
+            extra = ("--spec", "q=0")
+        s, b = (rep.index_of_label("[3,1]"), rep.highest) \
+            if which == "bundle" else (Partition((3, 1)), Partition(()))
+        for fn, compute in (("F", compute_F), ("G", compute_G)):
+            for basis in "phms":
+                want = convert(compute(rep, s, b), basis)
+                if extra:
+                    want = want.map_coefficients(
+                        lambda c: c.specialize({"q": ZERO}))
+                rc, out, _ = run_cli(capsys, "expand", "--rep", name,
+                                     "--shape", "[3,1]", "--fn", fn,
+                                     "--basis", basis, *extra)
+                assert rc == 0
+                assert out == "".join(f"{basis}{lam} {c}\n"
+                                      for lam, c in want.sorted_terms())
 
     def test_degree_cap_blocks(self, capsys):
         rc, _, err = run_cli(capsys, "expand", "--rep", "fermionic",

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fockbridge import identities, scalars
+from fockbridge import heisenberg, identities, scalars, symfunc
 from fockbridge.heisenberg import (
     BundleRep,
     HeisenbergParams,
@@ -15,6 +15,8 @@ from fockbridge.heisenberg import (
     apply_D,
     apply_U,
     bosonic_apply_B,
+    compute_F,
+    compute_G,
     load_bundle,
     phi_map,
     rep_to_bundle,
@@ -38,7 +40,7 @@ from fockbridge.reps import (
     tensor,
 )
 from fockbridge.scalars import ONE, Scalar
-from fockbridge.symfunc import sym_h, sym_p
+from fockbridge.symfunc import SymFunc, multiply, perp_apply, sym_h, sym_p
 
 P = Partition
 
@@ -213,9 +215,10 @@ class TestBFVerifier:
 
 
 class TestFusedChecksFail:
-    """heisenberg, du and bf sum lhs - rhs once per instance; on a
-    corrupted bundle they must still fail, and each failure must carry the
-    two sides as the public calls build them."""
+    """heisenberg, du, bf and pieri sum lhs - rhs once per instance (bf and
+    pieri in the basis the rep builds F and G in); on a corrupted bundle
+    they must still fail, and each failure must carry the two sides as the
+    public calls build them, in p."""
 
     @staticmethod
     def corrupted():
@@ -264,6 +267,49 @@ class TestFusedChecksFail:
                         bosonic_apply_B(phi_map(rep, v), l, rep.params))
         self.assert_failures(verify_bf(rep, 2, (-1, 1)), sides)
 
+    def test_pieri(self):
+        # a Macdonald bundle (a U/D rep: F and G built in m) with one U_1
+        # entry nudged
+        bundle = rep_to_bundle(macdonald_rep(), 4, 4)
+        bundle["U"]["1"]["1"][0][0] = f"({bundle['U']['1']['1'][0][0]})+1"
+        rep = load_bundle(bundle)
+        hi = rep.highest
+
+        def column_sum(col, fn):
+            out = SymFunc("p")
+            for t, c in col.items():
+                out = out + fn(rep, t, hi).scaled(c)
+            return out
+
+        def entries(op, k, src):
+            return apply_U(rep, k, StateVec.basis(src)).terms if op == "U" \
+                else apply_D(rep, k, StateVec.basis(src)).terms
+
+        def transposed(op, k, d, s):
+            # <op_k t, v_s> over the basis t of degree d
+            return {t: entries(op, k, t)[s] for t in rep.basis_of_degree(d)
+                    if s in entries(op, k, t)}
+
+        sides = {}
+        for k in (1, 2):
+            hk = h_multiplier(k, rep.params)
+            for d in range(3):
+                for s in rep.basis_of_degree(d):
+                    g, f = compute_G(rep, s, hi), compute_F(rep, s, hi)
+                    sides[f"k={k} s={s} raise-G"] = (
+                        multiply(hk, g),
+                        column_sum(entries("U", k, s), compute_G))
+                    sides[f"k={k} s={s} raise-F"] = (
+                        multiply(hk, f),
+                        column_sum(transposed("D", k, d + k, s), compute_F))
+                    sides[f"k={k} s={s} lower-G"] = (
+                        perp_apply(sym_h(k), g),
+                        column_sum(entries("D", k, s), compute_G))
+                    sides[f"k={k} s={s} lower-F"] = (
+                        perp_apply(sym_h(k), f),
+                        column_sum(transposed("U", k, d - k, s), compute_F))
+        self.assert_failures(verify_pieri(rep, 2, 2), sides)
+
     def test_heisenberg(self):
         rep = self.corrupted()
         sides = {}
@@ -284,6 +330,29 @@ class TestFusedChecksFail:
                                     - apply_B(rep, b, apply_B(rep, a, v)),
                                     StateVec())
         self.assert_failures(verify_heisenberg(rep, 2, 1), sides)
+
+
+class TestBuildBasis:
+    """On a U/D rep F and G are built in m, and the Pieri and bf column sums
+    stay there: only the sources' F and G, at most the sweep's degree, are
+    converted to p."""
+
+    @pytest.mark.parametrize("which", ["macdonald", "bundle"])
+    def test_no_conversion_above_the_sources(self, monkeypatch, which):
+        rep = type(macdonald_rep())() if which == "macdonald" \
+            else load_bundle(rep_to_bundle(macdonald_rep(), 5, 5))
+        seen = collections.Counter()
+        real = symfunc.convert
+
+        def counting(f, target):
+            if f.basis == "m" and target == "p" and f.terms:
+                seen[max(lam.size for lam in f.terms)] += 1
+            return real(f, target)
+        for mod in (symfunc, heisenberg, identities):
+            monkeypatch.setattr(mod, "convert", counting)
+        assert verify_pieri(rep, 2, 3).passed
+        assert verify_bf(rep, 3, (-2, -1, 1, 2)).passed
+        assert seen and max(seen) <= 3
 
 
 class TestReportShape:
