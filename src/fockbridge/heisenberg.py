@@ -179,14 +179,16 @@ class Rep:
 # ---------------------------------------------------------------------------
 # operator calculus
 
-def _pairs(rep, op, k, terms):
-    # the (index, product) pairs whose sums are op_k applied to terms
-    return ((j, product(w, c)) for i, c in terms.items()
+def _entries(rep, op, k, terms, sign=1):
+    # the entries (j, w, c, sign) whose sums of sign * w * c are sign *
+    # op_k applied to terms
+    return ((j, w, c, sign) for i, c in terms.items()
             for j, w in _op_single(rep, op, k, i).items())
 
 
 def _linear(rep, op, k, terms):
-    return accumulate(_pairs(rep, op, k, terms))
+    return accumulate((j, product(w, c))
+                      for j, w, c, _ in _entries(rep, op, k, terms))
 
 
 def _op_single(rep, op, k, index):
@@ -365,19 +367,20 @@ def monomial_coeff(rep, s, t, alpha):
     return terms.get(s, ZERO)
 
 
-def _phi_pairs(rep, terms):
-    # the (lam, product) pairs whose sums are phi of sum c v_s over terms,
-    # in the rep's build basis
+def _phi_entries(rep, terms):
+    # the entries (lam, x, c, 1) whose sums of x * c are phi of sum c v_s
+    # over terms, in the rep's build basis
     if rep.highest is None:
         raise ValueError("rep has no designated highest index")
-    return ((lam, product(x, c)) for s, c in terms.items()
+    return ((lam, x, c, 1) for s, c in terms.items()
             for lam, x in _fg(rep, "G", s, rep.highest).terms.items())
 
 
 def phi_map(rep, v):
     """The correspondence map: v -> sum_s <v, v_s> G_{s/highest}."""
-    return convert(SymFunc(_basis(rep), accumulate(_phi_pairs(rep, v.terms))),
-                   "p")
+    return convert(SymFunc(_basis(rep), accumulate(
+        (lam, product(x, c)) for lam, x, c, _ in _phi_entries(rep, v.terms))),
+        "p")
 
 
 def bosonic_apply_B(f, k, params):

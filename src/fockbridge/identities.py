@@ -2,9 +2,13 @@
 
 Each verifier sweeps a bounded grid of instances, checks each exactly, and
 returns a VerifyReport; failures are data, not exceptions.  The commutator,
-straightening, Pieri and intertwining checks sum the products of lhs and of
--rhs once per coefficient and pass when every sum is zero, which is exact in
-Q(q,t); only a failure builds the two sides, in p.  Cauchy compares both
+straightening, Pieri and intertwining checks give the terms of lhs - rhs as
+entries (key, x, y, sign) and pass when each key's sum of sign * x * y is
+zero (VerifyReport.record_zero).  That sum is one integer: the numerator
+over a common multiple of the dens at q = 2^zbits, t = 2^tbits, with widths
+past that numerator's height and q-degree, where the substitution is
+injective; so it is 0 exactly when the sum is, with no evaluation point
+deciding.  Only a failure builds the two sides, in p.  Cauchy compares both
 sides.  Pieri, bf, Cauchy and the converse read F and G in the basis the rep
 builds them in (heisenberg._fg).
 diagnose_converse runs the commutation / exchange / Pieri trio on a matrix
@@ -22,12 +26,12 @@ from .heisenberg import (
     StateVec,
     _basis,
     _block,
+    _entries,
     _fg,
     _fg_degree,
     _in_p,
     _op_single,
-    _pairs,
-    _phi_pairs,
+    _phi_entries,
     _rows,
     apply_B,
     apply_D,
@@ -39,15 +43,15 @@ from .heisenberg import (
     phi_map,
 )
 from .partitions import partitions_of
-from .scalars import ONE, accumulate, product
+from .scalars import ONE, _vanishes, accumulate
 from .symfunc import (
     SymFunc,
     VarPoly,
+    _h_perp,
     convert,
     evaluate_vars,
     kappa_eval,
     multiply,
-    perp_apply,
     sym_h,
     theta_apply,
 )
@@ -94,12 +98,14 @@ class VerifyReport:
         if lhs != rhs:
             self.failures.append((instance, str(lhs), str(rhs)))
 
-    def record_zero(self, instance, pairs, sides):
-        """Check lhs - rhs = 0, given as the (key, Scalar) pairs of lhs and
-        of -rhs: they are summed once, by accumulate.  sides() builds the
-        two sides for the failure record, only when the sum is not zero."""
+    def record_zero(self, instance, entries, sides):
+        """Check lhs - rhs = 0 from its terms sign * x * y, as entries (key,
+        x, y, sign), y None for a lone x.  Each key's sum is one integer,
+        its numerator over a common multiple of the dens packed at widths
+        covering that numerator's height and degrees, where packing is
+        injective: 0 exactly when the sum is.  sides() builds both sides."""
         self.checked.append((self.identity, instance))
-        if accumulate(pairs):
+        if not _vanishes(entries):
             self.failures.append((instance, *map(str, sides())))
 
     def to_json_dict(self):
@@ -125,16 +131,16 @@ def _indices_up_to(rep, d_max):
             yield d, s
 
 
-def _negated(terms):
-    return {i: -c for i, c in terms.items()}
+def _lone(terms):
+    # the entries of -terms
+    return ((i, c, None, -1) for i, c in terms.items())
 
 
 def _commutator(rep, a, b, s):
-    # the pairs of [B_a, B_b] v_s, each product once: B_a B_b v_s and
-    # -B_b B_a v_s
+    # the entries of [B_a, B_b] v_s: B_a B_b v_s and -B_b B_a v_s
     return itertools.chain(
-        _pairs(rep, "B", a, _op_single(rep, "B", b, s)),
-        _pairs(rep, "B", b, _negated(_op_single(rep, "B", a, s))))
+        _entries(rep, "B", a, _op_single(rep, "B", b, s)),
+        _entries(rep, "B", b, _op_single(rep, "B", a, s), -1))
 
 
 def verify_heisenberg(rep, kl_max, d_max):
@@ -152,8 +158,7 @@ def verify_heisenberg(rep, kl_max, d_max):
                 want = {s: rep.params.value(k) * k} if k == l else {}
                 rpt.record_zero(
                     f"[B_{k}, B_-{l}] at {s}",
-                    itertools.chain(_commutator(rep, k, -l, s),
-                                    _negated(want).items()),
+                    itertools.chain(_commutator(rep, k, -l, s), _lone(want)),
                     lambda: sides(k, -l, s, StateVec(want)))
     for k in range(1, kl_max + 1):
         for l in range(k + 1, kl_max + 1):
@@ -179,25 +184,24 @@ def verify_pieri(rep, k_max, d_max, window=None):
     m = rep.degree_step
     native = _basis(rep)
 
-    def column(col, fn, basis):
-        # the pairs of sum c * X_t over the entries t: c, X = F or G (fn)
-        get = _fg if basis == native else _in_p
-        return ((lam, product(x, c)) for t, c in col.items()
+    def column(col, fn, get=_fg):
+        # the entries of sum c * X_t over the entries t: c, X = F or G (fn)
+        return ((lam, x, c, 1) for t, c in col.items()
                 for lam, x in get(rep, fn, t, b).terms.items())
 
     def check(instance, fn, col, lhs):
-        # -lhs, built in p from the source's X_s, plus the column sum, in
-        # the build basis; a failure prints both sides in p
+        # the column sum minus lhs, in the build basis; a failure prints
+        # both sides in p
         rpt.record_zero(instance, itertools.chain(
-            _negated(convert(lhs, native).terms).items(),
-            column(col, fn, native)),
-            lambda: (lhs, SymFunc("p", accumulate(column(col, fn, "p")))))
+            _lone(convert(lhs, native).terms), column(col, fn)),
+            lambda: (convert(lhs, "p"), SymFunc("p", accumulate(
+                (lam, x * c) for lam, x, c, _ in column(col, fn, _in_p)))))
 
     for k in range(1, k_max + 1):
         deep = d_max if window is None else min(d_max, window - m * k)
         if deep < 0:
             continue
-        hk, hk_perp = h_multiplier(k, rep.params), sym_h(k)
+        hk = h_multiplier(k, rep.params)
         for d in range(deep + 1):
             down_cols = _block(rep, "D", k, d)
             if not down_cols:       # no source, so no neighbour is read
@@ -212,10 +216,11 @@ def verify_pieri(rep, k_max, d_max, window=None):
                 check(f"k={k} s={s} raise-G", "G", up_cols[s], multiply(hk, g))
                 check(f"k={k} s={s} raise-F", "F", ups.get(s, {}),
                       multiply(hk, f))
+                # h_k-perp acts in the build basis
                 check(f"k={k} s={s} lower-G", "G", down,
-                      perp_apply(hk_perp, g))
+                      _h_perp(k, _fg(rep, "G", s, b)))
                 check(f"k={k} s={s} lower-F", "F", downs.get(s, {}),
-                      perp_apply(hk_perp, f))
+                      _h_perp(k, _fg(rep, "F", s, b)))
     return rpt
 
 
@@ -233,11 +238,11 @@ def verify_du(rep, ab_max, d_max, window=None):
 
     def lhs_minus_rhs(a, b, s):
         # D_b U_a v_s, then -h_j<a> U_{a-j} D_{b-j} v_s for each j
-        yield from _pairs(rep, "D", b, _op_single(rep, "U", a, s))
+        yield from _entries(rep, "D", b, _op_single(rep, "U", a, s))
         for j in range(min(a, b) + 1):
-            yield from _pairs(rep, "U", a - j, {
-                i: c * -kernel(j)
-                for i, c in _op_single(rep, "D", b - j, s).items()})
+            yield from _entries(rep, "U", a - j, {
+                i: c * kernel(j)
+                for i, c in _op_single(rep, "D", b - j, s).items()}, -1)
 
     def sides(a, b, s):
         v = StateVec.basis(s)
@@ -342,13 +347,13 @@ def verify_bf(rep, d_max, l_set):
         if l == 0:
             raise ValueError("B_0 is not a generator")
         for d, s in _indices_up_to(rep, d_max):
-            # phi(v_s) is G_{s/highest}; _phi_pairs refuses a rep without
+            # phi(v_s) is G_{s/highest}; _phi_entries refuses a rep without
             # a highest index.  The sum runs in the build basis
-            lhs = _phi_pairs(rep, _op_single(rep, "B", l, s))
+            lhs = _phi_entries(rep, _op_single(rep, "B", l, s))
             rhs = convert(bosonic_apply_B(compute_G(rep, s, rep.highest), l,
                                           rep.params), _basis(rep))
             rpt.record_zero(f"l={l} s={s}",
-                            itertools.chain(lhs, _negated(rhs.terms).items()),
+                            itertools.chain(lhs, _lone(rhs.terms)),
                             lambda: sides(l, s))
     return rpt
 

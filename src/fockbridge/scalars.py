@@ -570,8 +570,8 @@ def _probe(p, _pows=([1], [1])):
 
 # An IntPoly keeps its probe value once computed.  f | n implies _probe(f) |
 # _probe(n), so a factor whose value does not divide n's is not tried.  An
-# exact quotient by prod f^k has value v // prod _FACTOR_VALS[f]^k, a content
-# division by g v // g, and a product the product of the values.
+# exact quotient by prod f^k has value v // prod _FACTOR_VALS[f]^k, and a
+# content division by g v // g.
 
 def _value(p):
     v = p._val
@@ -644,24 +644,40 @@ def _at(fid, zbits, tbits):
     return v
 
 
+def _bounds(parts):
+    # q-degree, t-degree and height bounds of the sum of m * prod(ts) *
+    # prod f^e over parts (ts, (m, ((f, e), ...))), ts term dicts
+    dq = dt = h = 0
+    for ts, (m, cfl) in parts:
+        pq = pt = 0
+        ph = abs(m) * (min(map(len, ts)) if len(ts) > 1 else 1)
+        for t in ts:
+            sq, st, sh, _ = _scan(t)
+            pq, pt, ph = pq + sq, pt + st, ph * sh
+        for f, e in cfl:
+            cs, a, b = _FACTOR_FORMS[f]
+            pq, pt = pq + e * (len(cs) - 1) * a, pt + e * (len(cs) - 1) * b
+            ph *= sum(map(abs, cs)) ** e
+        dq, dt, h = max(dq, pq), max(dt, pt), h + ph
+    return dq, dt, h
+
+
+def _packed(parts, zbits, tbits):
+    # that sum at q = 2^zbits, t = 2^tbits
+    at = {f: _at(f, zbits, tbits)
+          for f in {f for _, (_, cfl) in parts for f, _ in cfl}}
+    return sum(m * math.prod(_pack(t, zbits, tbits) for t in ts) *
+               math.prod(at[f] ** e for f, e in cfl) for ts, (m, cfl) in parts)
+
+
 def _strip(parts, fl, n=None):
     """The sum of p * cof over parts (p, cof), cof a fac, divided by each
     factor (fid, e) of fl up to e times, as one Kronecker value at a width
     covering its divisors: (quotient, what is left of fl).  n is the sum,
     if known.  None past _PACK_BITS bits, or when not certified: q*t - 4
     packs to a multiple of the value of q - 1 at every width."""
-    dq = dt = h = 0
-    for p, (m, cfl) in parts:
-        if type(p) is tuple:    # a pair from product: degrees add
-            (aq, at, ah, an), (cq, ct, ch, cn) = map(_scan, _terms(p))
-            pq, pt, ph = aq + cq, at + ct, ah * ch * min(an, cn)
-        else:
-            pq, pt, ph, _ = _scan(p.terms)
-        for f, e in cfl:
-            cs, a, b = _FACTOR_FORMS[f]
-            pq, pt = pq + e * (len(cs) - 1) * a, pt + e * (len(cs) - 1) * b
-            ph *= sum(map(abs, cs)) ** e
-        dq, dt, h = max(dq, pq), max(dt, pt), h + ph * m
+    parts = [((p.terms,), cof) for p, cof in parts]
+    dq, dt, h = _bounds(parts)
     # q and t go by minimum degrees (at q = 2^zbits the value of t is a
     # multiple of q's); a factor of more degree than is left cannot divide
     ks, l1, tries = {}, 1, []
@@ -678,9 +694,7 @@ def _strip(parts, fl, n=None):
         tbits = zbits * (dq + 1) + 2
         if (dt + 1) * tbits > _PACK_BITS:
             return None
-        v = sum(math.prod(_pack(a, zbits, tbits) for a in _terms(p)) * m *
-                math.prod(_at(f, zbits, tbits) ** e for f, e in cfl)
-                for p, (m, cfl) in parts)
+        v = _packed(parts, zbits, tbits)
         if not v:
             return _POLY_ZERO, fl
     for fid, e, cs, ga, gb in tries:
@@ -877,22 +891,6 @@ def _fits(fid, dq, dt):
     return (len(cs) - 1) * a <= dq and (len(cs) - 1) * b <= dt
 
 
-def _terms(p):
-    # the term dicts of a numerator: one, or the two of a pair (product)
-    return (p[0].terms, p[1].terms) if type(p) is tuple else (p.terms,)
-
-
-def _out(p):
-    # a numerator multiplied out, a pair's probe value carried
-    if type(p) is not tuple:
-        return p
-    a, c = p
-    n = a * c
-    if a._val is not None and c._val is not None:
-        n._val = a._val * c._val
-    return n
-
-
 def _poly_sum(ps):
     # the sum of a nonempty list of IntPolys, in one dict
     acc = dict(ps[0].terms)
@@ -919,12 +917,12 @@ def _numerator(parts):
             cs, a, b = _FACTOR_FORMS[f]
             best = max(best, (e * (len(cs) - 1) * (a + b), lack[0], f, e))
     if len(best) == 1:
-        return _poly_sum([_out(p) * _expand(cof) for p, cof in parts])
+        return _poly_sum([p * _expand(cof) for p, cof in parts])
     _, i, f, e = best
     (p, cof), rest = parts[i], parts[:i] + parts[i + 1:]
     rest = [(r, (m, _fac(1, (1, cfl), (-1, ((f, e),)))[1]))
             for r, (m, cfl) in rest]
-    return _out(p) * _expand(cof) + _numerator(rest) * _FACTORS[f] ** e
+    return p * _expand(cof) + _numerator(rest) * _FACTORS[f] ** e
 
 
 def _fac_sum(xs):
@@ -938,11 +936,11 @@ def _fac_sum(xs):
     nums, count = {}, {}
     for x in xs:
         p = nums.get(x.fac)
-        nums[x.fac] = x.num if p is None else _out(p) + _out(x.num)
+        nums[x.fac] = x.num if p is None else p + x.num
         count[x.fac] = count.get(x.fac, 0) + 1
     lc, top, seen = 1, {}, {}
     for fac, p in nums.items():
-        if type(p) is not tuple and not p.terms:
+        if not p.terms:
             continue
         c, fl = fac
         lc = lc // math.gcd(lc, c) * c
@@ -955,7 +953,7 @@ def _fac_sum(xs):
     tops = sorted(top.items())
     parts = []
     for (c, fl), p in nums.items():
-        if type(p) is tuple or p.terms:
+        if p.terms:
             own = dict(fl)
             parts.append((p, (lc // c, tuple((f, m - own.get(f, 0))
                                              for f, m in tops
@@ -1012,38 +1010,81 @@ def scalar_sum(xs):
     x = _rat_sum(xs)
     if x is not None:
         return x
-    xs = [x for x in xs if type(x.num) is tuple or x.num.terms]
+    xs = [x for x in xs if x.num.terms]
     if len(xs) < 2:
-        return _settled(xs[0]) if xs else ZERO
+        return xs[0] if xs else ZERO
     if any(x.fac is None for x in xs):
-        return functools.reduce(operator.add, map(_settled, xs))
+        return functools.reduce(operator.add, xs)
     return _fac_sum(xs)
-
-
-def _settled(x):
-    # x with a pair numerator multiplied out
-    return Scalar._raw(_out(x.num), x.fac) if type(x.num) is tuple else x
 
 
 def accumulate(pairs):
     """{key: the sum of its values} over (key, Scalar) pairs, zero sums
-    dropped; each key's values are summed once, by scalar_sum.  The
-    values may come from product."""
+    dropped; each key's values are summed once, by scalar_sum."""
     groups = {}
     for k, x in pairs:
-        g = groups.get(k)
-        if g is None:
-            groups[k] = [x]
-        else:
-            g.append(x)
+        groups.setdefault(k, []).append(x)
     out = {}
     for k, g in groups.items():
         x = g[0] if len(g) == 1 else scalar_sum(g)
-        if type(x.num) is tuple:
-            out[k] = _settled(x)
-        elif x.num.terms:
+        if x.num.terms:
             out[k] = x
     return out
+
+
+def _vanishes(entries):
+    """Whether each key's sum of sign * x * y over the entries (key, x, y,
+    sign) is zero; y is None for a lone x, sign is 1 or -1.  No Scalar is
+    built: integers over integer dens add up as one fraction per key, the
+    other terms with it as one integer (_zero_sum)."""
+    fracs, rest = {}, {}
+    for k, x, y, s in entries:
+        vs, v, c = (x,) if y is None else (x, y), s, 1
+        for z in vs:
+            f, a = z.fac, z.num.terms
+            if f is None or f[1] or len(a) != 1 or (0, 0) not in a:
+                rest.setdefault(k, []).append((vs, s))
+                break
+            v, c = v * a[0, 0], c * f[0]
+        else:
+            n, m = fracs.get(k, (0, 1))
+            if m % c:           # over the running lcm m, as in _rat_sum
+                g = c // math.gcd(m, c)
+                n, m = n * g, m * g
+            fracs[k] = (n + v * (m // c), m)
+    return all(_zero_sum(g, fracs.pop(k, (0, 1))) for k, g in rest.items()) \
+        and not any(n for n, _ in fracs.values())
+
+
+def _zero_sum(terms, frac):
+    # Whether n / m, frac = (n, m), plus sign * prod(vs) over terms is 0.
+    # Each den, uncancelled, divides L: the lcm of the integers, each factor
+    # to its top exponent.  The numerator over L has q-degree at most dq and
+    # coefficients below h (_bounds), so its value at zbits = h.bit_length()
+    # + 2, tbits = zbits * (dq + 1) + 2, where packing is injective, is 0
+    # exactly when it is.  A generic den, or past _PACK_BITS: scalar_sum.
+    n, lc = frac
+    parts, top = [(({(0, 0): n},), 1, (lc, ()))] if n else [], {}
+    for vs, s in terms:
+        if any(v.fac is None for v in vs):
+            break
+        if all(v.num.terms for v in vs):
+            fac = _fac(math.prod(v.fac[0] for v in vs),
+                       *((1, v.fac[1]) for v in vs))
+            lc = lc // math.gcd(lc, fac[0]) * fac[0]
+            for f, e in fac[1]:
+                top[f] = max(e, top.get(f, 0))
+            parts.append((tuple(v.num.terms for v in vs), s, fac))
+    else:
+        parts = [(ts, (s * lc // c, _fac(1, (1, top.items()), (-1, fl))[1]))
+                 for ts, s, (c, fl) in parts]
+        dq, dt, h = _bounds(parts)
+        zbits = h.bit_length() + 2
+        tbits = zbits * (dq + 1) + 2
+        if tbits * (dt + 1) <= _PACK_BITS:
+            return not _packed(parts, zbits, tbits)
+    return not scalar_sum([Scalar.fraction(*frac)] +
+                          [math.prod(vs) * s for vs, s in terms])
 
 
 class Scalar:
@@ -1158,8 +1199,7 @@ class Scalar:
             other = Scalar.from_int(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        x = product(self, other)
-        return x if type(x.num) is not tuple else _settled(x)
+        return product(self, other)
 
     __rmul__ = __mul__
 
@@ -1213,9 +1253,8 @@ class Scalar:
 
 
 def product(x, y):
-    """x * y for accumulate and scalar_sum: two factored operands of two or
-    more terms each keep their cancelled numerators as a pair (a, c), which
-    _strip packs as _pack(a) * _pack(c); Scalar.__mul__ multiplies it out."""
+    """x * y for Scalars x and y: each numerator is cancelled against the
+    other's den, then they are multiplied out."""
     a, c, fx, fy = x.num, y.num, x.fac, y.fac
     if fy == _UNIT and c.terms in _UNITS:
         return x if c.terms[0, 0] == 1 else -x
@@ -1232,11 +1271,7 @@ def product(x, y):
             return _rat(a * c, fx[0] * fy[0])
         a, cd, fd = _cancel(a, *fy)
         c, cb, fb = _cancel(c, *fx)
-        fac = _fac(cb * cd, (1, fb), (1, fd))
-        n = (a, c)
-        if not fac[1] or len(a.terms) < 2 or len(c.terms) < 2:
-            n = _out(n)
-        return Scalar._raw(n, fac)
+        return Scalar._raw(a * c, _fac(cb * cd, (1, fb), (1, fd)))
     _, a, d = a.cofactors(y.den)
     _, c, b = c.cofactors(x.den)
     return _signfix(a * c, b * d)

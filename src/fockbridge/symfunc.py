@@ -10,6 +10,7 @@ generators and <p_lam, p_mu> = z_lam delta.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .partitions import (
@@ -342,6 +343,34 @@ def perp_apply(g, f):
                 break
         pairs.extend((mu, c * v) for mu, v in terms.items())
     return SymFunc("p", accumulate(pairs))
+
+
+def _h_perp(k, f):
+    """h_k-perp applied to f, in f's basis when that is m, else in p.  h and
+    m are dual, so in m it takes m_mu to m_{mu - k}; in p it is the sum of
+    p_lam-perp / z_lam over lam |- k (_h_perp_row)."""
+    if f.basis == "m":
+        return SymFunc("m", {
+            Partition(mu[:mu.index(k)] + mu[mu.index(k) + 1:]): c
+            for mu, c in f.terms.items() if k in mu})
+    return SymFunc("p", accumulate(
+        (nu, c * w) for mu, c in convert(f, "p").terms.items()
+        for nu, w in _h_perp_row(k, mu).items()))
+
+
+@lru_cache(maxsize=None)
+def _h_perp_row(k, mu):
+    # p_lam-perp p_mu / z_lam = prod_j C(m_j(mu), m_j(lam)) p_{mu - lam}
+    row = {}
+    for lam in partitions_of(k):
+        c = math.prod(math.comb(mu.multiplicity(j), lam.multiplicity(j))
+                      for j in set(lam))
+        if c:
+            rest = list(mu)
+            for j in lam:
+                rest.remove(j)
+            row[Partition(rest)] = c
+    return row
 
 
 def theta_apply(f, params):

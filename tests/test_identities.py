@@ -156,6 +156,56 @@ class TestRationalSweeps:
         assert verify(fresh, 2, 4).passed
         assert calls == {"_fac_sum": 0, "_cancel": 0, "IntPoly.__mul__": 0}
 
+    @pytest.mark.parametrize("verify", [verify_pieri, verify_heisenberg])
+    def test_cached_checks_build_no_scalar(self, monkeypatch, verify):
+        # with the columns cached, each lhs - rhs sum is one fraction of
+        # ints: inside record_zero neither product nor scalar_sum runs
+        rep = type(fermionic_rep())()
+        assert verify(rep, 2, 4).passed
+        inside, calls = [False], []
+
+        def counting(name, real):
+            def wrapper(*args):
+                if inside[0]:
+                    calls.append(name)
+                return real(*args)
+            return wrapper
+        for name in ("product", "scalar_sum"):
+            monkeypatch.setattr(scalars, name,
+                                counting(name, getattr(scalars, name)))
+        record_zero = identities.VerifyReport.record_zero
+
+        def recording(self, *args):
+            inside[0] = True
+            try:
+                return record_zero(self, *args)
+            finally:
+                inside[0] = False
+        monkeypatch.setattr(identities.VerifyReport, "record_zero", recording)
+        rpt = verify(rep, 2, 4)
+        assert rpt.passed and rpt.checked and calls == []
+
+
+class TestLowerPieriInBuildBasis:
+    # verify_pieri applies h_k-perp to F and G in the basis they are built
+    # in (m on a U/D module, p otherwise): it must agree with perp_apply
+    @pytest.mark.parametrize("make", [macdonald_rep, fermionic_rep,
+                                      lambda: llt_q1_rep(2)])
+    def test_matches_perp_apply(self, make):
+        rep = make()
+        checked = 0
+        for d in range(6):
+            for s in rep.basis_of_degree(d):
+                for fn in ("F", "G"):
+                    x = heisenberg._fg(rep, fn, s, rep.highest)
+                    for k in (1, 2, 3):
+                        got = symfunc._h_perp(k, x)
+                        assert got.basis == x.basis
+                        assert symfunc.convert(got, "p").terms == perp_apply(
+                            sym_h(k), symfunc.convert(x, "p")).terms
+                        checked += 1
+        assert checked == 114
+
 
 class TestDUVerifier:
     def test_fermionic_passes(self):

@@ -33,6 +33,7 @@ from fockbridge.scalars import (
     _prs_gcd,
     _tq_gcd_heu,
     _unpack,
+    _vanishes,
     IntPoly,
     Scalar,
     SpecializationPoleError,
@@ -932,8 +933,8 @@ def test_packed_and_probe_reduction_agree(xs):
 def product_sums(draw):
     """(key, value) pairs for accumulate: products of two values, each a
     small polynomial, maybe times a binomial of its den, over a product of
-    alphabet binomials (product keeps most such products as pairs), and
-    some plain values, one in ten over 1 + q + t, outside the alphabet."""
+    alphabet binomials, and some plain values, one in ten over 1 + q + t,
+    outside the alphabet."""
     pool = [ONE - Q, ONE + Q, ONE - Q * T, ONE - Q ** 2 * T, ONE + T, Q]
 
     def value():
@@ -977,17 +978,91 @@ def test_sums_of_products_match_generic(items):
         assert_canonical(x)
 
 
-def test_product_keeps_a_pair_only_for_sums():
+def test_product_is_multiplied_out():
     x, y = parse_scalar("(1+q)/(1-q*t)"), parse_scalar("(2+t)/(1-q)")
     p = product(x, y)
-    assert type(p.num) is tuple and p.fac == (x * y).fac
-    assert type((x * y).num) is IntPoly
-    assert (x * y).num == p.num[0] * p.num[1]
+    assert type(p.num) is IntPoly and triple(p) == triple(x * y)
     assert scalar_sum([p]) == x * y and accumulate([(0, p)]) == {0: x * y}
     assert scalar_sum([p, p, -(x * y)]) == x * y
-    # over different dens that share 1 - q*t the pairs are packed
+    # over different dens that share 1 - q*t
     z = parse_scalar("(3+q)/(1+t)")
     assert scalar_sum([p, product(x, z)]) == x * y + x * z
+
+
+# a value whose numerator over its den packs past _PACK_BITS
+WIDE = "(q^90*t^90 + 2)/(1 - q)"
+
+
+@st.composite
+def zero_test_entries(draw):
+    """(key, x, y, sign) entries for _vanishes: constants and polynomials
+    over integer dens, many-term numerators over products of alphabet
+    binomials, values over 1 + q + t (outside the alphabet) and lone WIDE
+    values; lone values and pairs, both signs.  Some keys also get minus
+    their sum as one reduced value, so that zero sums are common and cancel
+    across different dens."""
+    pool = [ONE - Q, ONE + Q, ONE - Q * T, ONE - Q ** 2 * T, ONE + T, Q]
+
+    def value(kinds=("int", "rational", "factored", "factored", "generic")):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            return Scalar.fraction(draw(st.integers(-6, 6)),
+                                   draw(st.integers(1, 6)))
+        if kind == "wide":
+            return parse_scalar(WIDE)
+        num = Scalar(draw(intpolys())) + draw(st.sampled_from([ONE, Q, T]))
+        if kind == "rational":
+            return num / draw(st.integers(1, 6))
+        den = ONE
+        for f in draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=3)):
+            den = den * f
+        if kind == "generic":
+            den = den * parse_scalar("1 + q + t")
+        return num / den
+
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        pair = draw(st.booleans())
+        x = value() if pair else value(("int", "rational", "factored",
+                                        "factored", "generic", "wide"))
+        entries.append((draw(st.integers(0, 2)), x, value() if pair else None,
+                        draw(st.sampled_from([1, -1]))))
+    for key in sorted({e[0] for e in entries}):
+        if draw(st.integers(0, 4)):
+            entries.append((key, scalar_sum([
+                (x if y is None else x * y) * s
+                for k, x, y, s in entries if k == key]), None, -1))
+    return entries
+
+
+@settings(max_examples=120, deadline=None)
+@given(zero_test_entries())
+def test_vanishes_matches_accumulate(entries):
+    assert _vanishes(entries) == (not accumulate(
+        (k, (x if y is None else x * y) * s) for k, x, y, s in entries))
+
+
+def test_vanishes_lanes(monkeypatch):
+    sums = record(monkeypatch, "scalar_sum")
+    x, y = ONE / (ONE - Q), ONE / (ONE - Q ** 2)
+    # 1/(1-q) - (1+q)/(1-q^2) cancels only over the lcm (1-q)(1+q)
+    assert _vanishes([(0, x, None, 1), (0, ONE + Q, y, -1)])
+    assert not _vanishes([(0, x, None, 1), (0, ONE + Q, y, 1)])
+    half, third = Scalar.fraction(1, 2), Scalar.fraction(1, 3)
+    assert _vanishes([(1, half, Scalar.fraction(2, 3), 1), (0, x, x, 1),
+                      (1, third, None, -1), (0, x * x, None, -1)])
+    assert not _vanishes([(1, half, None, 1), (1, third, None, -1)])
+    assert sums == []
+    # a generic den, and a value past _PACK_BITS, take scalar_sum
+    g = parse_scalar("(1 + q)/(1 + q + t)")
+    assert _vanishes([(0, g, x, 1), (0, x * g, None, -1)])
+    assert len(sums) == 1
+    wide = parse_scalar(WIDE)
+    assert not _vanishes([(0, wide, half, 1), (0, wide, None, -1)])
+    assert _vanishes([(0, wide, half, 1), (0, wide, third, -1),
+                      (0, wide, Scalar.fraction(1, 6), -1)])
+    assert len(sums) == 3
 
 
 def record(monkeypatch, name):
