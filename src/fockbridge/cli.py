@@ -243,8 +243,9 @@ def _cmd_verify(args):
             raise UsageError(f"{flag} {n} exceeds degree cap {cap}")
     abmax = args.abmax if args.abmax is not None else 2
     lmax = args.lmax if args.lmax is not None else 2
-    # U_k, U_a and phi of B_-l v climb by order times step; cauchy stays
-    # out until it is bounded in Sym, not in variables
+    # U_k, U_a and phi of B_-l v climb by order times step; cauchy, checked
+    # in Sym (x) Sym, reaches (deg t + deg r + step * dmax) / 2 and is
+    # bounded by --dmax and its anchors
     step = rep.degree_step
     flag, n, reach = {
         "heisenberg": ("--kmax", kmax, dmax + 2 * kmax - 1),
@@ -256,7 +257,7 @@ def _cmd_verify(args):
         raise UsageError(f"{args.suite} with {flag} {n} --dmax {dmax} "
                          f"reaches degree {reach}, over the degree cap {cap}")
     if args.suite == "cauchy":
-        # a symmetric function of degree <= cap is determined by cap variables
+        # the counts only label the instance; they keep their 1..cap range
         for flag, n in (("--xvars", args.xvars), ("--yvars", args.yvars)):
             if not 1 <= n <= cap:
                 raise UsageError(

@@ -1,16 +1,17 @@
 """Executable verifiers for the operator identities.
 
 Each verifier sweeps a bounded grid of instances, checks each exactly, and
-returns a VerifyReport; failures are data, not exceptions.  The commutator,
-straightening, Pieri and intertwining checks give the terms of lhs - rhs as
-entries (key, x, y, sign) and pass when each key's sum of sign * x * y is
-zero (VerifyReport.record_zero).  That sum is one integer: the numerator
-over a common multiple of the dens at q = 2^zbits, t = 2^tbits, with widths
-past that numerator's height and q-degree, where the substitution is
-injective; so it is 0 exactly when the sum is, with no evaluation point
-deciding.  Only a failure builds the two sides, in p.  Cauchy compares both
-sides.  Pieri, bf, Cauchy and the converse read F and G in the basis the rep
-builds them in (heisenberg._fg).
+returns a VerifyReport; failures are data, not exceptions.  Every suite
+gives the terms of lhs - rhs as entries (key, x, y, sign) and passes when
+each key's sum of sign * x * y is zero (VerifyReport.record_zero).  That
+sum is one integer: the numerator over a common multiple of the dens at
+q = 2^zbits, t = 2^tbits, with widths past that numerator's height and
+q-degree, where the substitution is injective; so it is 0 exactly when the
+sum is, with no evaluation point deciding.  Only a failure builds the two
+sides.  The keys are basis indices, p (or m) indices, or, for Cauchy, pairs
+(lam, mu) of p (x) p: that identity is checked in Sym (x) Sym, not in
+finitely many variables.  Pieri, bf and the converse read F and G in the
+basis the rep builds them in (heisenberg._fg), Cauchy in p.
 diagnose_converse runs the commutation / exchange / Pieri trio on a matrix
 bundle and reports which conditions hold, after checking that the derived
 G family is linearly independent degree by degree.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .heisenberg import (
     BundleRep,
@@ -34,22 +36,18 @@ from .heisenberg import (
     _phi_entries,
     _rows,
     apply_B,
-    apply_D,
-    apply_U,
     bosonic_apply_B,
     compute_F,
     compute_G,
     load_bundle,
     phi_map,
 )
-from .partitions import partitions_of
-from .scalars import ONE, _vanishes, accumulate
+from .partitions import Partition, partitions_of, z_of
+from .scalars import ONE, _vanishes, accumulate, product
 from .symfunc import (
     SymFunc,
-    VarPoly,
     _h_perp,
     convert,
-    evaluate_vars,
     kappa_eval,
     multiply,
     sym_h,
@@ -93,11 +91,6 @@ class VerifyReport:
     def passed(self):
         return not self.failures
 
-    def record(self, instance, lhs, rhs):
-        self.checked.append((self.identity, instance))
-        if lhs != rhs:
-            self.failures.append((instance, str(lhs), str(rhs)))
-
     def record_zero(self, instance, entries, sides):
         """Check lhs - rhs = 0 from its terms sign * x * y, as entries (key,
         x, y, sign), y None for a lone x.  Each key's sum is one integer,
@@ -136,11 +129,25 @@ def _lone(terms):
     return ((i, c, None, -1) for i, c in terms.items())
 
 
-def _commutator(rep, a, b, s):
-    # the entries of [B_a, B_b] v_s: B_a B_b v_s and -B_b B_a v_s
+def _commutator(rep, op, a, b, s):
+    # the entries of [op_a, op_b] v_s: op_a op_b v_s and -op_b op_a v_s
     return itertools.chain(
-        _entries(rep, "B", a, _op_single(rep, "B", b, s)),
-        _entries(rep, "B", b, _op_single(rep, "B", a, s), -1))
+        _entries(rep, op, a, _op_single(rep, op, b, s)),
+        _entries(rep, op, b, _op_single(rep, op, a, s), -1))
+
+
+def _split(entries):
+    # lhs and rhs from the entries of lhs - rhs: the sums of x * y over the
+    # entries of sign 1 and of sign -1
+    entries = list(entries)
+    return tuple(StateVec(accumulate(
+        (key, x if y is None else product(x, y))
+        for key, x, y, sign in entries if sign == side)) for side in (1, -1))
+
+
+def _union(lam, nu):
+    # the index of p_lam p_nu
+    return Partition(sorted(lam + nu, reverse=True))
 
 
 def verify_heisenberg(rep, kl_max, d_max):
@@ -148,9 +155,8 @@ def verify_heisenberg(rep, kl_max, d_max):
     rpt = VerifyReport("heisenberg")
 
     def sides(a, b, s, want):
-        v = StateVec.basis(s)
-        return (apply_B(rep, a, apply_B(rep, b, v))
-                - apply_B(rep, b, apply_B(rep, a, v)), want)
+        ab, ba = _split(_commutator(rep, "B", a, b, s))
+        return ab - ba, want
 
     for k in range(1, kl_max + 1):
         for l in range(1, kl_max + 1):
@@ -158,7 +164,8 @@ def verify_heisenberg(rep, kl_max, d_max):
                 want = {s: rep.params.value(k) * k} if k == l else {}
                 rpt.record_zero(
                     f"[B_{k}, B_-{l}] at {s}",
-                    itertools.chain(_commutator(rep, k, -l, s), _lone(want)),
+                    itertools.chain(_commutator(rep, "B", k, -l, s),
+                                    _lone(want)),
                     lambda: sides(k, -l, s, StateVec(want)))
     for k in range(1, kl_max + 1):
         for l in range(k + 1, kl_max + 1):
@@ -166,7 +173,7 @@ def verify_heisenberg(rep, kl_max, d_max):
                 for a, b in ((-k, -l), (k, l)):
                     rpt.record_zero(
                         f"[B_{a}, B_{b}] at {s}",
-                        _commutator(rep, a, b, s),
+                        _commutator(rep, "B", a, b, s),
                         lambda: sides(a, b, s, StateVec.zero()))
     return rpt
 
@@ -244,14 +251,6 @@ def verify_du(rep, ab_max, d_max, window=None):
                 i: c * kernel(j)
                 for i, c in _op_single(rep, "D", b - j, s).items()}, -1)
 
-    def sides(a, b, s):
-        v = StateVec.basis(s)
-        rhs = StateVec(accumulate(
-            (i, c * kernel(j)) for j in range(min(a, b) + 1)
-            for i, c in apply_U(rep, a - j,
-                                apply_D(rep, b - j, v)).terms.items()))
-        return apply_D(rep, b, apply_U(rep, a, v)), rhs
-
     for a in range(1, ab_max + 1):
         deep = d_max if window is None else min(d_max, window - m * a)
         if deep < 0:
@@ -259,78 +258,69 @@ def verify_du(rep, ab_max, d_max, window=None):
         for b in range(1, ab_max + 1):
             for d, s in _indices_up_to(rep, deep):
                 rpt.record_zero(f"a={a} b={b} s={s}", lhs_minus_rhs(a, b, s),
-                                lambda: sides(a, b, s))
+                                lambda: _split(lhs_minus_rhs(a, b, s)))
     return rpt
 
 
 def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
-    """Skew kernel identity, truncated to total degree d_max in
-    x_1..x_{x_count}, y_1..y_{y_count}."""
-    if t is None:
-        t = rep.highest
-    if r is None:
-        r = rep.highest
+    """Skew Cauchy identity in Sym (x) Sym, to total degree d_max:
+
+        sum_s F_{s/t}[x] G_{s/r}[y] = K sum_u F_{r/u}[x] G_{t/u}[y],
+        K = sum_nu a_nu / z_nu p_nu[x] p_nu[y],  a_nu = prod_i a_{nu_i}
+
+    (Macdonald I section 4, p_k -> a_k p_k on one side).  Both sides are
+    expanded in p (x) p, where K's p_nu joins the p-index on each side, and
+    lhs - rhs is zero-tested per (lam, mu) with |lam| + |mu| <= d_max, as
+    one instance.  An identity in Sym (x) Sym implies its image in any
+    number of variables, so x_count and y_count only label the instance.
+    Bounds under which neither side has a term record nothing.  A failure
+    prints each side as a sum of p[lam]|p[mu]*(c), x's index first."""
+    t = rep.highest if t is None else t
+    r = rep.highest if r is None else r
     m = rep.degree_step
-    names = tuple(f"x{i + 1}" for i in range(x_count)) \
-        + tuple(f"y{j + 1}" for j in range(y_count))
+    deg_t, deg_r = rep.degree_of(t), rep.degree_of(r)
 
-    def in_x(f):
-        return evaluate_vars(f, x_count).embed(names, 0)
+    def tensor(f, g):
+        # the terms (lam, mu, x, y) of F_f (x) G_g in p (x) p, f and g
+        # (upper, lower) index pairs
+        f = _in_p(rep, "F", *f).terms
+        g = _in_p(rep, "G", *g).terms if f else {}
+        return [(lam, mu, x, y) for lam, x in f.items() for mu, y in g.items()]
 
-    def in_y(f):
-        return evaluate_vars(f, y_count).embed(names, x_count)
+    @functools.cache
+    def weight(nu):
+        # K's coefficient of p_nu (x) p_nu
+        return math.prod(map(rep.params.value, nu), start=ONE) / z_of(nu)
 
-    deg_t = rep.degree_of(t)
-    deg_r = rep.degree_of(r)
-
-    lhs = VarPoly.zero(names)
+    entries = []
     for big in range(max(deg_t, deg_r) + m * d_max + 1):
-        df = _fg_degree(rep, big, deg_t)
-        dg = _fg_degree(rep, big, deg_r)
+        df, dg = _fg_degree(rep, big, deg_t), _fg_degree(rep, big, deg_r)
         if df is None or dg is None or df + dg > d_max:
             continue
         for s in rep.basis_of_degree(big):
-            fx = in_x(_fg(rep, "F", s, t))
-            if fx.is_zero:
-                continue
-            gy = in_y(_fg(rep, "G", s, r))
-            if gy.is_zero:
-                continue
-            lhs = lhs + fx.mul(gy, trunc=d_max)
-
-    kernel = VarPoly.one(names)
-    coeffs = [h_kernel(i, rep.params) for i in range(d_max // 2 + 1)]
-    for j in range(x_count):
-        for l in range(y_count):
-            factor_terms = {}
-            for i, c in enumerate(coeffs):
-                e = [0] * len(names)
-                e[j] = i
-                e[x_count + l] = i
-                factor_terms[tuple(e)] = c
-            kernel = kernel.mul(VarPoly(names, factor_terms), trunc=d_max)
-
-    small_sum = VarPoly.zero(names)
+            entries += (((lam, mu), x, y, 1)
+                        for lam, mu, x, y in tensor((s, t), (s, r)))
     for small in range(min(deg_t, deg_r) + 1):
-        for s in rep.basis_of_degree(small):
-            jf = _fg_degree(rep, deg_r, small)
-            jg = _fg_degree(rep, deg_t, small)
-            if jf is None or jg is None or jf + jg > d_max:
-                continue
-            fx = in_x(_fg(rep, "F", r, s))
-            if fx.is_zero:
-                continue
-            gy = in_y(_fg(rep, "G", t, s))
-            if gy.is_zero:
-                continue
-            small_sum = small_sum + fx.mul(gy, trunc=d_max)
-    rhs = kernel.mul(small_sum, trunc=d_max)
+        jf, jg = _fg_degree(rep, deg_r, small), _fg_degree(rep, deg_t, small)
+        if jf is None or jg is None or jf + jg > d_max:
+            continue
+        kernel = [nu for n in range((d_max - jf - jg) // 2 + 1)
+                  for nu in partitions_of(n)]
+        for u in rep.basis_of_degree(small):
+            entries += (((_union(lam, nu), _union(mu, nu)), x * weight(nu),
+                         y, -1)
+                        for lam, mu, x, y in tensor((r, u), (t, u))
+                        for nu in kernel)
+
+    def sides():
+        return (" + ".join(f"p{lam}|p{mu}*({c})" for (lam, mu), c in
+                           sorted(v.terms.items(), reverse=True)) or "0"
+                for v in _split(entries))
 
     rpt = VerifyReport("cauchy")
-    if d_max >= 0:
-        # below degree 0 the truncation leaves 0 = 0, which checks nothing
-        rpt.record(
-            f"x={x_count} y={y_count} dmax={d_max} t={t} r={r}", lhs, rhs)
+    if entries:
+        rpt.record_zero(f"x={x_count} y={y_count} dmax={d_max} t={t} r={r}",
+                        entries, sides)
     return rpt
 
 
@@ -435,20 +425,20 @@ def _rank(rows):
 def _commutation_report(rep, k_max, d_max):
     m = rep.degree_step
     rpt = VerifyReport("commutation")
+
+    def check(op, a, b, s):
+        rpt.record_zero(f"[{op}_{a}, {op}_{b}] at {s}",
+                        _commutator(rep, op, a, b, s),
+                        lambda: _split(_commutator(rep, op, a, b, s)))
+
     for a in range(1, k_max + 1):
         for b in range(a + 1, k_max + 1):
             for d in range(d_max + 1):
                 if d + m * (a + b) <= d_max:
                     for s in rep.basis_of_degree(d):
-                        v = StateVec.basis(s)
-                        ab = apply_U(rep, a, apply_U(rep, b, v))
-                        ba = apply_U(rep, b, apply_U(rep, a, v))
-                        rpt.record(f"[U_{a}, U_{b}] at {s}", ab, ba)
+                        check("U", a, b, s)
                 for s in rep.basis_of_degree(d):
-                    v = StateVec.basis(s)
-                    ab = apply_D(rep, a, apply_D(rep, b, v))
-                    ba = apply_D(rep, b, apply_D(rep, a, v))
-                    rpt.record(f"[D_{a}, D_{b}] at {s}", ab, ba)
+                    check("D", a, b, s)
     return rpt
 
 

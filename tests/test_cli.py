@@ -260,6 +260,27 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bounds", [
+        ("--dmax", "0", "--t", "[1]", "--r", "[]"),
+        ("--dmax", "1", "--t", "[2]", "--r", "[1,1]"),
+    ])
+    def test_cauchy_without_terms_exits_two(self, capsys, bounds):
+        # neither side has a term inside the truncation, so nothing is
+        # checked and nothing may pass
+        rc, out, err = run_cli(capsys, "verify", "cauchy", "--rep",
+                               "fermionic", *bounds)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: these bounds leave the suite nothing to check\n"
+
+    @pytest.mark.parametrize("rep", ["macdonald", "fermionic"])
+    def test_cauchy_at_the_variable_cap(self, capsys, rep):
+        # the counts do not change the check, so the cap costs what 2+2 does
+        rc, out, _ = run_cli(capsys, "verify", "cauchy", "--rep", rep,
+                             "--xvars", "8", "--yvars", "8", "--dmax", "8")
+        assert rc == 0
+        assert out == "cauchy: pass (1 checked, 0 failed)\n"
+
     def test_cauchy_variable_counts_at_cap(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "cauchy", "--rep", "fermionic",
                              "--dmax", "2", "--degree-cap", "3",

@@ -245,6 +245,29 @@ class TestCauchyVerifier:
         r = verify_cauchy(load_bundle(bundle), 2, 2, 2)
         assert not r.passed
 
+    def test_corrupt_entry_fails_whatever_the_counts(self):
+        # U_1 from degree 1 sends v_[1] to 2 v_[2]: in one x and one y
+        # variable p_[2] and p_[1,1] agree, and the truncation misses it
+        bundle = rep_to_bundle(fermionic_rep(), 3, 4)
+        bundle["U"]["1"]["1"][0][0] = "2"
+        rep = load_bundle(bundle)
+        one, two = verify_cauchy(rep, 1, 1, 4), verify_cauchy(rep, 2, 2, 4)
+        assert not one.passed and not two.passed
+        assert one.failures[0][1:] == two.failures[0][1:]
+
+    def test_failure_prints_one_line_per_side(self):
+        bundle = fermionic_bundle()
+        bundle["params"] = {k: "2" for k in bundle["params"]}
+        r = verify_cauchy(load_bundle(bundle), 2, 2, 2)
+        assert r.failures == [("x=2 y=2 dmax=2 t=(0, 0) r=(0, 0)",
+                               "p[1]|p[1]*(1) + p[]|p[]*(1)",
+                               "p[1]|p[1]*(2) + p[]|p[]*(1)")]
+
+    def test_macdonald_skew_at_higher_degree(self):
+        rep = macdonald_rep()
+        assert verify_cauchy(rep, 1, 1, 5, t=P((2,)), r=P((1, 1))).passed
+        assert verify_cauchy(rep, 1, 1, 4, t=P((2, 1)), r=P((2, 1))).passed
+
 
 class TestBFVerifier:
     def test_fermionic_passes(self):
