@@ -337,7 +337,9 @@ def _cmd_tableaux(args):
     keep.reverse()
     paths = [((base,), ONE)] if base in keep[0] else []
     for k, level in zip(weight, keep[1:]):
-        paths = [(path + (nxt,), c * cs) for path, c in paths
+        # a unit step keeps the path's coefficient as it is
+        paths = [(path + (nxt,), c if cs.is_one else c * cs)
+                 for path, c in paths
                  for nxt, cs in _op_single(rep, "U", k, path[-1]).items()
                  if nxt in level]
     # paths run through the kept indices only: each index is labelled once

@@ -11,7 +11,10 @@ sum is, with no evaluation point deciding.  Only a failure builds the two
 sides.  The keys are basis indices, p (or m) indices, or, for Cauchy, pairs
 (lam, mu) of p (x) p: that identity is checked in Sym (x) Sym, not in
 finitely many variables.  Pieri, bf and the converse read F and G in the
-basis the rep builds them in (heisenberg._fg), Cauchy in p.
+basis the rep builds them in (heisenberg._fg), Cauchy in p.  Pieri's and
+bf's products by h_k<a> or a_l p_l and their perps of h_k or p_l are entries
+there too, read off cached integer rows (symfunc._times_entries and
+_perp_entries): a passing check reduces no product, perp or basis change.
 diagnose_converse runs the commutation / exchange / Pieri trio on a matrix
 bundle and reports which conditions hold, after checking that the derived
 G family is linearly independent degree by degree.
@@ -26,7 +29,6 @@ import math
 from .heisenberg import (
     BundleRep,
     StateVec,
-    _basis,
     _block,
     _entries,
     _fg,
@@ -37,8 +39,6 @@ from .heisenberg import (
     _rows,
     apply_B,
     bosonic_apply_B,
-    compute_F,
-    compute_G,
     load_bundle,
     phi_map,
 )
@@ -46,10 +46,13 @@ from .partitions import Partition, partitions_of, z_of
 from .scalars import ONE, _vanishes, accumulate, product
 from .symfunc import (
     SymFunc,
-    _h_perp,
+    _perp_entries,
+    _times_entries,
+    _union,
     convert,
     kappa_eval,
     multiply,
+    perp_apply,
     sym_h,
     theta_apply,
 )
@@ -145,11 +148,6 @@ def _split(entries):
         for key, x, y, sign in entries if sign == side)) for side in (1, -1))
 
 
-def _union(lam, nu):
-    # the index of p_lam p_nu
-    return Partition(sorted(lam + nu, reverse=True))
-
-
 def verify_heisenberg(rep, kl_max, d_max):
     """Commutators: [B_k, B_{-l}] = k a_k delta, same-sign pairs vanish."""
     rpt = VerifyReport("heisenberg")
@@ -180,7 +178,17 @@ def verify_heisenberg(rep, kl_max, d_max):
 
 def verify_pieri(rep, k_max, d_max, window=None):
     """The four exchange identities between multiplication by h_k (or its
-    adjoint) and the one-step operators U_k / D_k.
+    adjoint) and the one-step operators U_k / D_k:
+
+        h_k<a> G_s   = sum_t <U_k v_s, v_t> G_t
+        h_k<a> F_s   = sum_t <D_k v_t, v_s> F_t
+        h_k-perp G_s = sum_t <D_k v_s, v_t> G_t
+        h_k-perp F_s = sum_t <U_k v_t, v_s> F_t
+
+    h_k<a> = sum_nu a_nu / z_nu p_nu.  Each side is a list of entries in
+    the build basis: the lhs reads p_nu m_mu (or p_nu p_mu = p_{nu + mu})
+    and h_k-perp off integer rows (symfunc._pm_row, _perp_row).  A failure
+    prints both sides in p, the lhs built by multiply or perp_apply.
 
     window, when given, is a hard degree ceiling (a bundle's stored range):
     order-k instances then stop at source degree window - m*k so the
@@ -189,20 +197,19 @@ def verify_pieri(rep, k_max, d_max, window=None):
     rpt = VerifyReport("pieri")
     b = rep.highest
     m = rep.degree_step
-    native = _basis(rep)
 
     def column(col, fn, get=_fg):
         # the entries of sum c * X_t over the entries t: c, X = F or G (fn)
         return ((lam, x, c, 1) for t, c in col.items()
                 for lam, x in get(rep, fn, t, b).terms.items())
 
-    def check(instance, fn, col, lhs):
-        # the column sum minus lhs, in the build basis; a failure prints
-        # both sides in p
-        rpt.record_zero(instance, itertools.chain(
-            _lone(convert(lhs, native).terms), column(col, fn)),
-            lambda: (convert(lhs, "p"), SymFunc("p", accumulate(
-                (lam, x * c) for lam, x, c, _ in column(col, fn, _in_p)))))
+    def check(instance, fn, col, lhs, side):
+        # the column sum minus lhs, both as entries in the build basis; a
+        # failure prints both sides in p, the lhs as side() builds it
+        rpt.record_zero(instance, itertools.chain(lhs, column(col, fn)),
+                        lambda: (side(), SymFunc("p", accumulate(
+                            (lam, x * c)
+                            for lam, x, c, _ in column(col, fn, _in_p)))))
 
     for k in range(1, k_max + 1):
         deep = d_max if window is None else min(d_max, window - m * k)
@@ -219,15 +226,14 @@ def verify_pieri(rep, k_max, d_max, window=None):
             downs = _rows(_block(rep, "U", k, d - m * k))
             up_cols = _block(rep, "U", k, d)
             for s, down in down_cols.items():
-                g, f = compute_G(rep, s, b), compute_F(rep, s, b)
-                check(f"k={k} s={s} raise-G", "G", up_cols[s], multiply(hk, g))
-                check(f"k={k} s={s} raise-F", "F", ups.get(s, {}),
-                      multiply(hk, f))
-                # h_k-perp acts in the build basis
-                check(f"k={k} s={s} lower-G", "G", down,
-                      _h_perp(k, _fg(rep, "G", s, b)))
-                check(f"k={k} s={s} lower-F", "F", downs.get(s, {}),
-                      _h_perp(k, _fg(rep, "F", s, b)))
+                for fn, col in (("G", up_cols[s]), ("F", ups.get(s, {}))):
+                    check(f"k={k} s={s} raise-{fn}", fn, col,
+                          _times_entries(hk, _fg(rep, fn, s, b)),
+                          lambda: multiply(hk, _in_p(rep, fn, s, b)))
+                for fn, col in (("G", down), ("F", downs.get(s, {}))):
+                    check(f"k={k} s={s} lower-{fn}", fn, col,
+                          _perp_entries("h", k, _fg(rep, fn, s, b)),
+                          lambda: perp_apply(sym_h(k), _in_p(rep, fn, s, b)))
     return rpt
 
 
@@ -325,7 +331,11 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
 
 
 def verify_bf(rep, d_max, l_set):
-    """phi intertwines the module action with the polynomial model."""
+    """phi intertwines the module action with the polynomial model:
+    phi(B_l v_s) = B_l phi(v_s), B_{-l} multiplying by a_l p_l and B_l
+    acting as p_l-perp.  Both sides are entries in the build basis, the
+    rhs read off the integer rows of symfunc; a failure prints them in p,
+    the rhs built by bosonic_apply_B."""
     rpt = VerifyReport("bf")
 
     def sides(l, s):
@@ -338,12 +348,12 @@ def verify_bf(rep, d_max, l_set):
             raise ValueError("B_0 is not a generator")
         for d, s in _indices_up_to(rep, d_max):
             # phi(v_s) is G_{s/highest}; _phi_entries refuses a rep without
-            # a highest index.  The sum runs in the build basis
+            # a highest index
             lhs = _phi_entries(rep, _op_single(rep, "B", l, s))
-            rhs = convert(bosonic_apply_B(compute_G(rep, s, rep.highest), l,
-                                          rep.params), _basis(rep))
-            rpt.record_zero(f"l={l} s={s}",
-                            itertools.chain(lhs, _lone(rhs.terms)),
+            g = _fg(rep, "G", s, rep.highest)
+            rhs = _perp_entries("p", l, g) if l > 0 else _times_entries(
+                SymFunc("p", {Partition((-l,)): rep.params.value(-l)}), g)
+            rpt.record_zero(f"l={l} s={s}", itertools.chain(lhs, rhs),
                             lambda: sides(l, s))
     return rpt
 

@@ -289,7 +289,8 @@ class _TensorRep(Rep):
                 if not ki:
                     continue
                 block = _op_single(self.factors[pos], op, ki, index[pos])
-                partial = {t[:pos] + (j,) + t[pos + 1:]: c * cj
+                partial = {t[:pos] + (j,) + t[pos + 1:]:
+                           cj if c.is_one else c * cj
                            for t, c in partial.items()
                            for j, cj in block.items()}
                 if not partial:

@@ -4,7 +4,9 @@ Conversions route through the monomial basis: s expands by tableau
 enumeration, p by direct monomial expansion, h through p; the reverse
 directions invert the per-degree transition matrices exactly.  Products and
 the Hall pairing live in the power-sum basis, where p-monomials are free
-generators and <p_lam, p_mu> = z_lam delta.
+generators and <p_lam, p_mu> = z_lam delta.  For the verifiers' zero tests,
+products by p_nu and the perps of h_k and p_k also come as integer rows in m
+or p (_pm_row, _perp_row), so that no reduced value is built.
 """
 
 from __future__ import annotations
@@ -158,39 +160,39 @@ def sym_s(lam):
 # ---------------------------------------------------------------------------
 # transition matrices, cached per (basis, degree)
 
-def _m_times_pk(expansion, k):
-    """Multiply an m-basis dict by p_k, staying in the m basis."""
-    pairs = []
-    for mu, c in expansion.items():
-        candidates = set()
-        for v in set(mu) | {0}:
-            nu = list(mu)
-            if v:
-                nu.remove(v)
-            nu.append(v + k)
-            candidates.add(Partition(sorted(nu, reverse=True)))
-        for nu in candidates:
-            count = 0
-            for w in set(nu):
-                if w - k < 0:
-                    continue
-                pred = list(nu)
-                pred.remove(w)
-                if w - k:
-                    pred.append(w - k)
-                if Partition(sorted(pred, reverse=True)) == mu:
-                    count += nu.multiplicity(w)
-            if count:
-                pairs.append((nu, c * count))
-    return accumulate(pairs)
+def _union(lam, nu):
+    # the index of p_lam p_nu
+    return Partition(sorted(lam + nu, reverse=True))
+
+
+def _minus(mu, beta):
+    # mu with the parts of beta taken out, or None when beta is not inside mu
+    rest = list(mu)
+    for j in beta:
+        if j not in rest:
+            return None
+        rest.remove(j)
+    return Partition(rest)
+
+
+@lru_cache(maxsize=None)
+def _pm_row(nu, mu):
+    """p_nu m_mu = sum n m_lam as integers {lam: n}.  p_r m_kappa adds r to
+    one part v of kappa, or appends it (v = 0); n is the multiplicity of
+    v + r in the result."""
+    if not nu:
+        return {mu: 1}
+    r, row = nu[0], {}
+    for kappa, c in _pm_row(nu[1:], mu).items():
+        for v in set(kappa) | {0}:
+            lam = _union(_minus(kappa, (v,)) if v else kappa, (v + r,))
+            row[lam] = row.get(lam, 0) + c * lam.multiplicity(v + r)
+    return row
 
 
 @lru_cache(maxsize=None)
 def _p_to_m_row(lam):
-    row = {EMPTY: ONE}
-    for k in lam:
-        row = _m_times_pk(row, k)
-    return row
+    return {nu: Scalar.from_int(n) for nu, n in _pm_row(lam, EMPTY).items()}
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +305,7 @@ def multiply(f, g):
     fp = convert(f, "p")
     gp = convert(g, "p")
     return SymFunc("p", accumulate(
-        (Partition(sorted(lam + mu, reverse=True)), c1 * c2)
+        (_union(lam, mu), c1 * c2)
         for lam, c1 in fp.terms.items() for mu, c2 in gp.terms.items()))
 
 
@@ -318,18 +320,6 @@ def hall_inner(f, g):
                        for lam, c in small.items() if lam in big])
 
 
-def _pk_perp(terms, k):
-    """Apply the adjoint of multiplication by p_k to a p-basis dict."""
-    pairs = []
-    for mu, c in terms.items():
-        m = mu.multiplicity(k)
-        if m:
-            reduced = list(mu)
-            reduced.remove(k)
-            pairs.append((Partition(reduced), c * (k * m)))
-    return accumulate(pairs)
-
-
 def perp_apply(g, f):
     """Apply g-perp, the Hall adjoint of multiplication by g, to f."""
     gp = convert(g, "p")
@@ -338,39 +328,73 @@ def perp_apply(g, f):
     for lam, c in gp.terms.items():
         terms = fp.terms
         for k in lam:
-            terms = _pk_perp(terms, k)
+            terms = accumulate((nu, v * n) for mu, v in terms.items()
+                               for nu, n in _perp_row("p", k, "p", mu).items())
             if not terms:
                 break
         pairs.extend((mu, c * v) for mu, v in terms.items())
     return SymFunc("p", accumulate(pairs))
 
 
-def _h_perp(k, f):
-    """h_k-perp applied to f, in f's basis when that is m, else in p.  h and
-    m are dual, so in m it takes m_mu to m_{mu - k}; in p it is the sum of
-    p_lam-perp / z_lam over lam |- k (_h_perp_row)."""
-    if f.basis == "m":
-        return SymFunc("m", {
-            Partition(mu[:mu.index(k)] + mu[mu.index(k) + 1:]): c
-            for mu, c in f.terms.items() if k in mu})
-    return SymFunc("p", accumulate(
-        (nu, c * w) for mu, c in convert(f, "p").terms.items()
-        for nu, w in _h_perp_row(k, mu).items()))
+# integer rows, cached per partition pair, and the zero-test entries
+# (scalars._vanishes) read off them in the basis F and G are built in, so
+# that a passing check reduces no product, perp or basis change
+
+@lru_cache(maxsize=None)
+def _perp_row(g, k, basis, mu):
+    """g_k-perp b_mu for g = h or p and b = m or p, in b: the integers
+    {mu - beta: n} over the beta |- k whose parts are among mu's."""
+    row = {}
+    for beta in partitions_of(k):
+        nu, ms = _minus(mu, beta), [beta.multiplicity(j) for j in set(beta)]
+        if nu is None:
+            continue
+        if basis == "m" and g == "h":
+            # h and m are dual: h_beta-perp m_mu = m_{mu - beta}
+            n = int(beta == (k,))
+        elif basis == "m":
+            # p_k = sum over compositions alpha of k of (-1)^(l(alpha) - 1)
+            # alpha_1 h_alpha, and the alpha_1 of the orderings alpha of
+            # beta add up to k (l - 1)! / prod_i m_i(beta)!, l = l(beta)
+            n = (-1) ** (len(beta) - 1) * k * math.factorial(len(beta) - 1) \
+                // math.prod(map(math.factorial, ms))
+        elif g == "h":
+            # h_k = sum p_beta / z_beta, and p_beta-perp p_mu / z_beta =
+            # prod_j C(m_j(mu), m_j(beta)) p_{mu - beta}
+            n = math.prod(math.comb(mu.multiplicity(j), m)
+                          for j, m in zip(set(beta), ms))
+        else:
+            # p_k-perp p_mu = k m_k(mu) p_{mu - k}
+            n = k * mu.multiplicity(k) if beta == (k,) else 0
+        if n:
+            row[nu] = n
+    return row
 
 
 @lru_cache(maxsize=None)
-def _h_perp_row(k, mu):
-    # p_lam-perp p_mu / z_lam = prod_j C(m_j(mu), m_j(lam)) p_{mu - lam}
-    row = {}
-    for lam in partitions_of(k):
-        c = math.prod(math.comb(mu.multiplicity(j), lam.multiplicity(j))
-                      for j in set(lam))
-        if c:
-            rest = list(mu)
-            for j in lam:
-                rest.remove(j)
-            row[Partition(rest)] = c
-    return row
+def _int(n):
+    # n as the y of an entry: None (a lone x) for 1
+    return None if n == 1 else Scalar.from_int(n)
+
+
+def _perp_entries(g, k, f):
+    """The entries (nu, x, n, -1) whose sums of x * n are -(g_k-perp f), in
+    f's basis, m or p (_perp_row); g is "h" or "p"."""
+    return ((nu, x, _int(n), -1) for mu, x in f.terms.items()
+            for nu, n in _perp_row(g, k, f.basis, mu).items())
+
+
+def _times_entries(g, f):
+    """The entries (lam, x, w, -1) whose sums of x * w are -(g * f), in f's
+    basis, m or p, for g in p: p_nu p_mu = p_{nu + mu}, and p_nu m_mu =
+    sum n m_lam (_pm_row) with w = g[nu] * n."""
+    if f.basis == "p":
+        return ((_union(nu, mu), x, w, -1) for nu, w in g.terms.items()
+                for mu, x in f.terms.items())
+    w = lru_cache(maxsize=None)(lambda nu, n: g.terms[nu] * n)
+    return ((lam, x, w(nu, n), -1) for nu in g.terms
+            for mu, x in f.terms.items()
+            for lam, n in _pm_row(nu, mu).items())
 
 
 def theta_apply(f, params):

@@ -2,6 +2,7 @@
 sensitivity through corrupted bundles, and the converse diagnostic."""
 
 import collections
+import hashlib
 import json
 
 import pytest
@@ -186,9 +187,17 @@ class TestRationalSweeps:
         assert rpt.passed and rpt.checked and calls == []
 
 
+def _summed(entries, basis):
+    # the sum of sign * x * y over entries (key, x, y, sign), in p
+    return symfunc.convert(SymFunc(basis, scalars.accumulate(
+        (key, (x if y is None else x * y) * sign)
+        for key, x, y, sign in entries)), "p")
+
+
 class TestLowerPieriInBuildBasis:
-    # verify_pieri applies h_k-perp to F and G in the basis they are built
-    # in (m on a U/D module, p otherwise): it must agree with perp_apply
+    # verify_pieri takes h_k-perp of F and G as entries in the basis they
+    # are built in (m on a U/D module, p otherwise): their sum must agree
+    # with perp_apply
     @pytest.mark.parametrize("make", [macdonald_rep, fermionic_rep,
                                       lambda: llt_q1_rep(2)])
     def test_matches_perp_apply(self, make):
@@ -199,9 +208,9 @@ class TestLowerPieriInBuildBasis:
                 for fn in ("F", "G"):
                     x = heisenberg._fg(rep, fn, s, rep.highest)
                     for k in (1, 2, 3):
-                        got = symfunc._h_perp(k, x)
-                        assert got.basis == x.basis
-                        assert symfunc.convert(got, "p").terms == perp_apply(
+                        got = _summed(symfunc._perp_entries("h", k, x),
+                                      x.basis)
+                        assert (-got).terms == perp_apply(
                             sym_h(k), symfunc.convert(x, "p")).terms
                         checked += 1
         assert checked == 114
@@ -406,26 +415,78 @@ class TestFusedChecksFail:
 
 
 class TestBuildBasis:
-    """On a U/D rep F and G are built in m, and the Pieri and bf column sums
-    stay there: only the sources' F and G, at most the sweep's degree, are
-    converted to p."""
+    """On a U/D rep F and G are built in m, and both sides of the Pieri and
+    bf checks are entries there: a passing check converts nothing from m
+    to p and calls neither multiply nor perp_apply."""
 
     @pytest.mark.parametrize("which", ["macdonald", "bundle"])
     def test_no_conversion_above_the_sources(self, monkeypatch, which):
         rep = type(macdonald_rep())() if which == "macdonald" \
             else load_bundle(rep_to_bundle(macdonald_rep(), 5, 5))
         seen = collections.Counter()
-        real = symfunc.convert
 
-        def counting(f, target):
-            if f.basis == "m" and target == "p" and f.terms:
-                seen[max(lam.size for lam in f.terms)] += 1
-            return real(f, target)
+        def counting(name, real):
+            def call(*args):
+                if name != "convert" or (args[0].basis, args[1]) == ("m", "p"):
+                    seen[name] += 1
+                return real(*args)
+            return call
+        real = {name: getattr(symfunc, name)
+                for name in ("convert", "multiply", "perp_apply")}
         for mod in (symfunc, heisenberg, identities):
-            monkeypatch.setattr(mod, "convert", counting)
+            for name in real:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(name, real[name]))
         assert verify_pieri(rep, 2, 3).passed
         assert verify_bf(rep, 3, (-2, -1, 1, 2)).passed
-        assert seen and max(seen) <= 3
+        assert not seen
+
+
+class TestFailureReports:
+    """A failing Pieri or bf check prints its sides in p, built by multiply,
+    perp_apply and bosonic_apply_B: the reports below are pinned by the
+    sha256 of their JSON (its first 32 hex digits)."""
+
+    PINNED = {
+        ("macdonald", "nudge"): (
+            (11, "f86e92dcd290c8ea2c3b36cca8700bd8"),
+            (3, "c3b6721afced0013b2eaea5c65ba83a5")),
+        ("macdonald", "params"): (
+            (28, "28f95af94d428f152161228879b59e60"),
+            (14, "d6789576737bea0d4b3e061ca032d4c8")),
+        ("fermionic", "nudge"): (
+            (11, "2c0e1f084556b835d532f8082bd8f371"),
+            (3, "d1e4c3c9e64a3ab32f29248bab2f88b5")),
+        ("fermionic", "params"): (
+            (28, "e35f46c7df936aa8731c68818ab82698"),
+            (14, "e50881e01c0c55cfc6e5b26cd3af41d1")),
+    }
+
+    @staticmethod
+    def corrupted(which, how):
+        make = macdonald_rep if which == "macdonald" else fermionic_rep
+        bundle = rep_to_bundle(make(), 5, 5)
+        if how == "nudge":
+            u = bundle["U"]["1"]["2"][0]
+            u[0] = str(scalars.parse_scalar(u[0]) + 1)
+        else:
+            bundle["params"] = {k: "2" for k in bundle["params"]}
+        return load_bundle(bundle)
+
+    @pytest.mark.parametrize("which, how", sorted(PINNED))
+    def test_reports_are_pinned(self, which, how):
+        rep = self.corrupted(which, how)
+        for rpt, total, (failed, digest) in zip(
+                (verify_pieri(rep, 2, 3), verify_bf(rep, 3, [-2, -1, 1, 2])),
+                (56, 28), self.PINNED[which, how]):
+            assert (len(rpt.checked), len(rpt.failures)) == (total, failed)
+            text = json.dumps(rpt.to_json_dict(), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
+
+    def test_lower_failure_text(self):
+        rpt = verify_pieri(self.corrupted("fermionic", "nudge"), 2, 3)
+        assert ("k=1 s=(3, 0) lower-F", "p[1,1]*(1)",
+                "p[2]*(1) + p[1,1]*(1)") in rpt.failures
 
 
 class TestReportShape:

@@ -14,9 +14,16 @@ from fockbridge.partitions import (
     partitions_of,
     z_of,
 )
-from fockbridge.scalars import ONE, Q, Scalar, ZERO
+from fockbridge.heisenberg import _fg, bosonic_apply_B
+from fockbridge.identities import h_multiplier
+from fockbridge.reps import fermionic_rep, macdonald_rep
+from fockbridge.scalars import ONE, Q, Scalar, ZERO, accumulate
 from fockbridge.symfunc import (
     _distinct_padded_perms,
+    _perp_entries,
+    _perp_row,
+    _pm_row,
+    _times_entries,
     SymFunc,
     convert,
     evaluate_vars,
@@ -158,6 +165,68 @@ class TestPerp:
         # h_1-perp on a Schur function strips one cell in all ways
         f = convert(perp_apply(sym_h((1,)), sym_s((2, 1))), "s")
         assert f.terms == {P((2,)): ONE, P((1, 1)): ONE}
+
+
+def _scalars(row):
+    return {lam: Scalar.from_int(n) for lam, n in row.items()}
+
+
+class TestZeroTestRows:
+    """The integer rows behind the Pieri and bf entries against the reduced
+    route, and the entries' sums against multiply and perp_apply."""
+
+    def test_pm_row(self):
+        checked = 0
+        for d in range(7):
+            for mu in partitions_of(d):
+                for n in range(1, 4):
+                    for nu in partitions_of(n):
+                        want = convert(multiply(sym_p(nu), sym_m(mu)), "m")
+                        assert want.terms == _scalars(_pm_row(nu, mu))
+                        checked += 1
+        assert checked == 180
+
+    def test_perp_rows(self):
+        checked = 0
+        for d in range(7):
+            for mu in partitions_of(d):
+                for r in range(1, 5):
+                    for g, op in (("p", sym_p((r,))), ("h", sym_h(r))):
+                        for basis, b in (("m", sym_m), ("p", sym_p)):
+                            want = convert(perp_apply(op, b(mu)), basis)
+                            assert want.terms == _scalars(
+                                _perp_row(g, r, basis, mu)), (g, r, mu)
+                            checked += 1
+        assert checked == 480
+
+    @pytest.mark.parametrize("make, fns, count", [
+        (macdonald_rep, "FG", 288), (fermionic_rep, "F", 144)])
+    def test_entries_sum_to_the_reduced_sides(self, make, fns, count):
+        # Macdonald F and G are built in m, fermionic F in p
+        rep = make()
+        checked = 0
+        for d in range(5):
+            for s in rep.basis_of_degree(d):
+                for fn in fns:
+                    x = _fg(rep, fn, s, rep.highest)
+                    xp = convert(x, "p")
+                    for k in (1, 2, 3):
+                        hk = h_multiplier(k, rep.params)
+                        ak = SymFunc("p", {P((k,)): rep.params.value(k)})
+                        for entries, want in (
+                                (_times_entries(hk, x), multiply(hk, xp)),
+                                (_times_entries(ak, x),
+                                 bosonic_apply_B(xp, -k, rep.params)),
+                                (_perp_entries("h", k, x),
+                                 perp_apply(sym_h(k), xp)),
+                                (_perp_entries("p", k, x),
+                                 bosonic_apply_B(xp, k, rep.params))):
+                            got = SymFunc(x.basis, accumulate(
+                                (lam, (w if y is None else w * y) * -sign)
+                                for lam, w, y, sign in entries))
+                            assert convert(got, "p").terms == want.terms
+                            checked += 1
+        assert checked == count
 
 
 class _ConstParams:
