@@ -4,11 +4,13 @@ Each verifier sweeps a bounded grid of instances, checks each exactly, and
 returns a VerifyReport; failures are data, not exceptions.  Every suite
 gives the terms of lhs - rhs as entries (key, x, y, sign) and passes when
 each key's sum of sign * x * y is zero (VerifyReport.record_zero).  That
-sum is one integer: the numerator over a common multiple of the dens at
+sum is one integer: the numerator over L, the lcm of the dens, at
 q = 2^zbits, t = 2^tbits, with widths past that numerator's height and
 q-degree, where the substitution is injective; so it is 0 exactly when the
-sum is, with no evaluation point deciding.  Only a failure builds the two
-sides.  The keys are basis indices, p (or m) indices, or, for Cauchy, pairs
+sum is, with no evaluation point deciding.  The terms are added by a
+balanced tree whose nodes sit over partial lcms, so no term is multiplied
+by its whole cofactor L / den.  Only a failure builds the two sides.  The
+keys are basis indices, p (or m) indices, or, for Cauchy, pairs
 (lam, mu) of p (x) p: that identity is checked in Sym (x) Sym, not in
 finitely many variables.  Pieri, bf and the converse read F and G in the
 basis the rep builds them in (heisenberg._fg), Cauchy in p.  Pieri's and
@@ -97,9 +99,10 @@ class VerifyReport:
     def record_zero(self, instance, entries, sides):
         """Check lhs - rhs = 0 from its terms sign * x * y, as entries (key,
         x, y, sign), y None for a lone x.  Each key's sum is one integer,
-        its numerator over a common multiple of the dens packed at widths
-        covering that numerator's height and degrees, where packing is
-        injective: 0 exactly when the sum is.  sides() builds both sides."""
+        its numerator over the lcm of the dens packed at widths covering
+        that numerator's height and degrees, where packing is injective: 0
+        exactly when the sum is.  The packed terms are summed by a balanced
+        tree over partial lcms of their dens.  sides() builds both sides."""
         self.checked.append((self.identity, instance))
         if not _vanishes(entries):
             self.failures.append((instance, *map(str, sides())))

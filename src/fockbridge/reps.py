@@ -129,26 +129,30 @@ def macdonald_phi_psi(shape):
 
     phi multiplies b-ratios over the cells of the outer shape lying in
     columns that meet the strip; psi over cells in rows meeting the strip
-    whose columns do not.  Both are collected as binomials and built once.
+    whose columns do not.  Each is collected as binomials and built once.
     """
     if not is_horizontal_strip(shape):
         raise ValueError(f"{shape.outer}/{shape.inner} is not a horizontal strip")
+    return _strip_ratio(shape, False), _strip_ratio(shape, True)
+
+
+def _strip_ratio(shape, psi):
+    # phi of a horizontal strip: b_outer(s) / b_inner(s) over the cells s of
+    # the outer shape in columns that meet the strip; or, when psi is true,
+    # psi: b_inner(s) / b_outer(s) over the others in rows that meet it
     strip = shape.cells()
     cols = {c.col for c in strip}
     rows = {c.row for c in strip}
-    phi, psi = ([], []), ([], [])
+    over, under = (shape.inner, shape.outer) if psi else \
+        (shape.outer, shape.inner)
+    ups, downs = [], []
     for s in shape.outer.cells():
-        if s.col in cols:        # b_outer(s) / b_inner(s)
-            ratio, over, under = phi, shape.outer, shape.inner
-        elif s.row in rows:      # b_inner(s) / b_outer(s)
-            ratio, over, under = psi, shape.inner, shape.outer
-        else:
-            continue
-        ups, downs = _b_binomials(over, s)
-        downs_under, ups_under = _b_binomials(under, s)
-        ratio[0].extend(ups + ups_under)
-        ratio[1].extend(downs + downs_under)
-    return _binomial_ratio(*phi), _binomial_ratio(*psi)
+        if (s.row in rows and s.col not in cols) if psi else s.col in cols:
+            up, down = _b_binomials(over, s)
+            down_under, up_under = _b_binomials(under, s)
+            ups.extend(up + up_under)
+            downs.extend(down + down_under)
+    return _binomial_ratio(ups, downs)
 
 
 class _MacdonaldRep(Rep):
@@ -162,17 +166,13 @@ class _MacdonaldRep(Rep):
     def degree_of(self, index):
         return index.size
 
-    def raw_U(self, k, lam):
-        out = {}
-        for mu in horizontal_strips(lam, k):
-            out[mu], _ = macdonald_phi_psi(SkewShape(mu, lam))
-        return out
+    def raw_U(self, k, lam):       # phi alone
+        return {mu: _strip_ratio(SkewShape(mu, lam), False)
+                for mu in horizontal_strips(lam, k)}
 
-    def raw_D(self, k, lam):
-        out = {}
-        for mu in horizontal_strips_below(lam, k):
-            _, out[mu] = macdonald_phi_psi(SkewShape(lam, mu))
-        return out
+    def raw_D(self, k, lam):       # psi alone
+        return {mu: _strip_ratio(SkewShape(lam, mu), True)
+                for mu in horizontal_strips_below(lam, k)}
 
 
 _MACDONALD = _MacdonaldRep()
@@ -367,9 +367,12 @@ def deformed_z(lam):
 
 def deformed_inner(f, g):
     """The (q,t) inner product with <p_lam, p_mu> = delta * z_lam(q,t)."""
-    fp = convert(f, "p")
-    gp = convert(g, "p")
-    return scalar_sum([c * gp.terms[lam] * deformed_z(lam)
+    return _inner_p(convert(f, "p"), convert(g, "p"), deformed_z)
+
+
+def _inner_p(fp, gp, z):
+    # deformed_inner of fp and gp, both in p, with z(lam) = deformed_z(lam)
+    return scalar_sum([c * gp.terms[lam] * z(lam)
                        for lam, c in fp.terms.items() if lam in gp.terms])
 
 
@@ -380,13 +383,17 @@ def macdonald_p_oracle(d):
     Independent of the operator route: only the inner product and the
     monomial transition matrices enter.
     """
-    out = {}
+    out, norms = {}, {}
     done = []
+    # every p_lam here has |lam| = d; each z and each <P_mu, P_mu> once
+    z = {lam: deformed_z(lam) for lam in partitions_of(d)}.__getitem__
     for lam in reversed(partitions_of(d)):
         f = convert(sym_m(lam), "p")
         for mu in done:
             p_mu = out[mu]
-            coef = deformed_inner(f, p_mu) / deformed_inner(p_mu, p_mu)
+            if mu not in norms:
+                norms[mu] = _inner_p(p_mu, p_mu, z)
+            coef = _inner_p(f, p_mu, z) / norms[mu]
             if not coef.is_zero:
                 f = f - p_mu.scaled(coef)
         out[lam] = f

@@ -584,11 +584,14 @@ _FACTORS = [IntPoly.monomial(1, 0), IntPoly.monomial(0, 1)]  # fid 0 q, 1 t
 _FACTOR_IDS = {}                            # (d, a, b) -> fid
 _FACTOR_VALS = [_probe(f) for f in _FACTORS]
 _FACTOR_FORMS = [([0, 1], 1, 0), ([0, 1], 0, 1)]  # (P, a, b): P(q^a t^b)
+_FACTOR_SIZES = [(1, 0, 1), (0, 1, 1)]      # (q-degree, t-degree, 1-norm)
 _UNIT = (1, ())
 _UNITS = ({(0, 0): 1}, {(0, 0): -1})    # x * (+-1) is +-x: no arithmetic
 # dividends pack up to _PACK_BITS bits, else go to the probe point: packing
 # is dense (q^300 t^300 + 2 takes millions of bits), and past this size the
-# probe was the faster on the Macdonald Heisenberg sweep
+# probe was the faster on the Macdonald Heisenberg sweep.  Over it the zero
+# test goes to scalar_sum: no larger cap was faster on both Macdonald Cauchy
+# anchor pairs at the degree cap ([4,4]/[4,4] gains, [3,3,2]/[3,2,2,1] not)
 _PACK_BITS = 1 << 15
 
 
@@ -644,48 +647,86 @@ def _at(fid, zbits, tbits):
     return v
 
 
-def _bounds(parts):
-    # q-degree, t-degree and height bounds of the sum of m * prod(ts) *
-    # prod f^e over parts (ts, (m, ((f, e), ...))), ts term dicts
+def _size_of(exps):
+    # q-degree, t-degree and 1-norm product of prod f^e over exps, a dict
+    dq, dt, n = 0, 0, 1
+    for f, e in exps.items():
+        fq, ft, fn = _FACTOR_SIZES[f]
+        dq, dt, n = dq + e * fq, dt + e * ft, n * fn ** e
+    return dq, dt, n
+
+
+def _bounds(leaves):
+    # q-degree, t-degree and height bounds of the numerator of the sum of
+    # the leaves (ts, s, c, exps), each s * prod(ts) / (c * prod f^e over
+    # exps) with ts term dicts, over their lcm L: the integer lcm, each
+    # factor at its top exponent.  A leaf's cofactor L / den has L's
+    # degrees and 1-norm product less its den's
+    lc, top = 1, {}
+    for _, _, c, exps in leaves:
+        lc = lc // math.gcd(lc, c) * c
+        top.update((f, e) for f, e in exps.items() if e > top.get(f, 0))
+    lq, lt, ln = _size_of(top)
     dq = dt = h = 0
-    for ts, (m, cfl) in parts:
-        pq = pt = 0
-        ph = abs(m) * (min(map(len, ts)) if len(ts) > 1 else 1)
+    for ts, s, c, exps in leaves:
+        pq, pt, pn = _size_of(exps)
+        pq, pt = lq - pq, lt - pt
+        ph = abs(s) * (lc // c) * (ln // pn) * \
+            (min(map(len, ts)) if len(ts) > 1 else 1)
         for t in ts:
             sq, st, sh, _ = _scan(t)
             pq, pt, ph = pq + sq, pt + st, ph * sh
-        for f, e in cfl:
-            cs, a, b = _FACTOR_FORMS[f]
-            pq, pt = pq + e * (len(cs) - 1) * a, pt + e * (len(cs) - 1) * b
-            ph *= sum(map(abs, cs)) ** e
         dq, dt, h = max(dq, pq), max(dt, pt), h + ph
     return dq, dt, h
 
 
-def _packed(parts, zbits, tbits):
-    # that sum at q = 2^zbits, t = 2^tbits
+def _packed(leaves, zbits, tbits):
+    # that numerator at q = 2^zbits, t = 2^tbits, by a balanced tree over
+    # the leaves sorted by den: a node over dens D_a, D_b holds D, their
+    # lcm, and V_a * val(D / D_a) + V_b * val(D / D_b), so the root holds
+    # L and the numerator, and no leaf's cofactor L / D_i is built whole
     at = {f: _at(f, zbits, tbits)
-          for f in {f for _, (_, cfl) in parts for f, _ in cfl}}
-    return sum(m * math.prod(_pack(t, zbits, tbits) for t in ts) *
-               math.prod(at[f] ** e for f, e in cfl) for ts, (m, cfl) in parts)
+          for f in set().union(*(exps for *_, exps in leaves))}
+    nodes = [(c, exps, s * math.prod(_pack(t, zbits, tbits) for t in ts))
+             for ts, s, c, exps in leaves]
+    nodes.sort(key=lambda node: (sorted(node[1].items()), node[0]))
+    while len(nodes) > 1:
+        nodes = [_join(a, b, at) for a, b in zip(nodes[::2], nodes[1::2])] \
+            + nodes[len(nodes) & ~1:]
+    return nodes[0][2] if nodes else 0
 
 
-def _strip(parts, fl, n=None):
-    """The sum of p * cof over parts (p, cof), cof a fac, divided by each
-    factor (fid, e) of fl up to e times, as one Kronecker value at a width
-    covering its divisors: (quotient, what is left of fl).  n is the sum,
-    if known.  None past _PACK_BITS bits, or when not certified: q*t - 4
-    packs to a multiple of the value of q - 1 at every width."""
-    parts = [((p.terms,), cof) for p, cof in parts]
-    dq, dt, h = _bounds(parts)
+def _join(a, b, at):
+    # the node over the dens of nodes a and b (_packed)
+    (ca, ea, va), (cb, eb, vb) = a, b
+    c, e, ua, ub = ca // math.gcd(ca, cb) * cb, dict(ea), [], []
+    for f, k in eb.items():
+        j = ea.get(f, 0)
+        if k > j:
+            e[f] = k
+            ua.append(at[f] ** (k - j))
+        elif j > k:
+            ub.append(at[f] ** (j - k))
+    ub.extend(at[f] ** j for f, j in ea.items() if f not in eb)
+    return (c, e, va * math.prod(ua, start=c // ca) +
+            vb * math.prod(ub, start=c // cb))
+
+
+def _strip(leaves, fl, n=None):
+    """The numerator of the sum of the leaves (_bounds) over their lcm,
+    divided by each factor (fid, e) of fl up to e times, as one Kronecker
+    value at a width covering its divisors: (quotient, what is left of
+    fl).  n is that numerator, if known.  None past _PACK_BITS bits, or
+    when not certified: q*t - 4 packs to a multiple of the value of q - 1
+    at every width."""
+    dq, dt, h = _bounds(leaves)
     # q and t go by minimum degrees (at q = 2^zbits the value of t is a
     # multiple of q's); a factor of more degree than is left cannot divide
     ks, l1, tries = {}, 1, []
     for fid, e in fl:
-        cs, a, b = _FACTOR_FORMS[fid]
-        ga, gb = (len(cs) - 1) * a, (len(cs) - 1) * b
+        ga, gb, fn = _FACTOR_SIZES[fid]
         if fid > 1 and ga <= dq and gb <= dt:
-            tries.append((fid, e, cs, ga, gb))
+            tries.append((fid, e, fn, ga, gb))
     if tries or n is None:
         # as in _quo: a divisor's height is at most 2^(dq + dt) times the
         # 2-norm
@@ -694,17 +735,17 @@ def _strip(parts, fl, n=None):
         tbits = zbits * (dq + 1) + 2
         if (dt + 1) * tbits > _PACK_BITS:
             return None
-        v = _packed(parts, zbits, tbits)
+        v = _packed(leaves, zbits, tbits)
         if not v:
             return _POLY_ZERO, fl
-    for fid, e, cs, ga, gb in tries:
+    for fid, e, fn, ga, gb in tries:
         fv, k = _at(fid, zbits, tbits), 0
         while k < e and ga <= dq and gb <= dt:
             w, r = divmod(v, fv)
             if r:
                 break
             v, k, dq, dt = w, k + 1, dq - ga, dt - gb
-        ks[fid], l1 = k, l1 * sum(map(abs, cs)) ** k
+        ks[fid], l1 = k, l1 * fn ** k
     if l1 > 1 or n is None:
         # l1 bounds the sum of |coefficients| of the product divided out
         got = _quotient(v, zbits, tbits, dq, dt, l1.bit_length())
@@ -726,6 +767,7 @@ def _register(d, a, b):
         _FACTORS.append(f)
         _FACTOR_VALS.append(_probe(f))
         _FACTOR_FORMS.append((_cyclotomic(d), a, b))
+        _FACTOR_SIZES.append((*max(f.terms), sum(map(abs, f.terms.values()))))
     return fid
 
 
@@ -857,12 +899,13 @@ def _cancel(n, c, fl, pack=True):
         fits = fl
         if n._val is None:
             dq, dt = max(n.terms)[0], max(map(_T_DEG, n.terms))
-            fits = [(f, e) for f, e in fl if f < 2 or _fits(f, dq, dt)]
+            fits = [(f, e) for f, e in fl if f < 2 or (
+                _FACTOR_SIZES[f][0] <= dq and _FACTOR_SIZES[f][1] <= dt)]
         cands = [(f, e) for f, e in fits
                  if f < 2 or _value(n) % _FACTOR_VALS[f] == 0]
         if cands:
             v = n._val
-            got = pack and _strip([(n, _UNIT)], cands, n)
+            got = pack and _strip([((n.terms,), 1, 1, {})], cands, n)
             if got:
                 n, ks = got[0], dict(cands)
                 for f, e in got[1]:
@@ -883,12 +926,6 @@ def _cancel(n, c, fl, pack=True):
         if v is not None:
             n._val = v // g
     return n, c, fl
-
-
-def _fits(fid, dq, dt):
-    # whether factor fid's degrees are at most dq in q and dt in t
-    cs, a, b = _FACTOR_FORMS[fid]
-    return (len(cs) - 1) * a <= dq and (len(cs) - 1) * b <= dt
 
 
 def _poly_sum(ps):
@@ -914,8 +951,8 @@ def _numerator(parts):
         lack = [i for i, ex in enumerate(exps) if f not in ex]
         if len(lack) == 1:
             e = min(ex[f] for ex in exps if f in ex)
-            cs, a, b = _FACTOR_FORMS[f]
-            best = max(best, (e * (len(cs) - 1) * (a + b), lack[0], f, e))
+            fq, ft, _ = _FACTOR_SIZES[f]
+            best = max(best, (e * (fq + ft), lack[0], f, e))
     if len(best) == 1:
         return _poly_sum([p * _expand(cof) for p, cof in parts])
     _, i, f, e = best
@@ -951,21 +988,22 @@ def _fac_sum(xs):
             elif e == m:
                 seen[f] += count[fac]
     tops = sorted(top.items())
-    parts = []
-    for (c, fl), p in nums.items():
-        if p.terms:
-            own = dict(fl)
-            parts.append((p, (lc // c, tuple((f, m - own.get(f, 0))
-                                             for f, m in tops
-                                             if m != own.get(f, 0)))))
     cands = tuple((f, m) for f, m in tops if seen[f] > 1)
     # with candidates the numerator is built packed and trial-divided there
     # (_strip); without, nothing is divided, so it is built term by term,
     # and so is one that _strip refused, which goes to the probe point
-    got = cands and _strip(parts, cands)
+    got = cands and _strip([((p.terms,), 1, c, dict(fl))
+                            for (c, fl), p in nums.items() if p.terms], cands)
     if got:         # only the integer content is left to cancel
         num, cands = got[0], ()
     else:
+        parts = []
+        for (c, fl), p in nums.items():
+            if p.terms:
+                own = dict(fl)
+                parts.append((p, (lc // c, tuple((f, m - own.get(f, 0))
+                                                 for f, m in tops
+                                                 if m != own.get(f, 0)))))
         num = _numerator(parts) if parts else _POLY_ZERO
     if num.is_zero:
         return ZERO
@@ -1058,31 +1096,30 @@ def _vanishes(entries):
 
 def _zero_sum(terms, frac):
     # Whether n / m, frac = (n, m), plus sign * prod(vs) over terms is 0.
-    # Each den, uncancelled, divides L: the lcm of the integers, each factor
-    # to its top exponent.  The numerator over L has q-degree at most dq and
-    # coefficients below h (_bounds), so its value at zbits = h.bit_length()
-    # + 2, tbits = zbits * (dq + 1) + 2, where packing is injective, is 0
-    # exactly when it is.  A generic den, or past _PACK_BITS: scalar_sum.
-    n, lc = frac
-    parts, top = [(({(0, 0): n},), 1, (lc, ()))] if n else [], {}
+    # Each term keeps its den uncancelled (the integers multiplied, the
+    # factor exponents added).  The numerator over L, their lcm, has
+    # q-degree at most dq and coefficients below h (_bounds), so its value
+    # at zbits = h.bit_length() + 2, tbits = zbits * (dq + 1) + 2, where
+    # packing is injective, is 0 exactly when it is; _packed sums it by a
+    # tree over partial lcms.  A generic den, or past _PACK_BITS: scalar_sum.
+    n, m = frac
+    leaves = [((), n, m, {})] if n else []
     for vs, s in terms:
         if any(v.fac is None for v in vs):
             break
         if all(v.num.terms for v in vs):
-            fac = _fac(math.prod(v.fac[0] for v in vs),
-                       *((1, v.fac[1]) for v in vs))
-            lc = lc // math.gcd(lc, fac[0]) * fac[0]
-            for f, e in fac[1]:
-                top[f] = max(e, top.get(f, 0))
-            parts.append((tuple(v.num.terms for v in vs), s, fac))
+            c, exps = 1, {}
+            for v in vs:
+                c *= v.fac[0]
+                for f, e in v.fac[1]:
+                    exps[f] = exps.get(f, 0) + e
+            leaves.append((tuple(v.num.terms for v in vs), s, c, exps))
     else:
-        parts = [(ts, (s * lc // c, _fac(1, (1, top.items()), (-1, fl))[1]))
-                 for ts, s, (c, fl) in parts]
-        dq, dt, h = _bounds(parts)
+        dq, dt, h = _bounds(leaves)
         zbits = h.bit_length() + 2
         tbits = zbits * (dq + 1) + 2
         if tbits * (dt + 1) <= _PACK_BITS:
-            return not _packed(parts, zbits, tbits)
+            return not _packed(leaves, zbits, tbits)
     return not scalar_sum([Scalar.fraction(*frac)] +
                           [math.prod(vs) * s for vs, s in terms])
 

@@ -50,6 +50,7 @@ from fockbridge.symfunc import (
     convert,
     multiply,
     schur_tableaux,
+    sym_m,
     sym_s,
 )
 
@@ -279,6 +280,24 @@ class TestExponentSpace:
             count += 1
         assert count == 521
 
+    def test_raw_columns_are_phi_psi_halves(self):
+        # raw_U builds phi alone and raw_D psi alone: every strip to
+        # degree 6, once from each side
+        rep, ups, downs = type(macdonald_rep())(), 0, 0
+        for d in range(7):
+            for lam in partitions_of(d):
+                for k in range(1, 7 - d):
+                    for mu, x in rep.raw_U(k, lam).items():
+                        phi, _ = macdonald_phi_psi(SkewShape(mu, lam))
+                        assert same(x, phi), (mu, lam)
+                        ups += 1
+                for k in range(1, d + 1):
+                    for mu, x in rep.raw_D(k, lam).items():
+                        _, psi = macdonald_phi_psi(SkewShape(lam, mu))
+                        assert same(x, psi), (lam, mu)
+                        downs += 1
+        assert ups == downs == sum(s.outer.size <= 6 for s in strips(5, 6))
+
     def test_weights_params_and_z_match_division(self):
         a = macdonald_rep().params
         for k in range(1, 9):
@@ -365,6 +384,22 @@ class TestMacdonaldRep:
             oracle = macdonald_p_oracle(d)
             for lam in partitions_of(d):
                 assert compute_G(rep, lam, EMPTY) == oracle[lam], lam
+
+    def test_oracle_matches_plain_gram_schmidt(self):
+        # one z and one <P_mu, P_mu> per call change no value: Gram-Schmidt
+        # by the public deformed_inner, to degree 5
+        for d in range(6):
+            want = {}
+            for lam in reversed(partitions_of(d)):
+                f = convert(sym_m(lam), "p")
+                for p_mu in want.values():
+                    coef = deformed_inner(f, p_mu) / deformed_inner(p_mu, p_mu)
+                    if not coef.is_zero:
+                        f = f - p_mu.scaled(coef)
+                want[lam] = f
+            got = macdonald_p_oracle(d)
+            assert list(got) == list(want)
+            assert all(got[lam] == want[lam] for lam in want), d
 
     def test_oracle_orthogonal(self):
         oracle = macdonald_p_oracle(3)

@@ -16,7 +16,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fockbridge
 from fockbridge.identities import verify_du, verify_pieri
@@ -998,13 +998,18 @@ def zero_test_entries(draw):
     """(key, x, y, sign) entries for _vanishes: constants and polynomials
     over integer dens, many-term numerators over products of alphabet
     binomials, values over 1 + q + t (outside the alphabet) and lone WIDE
-    values; lone values and pairs, both signs.  Some keys also get minus
-    their sum as one reduced value, so that zero sums are common and cancel
-    across different dens."""
+    values, and zeros; lone values and pairs, both signs.  Key 3, when
+    drawn, has 5 to 9 terms over pairwise different factored dens, so that
+    _packed's tree over partial lcms is 3 or 4 levels deep, odd counts
+    among them.  Some keys also get minus their sum as one reduced value,
+    so that zero sums are common and cancel across different dens."""
     pool = [ONE - Q, ONE + Q, ONE - Q * T, ONE - Q ** 2 * T, ONE + T, Q]
 
-    def value(kinds=("int", "rational", "factored", "factored", "generic")):
+    def value(kinds=("int", "rational", "factored", "factored", "generic",
+                     "zero")):
         kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return ZERO
         if kind == "int":
             return Scalar.fraction(draw(st.integers(-6, 6)),
                                    draw(st.integers(1, 6)))
@@ -1028,6 +1033,18 @@ def zero_test_entries(draw):
                                         "factored", "generic", "wide"))
         entries.append((draw(st.integers(0, 2)), x, value() if pair else None,
                         draw(st.sampled_from([1, -1]))))
+    if draw(st.booleans()):
+        n = draw(st.integers(5, 9))
+        dens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(pool)),
+                             min_size=n, max_size=n, unique=True))
+        xs = [(Scalar(draw(intpolys())) + ONE) /
+              math.prod((f ** e for f, e in zip(pool, es)), start=ONE)
+              for es in dens]
+        assume(len({x.fac[1] for x in xs if x.num.terms}) == n)
+        for x in xs:
+            y = Scalar.fraction(draw(st.integers(1, 6)), draw(
+                st.integers(1, 6))) if draw(st.booleans()) else None
+            entries.append((3, x, y, draw(st.sampled_from([1, -1]))))
     for key in sorted({e[0] for e in entries}):
         if draw(st.integers(0, 4)):
             entries.append((key, scalar_sum([
@@ -1063,6 +1080,18 @@ def test_vanishes_lanes(monkeypatch):
     assert _vanishes([(0, wide, half, 1), (0, wide, third, -1),
                       (0, wide, Scalar.fraction(1, 6), -1)])
     assert len(sums) == 3
+
+
+def test_vanishes_degenerate_keys(monkeypatch):
+    # keys whose terms all vanish reach _zero_sum with the integer
+    # fraction as the one leaf, or with no leaves, which sum to 0
+    zero_sums = record(monkeypatch, "_zero_sum")
+    x, half = ONE / (ONE - Q), Scalar.fraction(1, 2)
+    assert not _vanishes([(0, half, None, 1), (0, ZERO, x, 1)])
+    assert _vanishes([(0, half, None, 1), (0, x, ZERO, -1),
+                      (0, half, None, -1)])
+    assert _vanishes([(0, ZERO, x, 1), (0, x, ZERO, -1)])
+    assert [r for _, r in zero_sums] == [False, True, True]
 
 
 def record(monkeypatch, name):
