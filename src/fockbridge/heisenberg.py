@@ -550,7 +550,10 @@ def load_bundle(source):
         data = source
     else:
         with open(source) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise BundleFormatError("bundle nests too deeply") from None
     _require(isinstance(data, dict), "bundle must be a JSON object")
     for field in ("degree_step", "kmax", "dmax", "basis", "params", "U", "D"):
         _require(field in data, f"bundle missing field {field!r}")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 from .heisenberg import (
     BundleRep,
@@ -44,12 +43,13 @@ from .heisenberg import (
     load_bundle,
     phi_map,
 )
-from .partitions import Partition, partitions_of, z_of
-from .scalars import ONE, _vanishes, accumulate, product
+from .partitions import Partition, partitions_of
+from .scalars import _vanishes, accumulate, product
 from .symfunc import (
     SymFunc,
     _perp_entries,
     _times_entries,
+    _reduce,
     _union,
     convert,
     kappa_eval,
@@ -296,11 +296,6 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
         g = _in_p(rep, "G", *g).terms if f else {}
         return [(lam, mu, x, y) for lam, x in f.items() for mu, y in g.items()]
 
-    @functools.cache
-    def weight(nu):
-        # K's coefficient of p_nu (x) p_nu
-        return math.prod(map(rep.params.value, nu), start=ONE) / z_of(nu)
-
     entries = []
     for big in range(max(deg_t, deg_r) + m * d_max + 1):
         df, dg = _fg_degree(rep, big, deg_t), _fg_degree(rep, big, deg_r)
@@ -313,13 +308,13 @@ def verify_cauchy(rep, x_count, y_count, d_max, t=None, r=None):
         jf, jg = _fg_degree(rep, deg_r, small), _fg_degree(rep, deg_t, small)
         if jf is None or jg is None or jf + jg > d_max:
             continue
-        kernel = [nu for n in range((d_max - jf - jg) // 2 + 1)
-                  for nu in partitions_of(n)]
+        # K's coefficients a_nu / z_nu of p_nu (x) p_nu, as h_n<a> in p
+        kernel = [(nu, w) for n in range((d_max - jf - jg) // 2 + 1)
+                  for nu, w in h_multiplier(n, rep.params).terms.items()]
         for u in rep.basis_of_degree(small):
-            entries += (((_union(lam, nu), _union(mu, nu)), x * weight(nu),
-                         y, -1)
+            entries += (((_union(lam, nu), _union(mu, nu)), x * w, y, -1)
                         for lam, mu, x, y in tensor((r, u), (t, u))
-                        for nu in kernel)
+                        for nu, w in kernel)
 
     def sides():
         return (" + ".join(f"p{lam}|p{mu}*({c})" for (lam, mu), c in
@@ -414,27 +409,6 @@ class ConverseReport:
         return "\n".join(lines)
 
 
-def _rank(rows):
-    """Row rank by exact Gaussian elimination; rows are lists of Scalars."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(mat))
-                      if not mat[i][col].is_zero), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = ONE / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and not mat[i][col].is_zero:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 def _commutation_report(rep, k_max, d_max):
     m = rep.degree_step
     rpt = VerifyReport("commutation")
@@ -484,11 +458,9 @@ def diagnose_converse(bundle, params=None, d_max=None, k_max=None):
             independence[d] = False
             continue
         support = partitions_of(q)
-        rows = []
-        for s in basis:
-            g = convert(_fg(rep, "G", s, rep.highest), "m")
-            rows.append([g.coefficient(mu) for mu in support])
-        independence[d] = _rank(rows) == len(basis)
+        gs = [convert(_fg(rep, "G", s, rep.highest), "m") for s in basis]
+        rows = [[g.coefficient(mu) for mu in support] for g in gs]
+        independence[d] = _reduce(rows, len(support)) == len(basis)
     precondition_ok = all(independence.values())
 
     commutation = _commutation_report(rep, k_eff, d_eff)

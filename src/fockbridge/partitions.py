@@ -272,15 +272,10 @@ def core_quotient(lam, n):
     runners = [[] for _ in range(n)]
     for b in _beta_numbers(lam, N):
         runners[b % n].append(b // n)
-    quotient = []
-    core_betas = []
-    for r in range(n):
-        ms = sorted(runners[r], reverse=True)
-        c = len(ms)
-        quotient.append(Partition(tuple(
-            p for p in (ms[i] - (c - 1 - i) for i in range(c)) if p)))
-        core_betas.extend(n * j + r for j in range(c))
-    return _partition_from_betas(core_betas) if N else EMPTY, tuple(quotient)
+    # a runner's beads are its quotient's beta-numbers; the core's sit atop
+    core_betas = [n * j + r for r in range(n) for j in range(len(runners[r]))]
+    return _partition_from_betas(core_betas), tuple(
+        map(_partition_from_betas, runners))
 
 
 def from_core_quotient(core, quotient):

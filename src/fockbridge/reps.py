@@ -27,8 +27,8 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .scalars import ONE, _binomial_ratio, accumulate, scalar_sum
-from .symfunc import SymFunc, convert, sym_m
+from .scalars import ONE, _binomial_ratio, accumulate
+from .symfunc import _pairing, convert, sym_m
 
 __all__ = [
     "fermionic_rep",
@@ -367,13 +367,7 @@ def deformed_z(lam):
 
 def deformed_inner(f, g):
     """The (q,t) inner product with <p_lam, p_mu> = delta * z_lam(q,t)."""
-    return _inner_p(convert(f, "p"), convert(g, "p"), deformed_z)
-
-
-def _inner_p(fp, gp, z):
-    # deformed_inner of fp and gp, both in p, with z(lam) = deformed_z(lam)
-    return scalar_sum([c * gp.terms[lam] * z(lam)
-                       for lam, c in fp.terms.items() if lam in gp.terms])
+    return _pairing(convert(f, "p"), convert(g, "p"), deformed_z)
 
 
 def macdonald_p_oracle(d):
@@ -392,8 +386,8 @@ def macdonald_p_oracle(d):
         for mu in done:
             p_mu = out[mu]
             if mu not in norms:
-                norms[mu] = _inner_p(p_mu, p_mu, z)
-            coef = _inner_p(f, p_mu, z) / norms[mu]
+                norms[mu] = _pairing(p_mu, p_mu, z)
+            coef = _pairing(f, p_mu, z) / norms[mu]
             if not coef.is_zero:
                 f = f - p_mu.scaled(coef)
         out[lam] = f

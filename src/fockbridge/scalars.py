@@ -311,14 +311,7 @@ class IntPoly:
         return _poly_sum((self, other))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return _poly(out)
+        return _poly_sum((self, -other))
 
     def __neg__(self):
         return _poly({k: -c for k, c in self.terms.items()})
@@ -1411,6 +1404,17 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        # parse() one level of ( or unary sign deeper; each level costs
+        # about five stack frames, so 100 stay inside the recursion limit
+        self.depth += 1
+        if self.depth > 100:
+            raise ValueError("scalar expression nests deeper than 100 levels")
+        value = parse()
+        self.depth -= 1
+        return value
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -1447,7 +1451,7 @@ class _Parser:
         kind = self.peek()
         if kind in ("+", "-"):
             op = self.take()[0]
-            value = self.parse_factor()
+            value = self.nested(self.parse_factor)
             return value if op == "+" else -value
         return self.parse_power()
 
@@ -1472,7 +1476,7 @@ class _Parser:
         if kind == "var":
             return Q if val == "q" else T
         if kind == "(":
-            value = self.parse_expr()
+            value = self.nested(self.parse_expr)
             if self.peek() != ")":
                 raise ValueError("missing closing parenthesis")
             self.take()

@@ -204,8 +204,8 @@ def _h_to_p_single(k):
 def _h_to_p_row(lam):
     row = {EMPTY: ONE}
     for k in lam:
-        row = accumulate((Partition(sorted(alpha + beta, reverse=True)),
-                          c1 * c2) for alpha, c1 in row.items()
+        row = accumulate((_union(alpha, beta), c1 * c2)
+                         for alpha, c1 in row.items()
                          for beta, c2 in _h_to_p_single(k).items())
     return row
 
@@ -241,41 +241,40 @@ def _to_m(basis, d):
     return rows
 
 
+def _reduce(mat, ncols):
+    """Exact Gauss-Jordan elimination in place on mat, rows of Scalars,
+    pivoting in the first ncols columns (any past them ride along as an
+    augmented block).  Returns the pivot count: the rank of those columns."""
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat))
+                      if not mat[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        if not mat[rank][col].is_one:
+            pinv = ONE / mat[rank][col]
+            mat[rank] = [x * pinv for x in mat[rank]]
+        for r, row in enumerate(mat):
+            if r != rank and not row[col].is_zero:
+                f = row[col]
+                mat[r] = [x - f * y for x, y in zip(row, mat[rank])]
+        rank += 1
+    return rank
+
+
 def _invert_rows(rows, d):
     """Exact inverse of the (basis -> m) matrix for one degree."""
     order = partitions_of(d)
-    idx = {lam: i for i, lam in enumerate(order)}
     n = len(order)
-    mat = [[rows[lam].get(mu, ZERO) for mu in order] for lam in order]
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not mat[r][col].is_zero), None)
-        if pivot is None:
-            raise ValueError("transition matrix is singular")
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = mat[col][col]
-        if not p.is_one:
-            pinv = ONE / p
-            mat[col] = [x * pinv for x in mat[col]]
-            inv[col] = [x * pinv for x in inv[col]]
-        for r in range(n):
-            if r != col and not mat[r][col].is_zero:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    # inv now maps m-coordinates to basis-coordinates: row mu of inv gives
-    # the expansion of m_mu in the basis
-    out = {}
-    for mu in order:
-        row = {}
-        for lam in order:
-            c = inv[idx[mu]][idx[lam]]
-            if not c.is_zero:
-                row[lam] = c
-        out[mu] = row
-    return out
+    mat = [[rows[lam].get(mu, ZERO) for mu in order] +
+           [ONE if i == j else ZERO for j in range(n)]
+           for i, lam in enumerate(order)]
+    if _reduce(mat, n) < n:
+        raise ValueError("transition matrix is singular")
+    # the right half is the inverse: its row mu expands m_mu in the basis
+    return {mu: {lam: c for lam, c in zip(order, row[n:]) if not c.is_zero}
+            for mu, row in zip(order, mat)}
 
 
 @lru_cache(maxsize=None)
@@ -309,15 +308,18 @@ def multiply(f, g):
         for lam, c1 in fp.terms.items() for mu, c2 in gp.terms.items()))
 
 
-def hall_inner(f, g):
-    """Hall pairing: <p_lam, p_mu> = z_lam delta."""
-    fp = convert(f, "p")
-    gp = convert(g, "p")
+def _pairing(fp, gp, z):
+    """The pairing <p_lam, p_mu> = z(lam) delta of fp and gp, both in p."""
     small, big = fp.terms, gp.terms
     if len(big) < len(small):
         small, big = big, small
-    return scalar_sum([c * big[lam] * z_of(lam)
+    return scalar_sum([c * big[lam] * z(lam)
                        for lam, c in small.items() if lam in big])
+
+
+def hall_inner(f, g):
+    """Hall pairing: <p_lam, p_mu> = z_lam delta."""
+    return _pairing(convert(f, "p"), convert(g, "p"), z_of)
 
 
 def perp_apply(g, f):
@@ -411,13 +413,7 @@ def theta_apply(f, params):
 
 def kappa_eval(f, params):
     """Evaluate the algebra map sending p_k to the scalar a_k."""
-    fp = convert(f, "p")
-    vals = []
-    for lam, c in fp.terms.items():
-        for k in lam:
-            c = c * params.value(k)
-        vals.append(c)
-    return scalar_sum(vals)
+    return scalar_sum(list(theta_apply(f, params).terms.values()))
 
 
 def schur_tableaux(shape):

@@ -186,6 +186,16 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [
+        "(" * 200 + "q" + ")" * 200, "-" * 1000 + "q"])
+    def test_deeply_nested_spec_exits_two(self, capsys, value):
+        rc, out, err = run_cli(capsys, "expand", "--rep", "macdonald",
+                               "--shape", "[1]", "--spec", f"q={value}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nests deeper than 100 levels" in err
+
 
 class TestVerify:
     def test_pieri_macdonald(self, capsys):
@@ -475,6 +485,22 @@ class TestBundleHandling:
         with pytest.raises(BundleFormatError):
             load_bundle(bundle)
         path = bundle_path(mutate)
+        rc, out, err = run_cli(capsys, "verify", "converse",
+                               "--rep", f"bundle:{path}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("what", ["scalar", "json"])
+    def test_deep_nesting_exits_two(self, capsys, bundle_path, what):
+        # a parameter nested 400 deep, or a file of 100,000 nested arrays
+        if what == "scalar":
+            path = bundle_path(lambda b: b["params"].update(
+                {"1": "(" * 400 + "q" + ")" * 400}))
+        else:
+            path = bundle_path(text="[" * 100000)
+        with pytest.raises(BundleFormatError):
+            load_bundle(path)
         rc, out, err = run_cli(capsys, "verify", "converse",
                                "--rep", f"bundle:{path}")
         assert rc == 2

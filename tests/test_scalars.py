@@ -800,6 +800,21 @@ class TestDenOnDemand:
         assert len({a, b}) == 1
 
 
+def test_nesting_depth_bound():
+    # 100 levels of ( and unary signs parse; one more is a ValueError, not
+    # a RecursionError, however deep the input goes
+    assert parse_scalar("(" * 100 + "q" + ")" * 100) == Q
+    assert parse_scalar("-" * 100 + "q") == Q
+    assert parse_scalar("-(" * 50 + "q" + ")" * 50) == Q
+    assert parse_scalar("(" * 60 + "1" + ")" * 60 + "+" + "-" * 90 + "t") == \
+        ONE + T
+    for bad in ["(" * 101 + "q" + ")" * 101, "-" * 101 + "q",
+                "+(" * 51 + "q" + ")" * 51, "(" * 200 + "q" + ")" * 200,
+                "-" * 1000 + "q", "(" * 100000]:
+        with pytest.raises(ValueError, match="nests deeper"):
+            parse_scalar(bad)
+
+
 def test_power_size_bound():
     # a chain of * and / may build no more than one ^ may
     for bad in ["(1+q+t)^250", "((1+q)^80)^80", "(1/(1-q*t))^300",

@@ -1,5 +1,6 @@
 """Basis conversions, Hall pairing, products, tableaux, evaluation."""
 
+import random
 import time
 from itertools import permutations
 
@@ -17,13 +18,17 @@ from fockbridge.partitions import (
 from fockbridge.heisenberg import _fg, bosonic_apply_B
 from fockbridge.identities import h_multiplier
 from fockbridge.reps import fermionic_rep, macdonald_rep
-from fockbridge.scalars import ONE, Q, Scalar, ZERO, accumulate
+from fockbridge.scalars import (ONE, Q, Scalar, ZERO, accumulate,
+                                parse_scalar, scalar_sum)
 from fockbridge.symfunc import (
     _distinct_padded_perms,
+    _from_m,
     _perp_entries,
     _perp_row,
     _pm_row,
+    _reduce,
     _times_entries,
+    _to_m,
     SymFunc,
     convert,
     evaluate_vars,
@@ -91,6 +96,64 @@ class TestRoundTrips:
         assert sym_h((1,)) == sym_p((1,))
         assert sym_h((1,)) == sym_m((1,))
         assert sym_s((1, 1)) - sym_m((1, 1)) == SymFunc.zero("m")
+
+
+class TestElimination:
+    # entries of the random matrices, zeros among them so that pivots
+    # are searched for
+    POOL = ("0", "0", "1", "-2", "3/4", "q", "t", "q*t-1", "(1-q)/(1-t)",
+            "(1+q)^2/(q-t)", "q^2-t", "1/(1-q*t)")
+
+    def test_rank_matches_sympy(self):
+        # the rank over Q(q,t) by sympy's exact field arithmetic (its
+        # DomainMatrix, which Matrix.rank takes minutes to match on these)
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        q, t = sympy.symbols("q t")
+
+        def sym(text):
+            return sympy.sympify(text.replace("^", "**"),
+                                 locals={"q": q, "t": t})
+
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+            free = rng.randint(1, nrows)
+            texts = [[rng.choice(self.POOL) for _ in range(ncols)]
+                     for _ in range(free)]
+            # each planted row is a combination of the free rows, with
+            # coefficients from the pool
+            for _ in range(nrows - free):
+                cs = [rng.choice(self.POOL) for _ in range(free)]
+                texts.append(["+".join(f"({c})*({r[j]})"
+                                       for c, r in zip(cs, texts[:free]))
+                              for j in range(ncols)])
+            rng.shuffle(texts)
+            mat = [[parse_scalar(x) for x in row] for row in texts]
+            want = DomainMatrix.from_Matrix(sympy.Matrix(
+                [[sym(x) for x in row] for row in texts])).to_field().rank()
+            # the row operations, tracked on an augmented identity, take
+            # the matrix to its reduced form
+            aug = [row + [ONE if i == j else ZERO for j in range(nrows)]
+                   for i, row in enumerate(mat)]
+            assert _reduce(aug, ncols) == want, texts
+            assert all(x.is_zero for row in aug[want:] for x in row[:ncols])
+            for row in aug:
+                ops = row[ncols:]
+                assert [scalar_sum([c * r[j] for c, r in zip(ops, mat)])
+                        for j in range(ncols)] == row[:ncols]
+            seen.add(want < nrows)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("basis", ["p", "h", "s"])
+    def test_inverse_transition_matrices(self, basis):
+        for d in range(7):
+            to_m, from_m = _to_m(basis, d), _from_m(basis, d)
+            for mu in partitions_of(d):
+                row = accumulate((nu, c * w) for lam, c in from_m[mu].items()
+                                 for nu, w in to_m[lam].items())
+                assert row == {mu: ONE}, (basis, d, mu)
 
 
 class TestHallPairing:
