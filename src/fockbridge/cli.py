@@ -91,7 +91,7 @@ def _parse_base(text):
         path = text[len("bundle:"):]
         try:
             return load_bundle(path)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
             raise UsageError(f"cannot read bundle {path!r}: {e}") from None
     raise UsageError(f"unknown rep {text!r}")
 
@@ -102,8 +102,12 @@ def _parse_bindings(pairs):
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise UsageError(f"--spec expects NAME=VALUE, got {item!r}")
+        name = name.strip()
+        if name not in ("q", "t"):
+            raise UsageError(f"unknown --spec variable {name!r}: "
+                             f"expected q or t")
         try:
-            out[name.strip()] = parse_scalar(value)
+            out[name] = parse_scalar(value)
         except ValueError as e:
             raise UsageError(f"bad --spec value {value!r}: {e}") from None
     return out

@@ -549,7 +549,7 @@ def load_bundle(source):
     if isinstance(source, dict):
         data = source
     else:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except RecursionError:

@@ -458,18 +458,6 @@ class IntPoly:
             return _POLY_ZERO
         if other.is_one:
             return self
-        if len(other.terms) == 1:
-            (gq, gt), gc = other.lex_leading()
-            out = {}
-            for (aq, at), ac in self.terms.items():
-                dq, dt = aq - gq, at - gt
-                if dq < 0 or dt < 0:
-                    raise ValueError("inexact polynomial division")
-                cq, r = divmod(ac, gc)
-                if r:
-                    raise ValueError("inexact polynomial division")
-                out[(dq, dt)] = cq
-            return _poly(out)
         q = _quo(self.terms, other.terms, _scan(self.terms),
                  _scan(other.terms))
         if q is None:
@@ -663,46 +651,65 @@ def _bounds(leaves):
     dq = dt = h = 0
     for ts, s, c, exps in leaves:
         pq, pt, pn = _size_of(exps)
-        pq, pt = lq - pq, lt - pt
-        ph = abs(s) * (lc // c) * (ln // pn) * \
-            (min(map(len, ts)) if len(ts) > 1 else 1)
+        pq, pt, most = lq - pq, lt - pt, 1
+        ph = abs(s) * (lc // c) * (ln // pn)
         for t in ts:
-            sq, st, sh, _ = _scan(t)
-            pq, pt, ph = pq + sq, pt + st, ph * sh
+            # a coefficient of prod(ts) sums at most as many products as
+            # the term counts of all dicts but the longest multiply to
+            sq, st, sh, n = _scan(t)
+            if n > most:
+                n, most = most, n
+            pq, pt, ph = pq + sq, pt + st, ph * sh * n
         dq, dt, h = max(dq, pq), max(dt, pt), h + ph
     return dq, dt, h
 
 
-def _packed(leaves, zbits, tbits):
-    # that numerator at q = 2^zbits, t = 2^tbits, by a balanced tree over
-    # the leaves sorted by den: a node over dens D_a, D_b holds D, their
-    # lcm, and V_a * val(D / D_a) + V_b * val(D / D_b), so the root holds
-    # L and the numerator, and no leaf's cofactor L / D_i is built whole
-    at = {f: _at(f, zbits, tbits)
-          for f in set().union(*(exps for *_, exps in leaves))}
-    nodes = [(c, exps, s * math.prod(_pack(t, zbits, tbits) for t in ts))
+def _tree(leaves, embed, power, const):
+    # the numerator over L of the sum of the leaves (_bounds) in one ring,
+    # which embed(t) maps a term dict t into, with power(f, k) factor f to
+    # the k and const(n) the integer n: a balanced tree over the leaves
+    # sorted by den, where a node over dens D_a, D_b holds D, their lcm, and
+    # V_a * (D / D_a) + V_b * (D / D_b), so the root holds L and the
+    # numerator, and no leaf's cofactor L / D_i is built whole
+    nodes = [(c, exps, math.prod(map(embed, ts), start=const(s)))
              for ts, s, c, exps in leaves]
     nodes.sort(key=lambda node: (sorted(node[1].items()), node[0]))
     while len(nodes) > 1:
-        nodes = [_join(a, b, at) for a, b in zip(nodes[::2], nodes[1::2])] \
+        nodes = [_join(a, b, power, const)
+                 for a, b in zip(nodes[::2], nodes[1::2])] \
             + nodes[len(nodes) & ~1:]
-    return nodes[0][2] if nodes else 0
+    return nodes[0][2] if nodes else const(0)
 
 
-def _join(a, b, at):
-    # the node over the dens of nodes a and b (_packed)
+def _join(a, b, power, const):
+    # the node over the dens of nodes a and b (_tree): the factor powers
+    # one den lacks are multiplied together before they meet its value
     (ca, ea, va), (cb, eb, vb) = a, b
     c, e, ua, ub = ca // math.gcd(ca, cb) * cb, dict(ea), [], []
     for f, k in eb.items():
         j = ea.get(f, 0)
         if k > j:
             e[f] = k
-            ua.append(at[f] ** (k - j))
+            ua.append(power(f, k - j))
         elif j > k:
-            ub.append(at[f] ** (j - k))
-    ub.extend(at[f] ** j for f, j in ea.items() if f not in eb)
-    return (c, e, va * math.prod(ua, start=c // ca) +
-            vb * math.prod(ub, start=c // cb))
+            ub.append(power(f, j - k))
+    ub.extend(power(f, j) for f, j in ea.items() if f not in eb)
+    return (c, e, va * math.prod(ua, start=const(c // ca)) +
+            vb * math.prod(ub, start=const(c // cb)))
+
+
+def _packed(leaves, zbits, tbits):
+    # the numerator at q = 2^zbits, t = 2^tbits (_tree)
+    at = {f: _at(f, zbits, tbits)
+          for f in set().union(*(exps for *_, exps in leaves))}
+    return _tree(leaves, lambda t: _pack(t, zbits, tbits),
+                 lambda f, k: at[f] ** k, int)
+
+
+def _numerator(leaves):
+    # the numerator as an IntPoly (_tree), each factor power built once
+    return _tree(leaves, _poly, functools.cache(
+        lambda f, k: _FACTORS[f] ** k), IntPoly.const)
 
 
 def _strip(leaves, fl, n=None):
@@ -934,27 +941,6 @@ def _poly_sum(ps):
     return _poly(acc)
 
 
-def _numerator(parts):
-    # the sum of p * _expand(cof) over parts (p, cof).  A factor power all
-    # cofactors but one hold (one addend alone reaches its top exponent) is
-    # multiplied in once, after the others are summed, the largest first;
-    # with two parts it lies in one cofactor either way
-    exps, best = [dict(cfl) for _, (_, cfl) in parts], (0,)
-    for f in set().union(*exps) if len(parts) > 2 else ():
-        lack = [i for i, ex in enumerate(exps) if f not in ex]
-        if len(lack) == 1:
-            e = min(ex[f] for ex in exps if f in ex)
-            fq, ft, _ = _FACTOR_SIZES[f]
-            best = max(best, (e * (fq + ft), lack[0], f, e))
-    if len(best) == 1:
-        return _poly_sum([p * _expand(cof) for p, cof in parts])
-    _, i, f, e = best
-    (p, cof), rest = parts[i], parts[:i] + parts[i + 1:]
-    rest = [(r, (m, _fac(1, (1, cfl), (-1, ((f, e),)))[1]))
-            for r, (m, cfl) in rest]
-    return p * _expand(cof) + _numerator(rest) * _FACTORS[f] ** e
-
-
 def _fac_sum(xs):
     # sum a_i / d_i over L = lcm d_i: the integer lcm and each factor's top
     # exponent.  A factor whose top exponent one addend alone reaches cannot
@@ -983,21 +969,15 @@ def _fac_sum(xs):
     tops = sorted(top.items())
     cands = tuple((f, m) for f, m in tops if seen[f] > 1)
     # with candidates the numerator is built packed and trial-divided there
-    # (_strip); without, nothing is divided, so it is built term by term,
+    # (_strip); without, nothing is divided, so it is built as an IntPoly,
     # and so is one that _strip refused, which goes to the probe point
-    got = cands and _strip([((p.terms,), 1, c, dict(fl))
-                            for (c, fl), p in nums.items() if p.terms], cands)
+    leaves = [((p.terms,), 1, c, dict(fl))
+              for (c, fl), p in nums.items() if p.terms]
+    got = cands and _strip(leaves, cands)
     if got:         # only the integer content is left to cancel
         num, cands = got[0], ()
     else:
-        parts = []
-        for (c, fl), p in nums.items():
-            if p.terms:
-                own = dict(fl)
-                parts.append((p, (lc // c, tuple((f, m - own.get(f, 0))
-                                                 for f, m in tops
-                                                 if m != own.get(f, 0)))))
-        num = _numerator(parts) if parts else _POLY_ZERO
+        num = _numerator(leaves)
     if num.is_zero:
         return ZERO
     num, c, rest = _cancel(num, lc, cands, pack=False)

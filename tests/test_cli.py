@@ -513,6 +513,17 @@ class TestBundleHandling:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_non_utf8_bundle_exits_two(self, capsys, tmp_path):
+        # bytes ff fe 7b are no UTF-8: an unreadable bundle, not a crash
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        rc, out, err = run_cli(capsys, "verify", "converse",
+                               "--rep", f"bundle:{path}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot read bundle")
+        assert err.count("\n") == 1
+
     def test_missing_file_exits_two(self, capsys):
         rc, _, _ = run_cli(capsys, "verify", "du", "--rep", "bundle:/no/such.json")
         assert rc == 2
@@ -666,6 +677,20 @@ class TestArgErrors:
         rc, _, _ = run_cli(capsys, "expand", "--rep", "fermionic",
                            "--shape", "[1]", "--spec", "q=))")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--rep", "macdonald", "--shape", "[2]", "--spec", "x=1"],
+        ["verify", "pieri", "--rep", "macdonald", "--kmax", "1", "--dmax",
+         "1", "--spec", "x=1"],
+        ["tableaux", "--rep", "macdonald", "--shape", "[1]", "--weight",
+         "1", "--spec", "y=2"]])
+    def test_unknown_spec_name_exits_two(self, capsys, argv):
+        # only q and t can be specialized: another name is bad usage
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: unknown --spec variable")
+        assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1109,6 +1109,57 @@ def test_vanishes_degenerate_keys(monkeypatch):
     assert [r for _, r in zero_sums] == [False, True, True]
 
 
+def test_bounds_of_a_three_factor_leaf():
+    # a coefficient of (1 + q + ... + q^16)^3 sums up to 17^2 products,
+    # one term of each of two factors fixing the third: the largest is 217
+    ts = ({(i, 0): 1 for i in range(17)},) * 3
+    want = IntPoly(ts[0]) ** 3
+    dq, dt, h = scalars_module._bounds([(ts, 1, 1, {})])
+    assert (dq, dt) == (48, 0)
+    assert max(want.terms.values()) == 217 <= h
+
+
+@st.composite
+def factored_leaves(draw):
+    """1 to 6 leaves (ts, s, c, exps) of one term dict each, over dens that
+    are an integer times powers of q, t and three registered binomial
+    factors; with exponents 0 to 2, top exponents are often shared."""
+    fids = [0, 1] + [scalars_module._register(d, a, b)
+                     for d, a, b in ((1, 1, 0), (2, 1, 0), (1, 1, 1))]
+    leaves = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(intpolys().filter(lambda p: not p.is_zero))
+        exps = {f: e for f in fids if (e := draw(st.integers(0, 2)))}
+        leaves.append(((p.terms,), draw(st.sampled_from([1, -1, 3])),
+                       draw(st.integers(1, 6)), exps))
+    return leaves
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_leaves())
+def test_tree_rings_agree(leaves):
+    # the numerator over L of sum s * p / (c * prod f^e), as _packed and
+    # _numerator sum it by the tree, and naively as sum s * p * L / D_i
+    lc = math.lcm(*(c for *_, c, _ in leaves))
+    top = {}
+    for *_, exps in leaves:
+        for f, e in exps.items():
+            top[f] = max(top.get(f, 0), e)
+    naive = functools.reduce(operator.add, (
+        IntPoly(ts[0]).mul_int(s * (lc // c)) * math.prod(
+            (_FACTORS[f] ** (e - exps.get(f, 0)) for f, e in top.items()),
+            start=IntPoly.const(1))
+        for ts, s, c, exps in leaves))
+    dq, dt, h = scalars_module._bounds(leaves)
+    zbits = h.bit_length() + 2
+    tbits = zbits * (dq + 1) + 2
+    assert scalars_module._numerator(leaves) == naive
+    assert scalars_module._packed(leaves, zbits, tbits) == \
+        _pack(naive.terms, zbits, tbits)
+    assert all(i <= dq and j <= dt and abs(c) <= h
+               for (i, j), c in naive.terms.items())
+
+
 def record(monkeypatch, name):
     # the (args, result) of each call of a scalars function
     calls = []
