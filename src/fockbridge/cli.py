@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -38,7 +37,7 @@ from .identities import (
     verify_heisenberg,
     verify_pieri,
 )
-from .partitions import Partition, parse_partition
+from .partitions import parse_partition
 from .reps import fermionic_rep, llt_q1_rep, macdonald_rep, tensor
 from .scalars import ONE, SpecializationPoleError, parse_scalar, scalar_sum
 from .symfunc import convert
@@ -53,8 +52,9 @@ class UsageError(Exception):
 def _parse_rep(text, cap):
     # a tensor power's basis in degree d is n-tuples of partitions, so the
     # number of factors, nested powers multiplied out, is bounded like a
-    # degree; the powers are read from the outside in, with no recursion
-    text, powers = text.strip(), []
+    # degree; the powers are read from the outside in, with no recursion,
+    # and make one tensor of that many factors
+    text, factors = text.strip(), 1
     while text.startswith("tensor:"):
         text, sep, count = text[len("tensor:"):].rpartition("^")
         if not sep:
@@ -65,25 +65,27 @@ def _parse_rep(text, cap):
             raise UsageError(f"bad tensor power {count!r}") from None
         if n < 1:
             raise UsageError("tensor power must be at least 1")
-        powers.append(n)
-        if math.prod(powers) > cap:
-            raise UsageError(f"a tensor power of {math.prod(powers)} factors "
+        factors *= n
+        if factors > cap:
+            raise UsageError(f"a tensor power of {factors} factors "
                              f"exceeds the degree cap {cap}")
         text = text.strip()
-    rep = _parse_base(text)
-    for n in reversed(powers):
-        rep = tensor(*(rep,) * n) if n > 1 else rep
-    return rep
+    rep = _parse_base(text, cap)
+    return tensor(*(rep,) * factors) if factors > 1 else rep
 
 
-def _parse_base(text):
+def _parse_base(text, cap):
     if text == "fermionic":
         return fermionic_rep()
     if text == "macdonald":
         return macdonald_rep()
     if text.startswith("llt1:"):
+        # a step at level n moves n cells: over the cap, none is nonzero
         try:
             n = int(text[5:])
+            if n > cap:
+                raise UsageError(
+                    f"llt1 level {n} exceeds the degree cap {cap}")
             return llt_q1_rep(n)
         except ValueError as e:
             raise UsageError(f"bad llt1 rep {text!r}: {e}") from None
@@ -113,28 +115,16 @@ def _parse_bindings(pairs):
     return out
 
 
-def _leaves(rep):
-    # the untensored factors of rep, nested tensors flattened, in order
-    if hasattr(rep, "factors"):
-        return [leaf for f in rep.factors for leaf in _leaves(f)]
-    return [rep]
-
-
 def _parse_index(rep, text):
-    # a tensor's index nests like its factors; it is written as the shapes
-    # of its untensored factors, in order, joined by ';'
-    leaves = _leaves(rep)
-    parts = text.split(";") if len(leaves) > 1 else [text]
-    if len(parts) != len(leaves):
-        raise UsageError(f"bad shape {text!r}: expected {len(leaves)} "
+    # a tensor's index is written as the shapes of its factors, in order,
+    # joined by ';'
+    if not hasattr(rep, "factors"):
+        return _parse_leaf(rep, text)
+    parts = text.split(";")
+    if len(parts) != len(rep.factors):
+        raise UsageError(f"bad shape {text!r}: expected {len(rep.factors)} "
                          f"components joined by ';'")
-    got = iter([_parse_leaf(r, p) for r, p in zip(leaves, parts)])
-
-    def nest(r):
-        if hasattr(r, "factors"):
-            return tuple(nest(f) for f in r.factors)
-        return next(got)
-    return nest(rep)
+    return tuple(map(_parse_leaf, rep.factors, parts))
 
 
 def _parse_leaf(rep, text):
@@ -150,17 +140,14 @@ def _parse_leaf(rep, text):
 
 
 def _label(rep, index):
-    if isinstance(rep, BundleRep):
-        return rep.label_of(index)
-    return _fmt_index(index)
+    # a tensor's index is labelled factor by factor, as its shape is written
+    if hasattr(rep, "factors"):
+        return "(" + ";".join(map(_leaf_label, rep.factors, index)) + ")"
+    return _leaf_label(rep, index)
 
 
-def _fmt_index(index):
-    if isinstance(index, Partition):
-        return str(index)
-    if isinstance(index, tuple):
-        return "(" + ";".join(_fmt_index(x) for x in index) + ")"
-    return str(index)
+def _leaf_label(rep, index):
+    return rep.label_of(index) if isinstance(rep, BundleRep) else str(index)
 
 
 def _degree_cap(args):

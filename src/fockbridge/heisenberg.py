@@ -395,8 +395,8 @@ def bosonic_apply_B(f, k, params):
 # ---------------------------------------------------------------------------
 # derived representations
 
-class _AdjointRep(Rep):
-    """Transpose of the graded action, with raising and lowering swapped."""
+class _OnBase(Rep):
+    """A rep on the basis, grading, parameters and highest vector of base."""
 
     def __init__(self, base):
         super().__init__()
@@ -411,6 +411,10 @@ class _AdjointRep(Rep):
     def degree_of(self, index):
         return self.base.degree_of(index)
 
+
+class _AdjointRep(_OnBase):
+    """Transpose of the graded action, with raising and lowering swapped."""
+
     def raw_B(self, k, index):
         # <B_k v_index, v_j> = <B_-k v_j, v_index>: a row of B_-k's block
         src = _target(self.degree_step, "B", k, self.degree_of(index))
@@ -423,17 +427,14 @@ def adjoint_rep(rep):
     return _AdjointRep(rep)
 
 
-class _SpecializedRep(Rep):
+class _SpecializedRep(_OnBase):
     """Coefficientwise specialization (e.g. q=0) of an existing rep."""
 
     def __init__(self, base, bindings):
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.bindings = dict(bindings)
         self.params = HeisenbergParams(
             lambda k: base.params.value(k).specialize(self.bindings))
-        self.degree_step = base.degree_step
-        self.highest = base.highest
         if base.raw_B is not None:
             self.raw_B = lambda k, i: self._spec(_op_single(base, "B", k, i))
         if base.raw_U is not None:
@@ -448,12 +449,6 @@ class _SpecializedRep(Rep):
             if not v.is_zero:
                 out[i] = v
         return out
-
-    def basis_of_degree(self, d):
-        return self.base.basis_of_degree(d)
-
-    def degree_of(self, index):
-        return self.base.degree_of(index)
 
 
 def specialize_rep(rep, bindings):

@@ -11,6 +11,7 @@ is again all partitions.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .heisenberg import HeisenbergParams, Rep, _op_single, params_equal
@@ -47,7 +48,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # fermionic Fock space
 
-class _FermionicRep(Rep):
+class _OnPartitions(Rep):
+    """Basis v_lam over all partitions lam, graded by |lam|, v_[] highest."""
+
+    highest = EMPTY
+
+    def basis_of_degree(self, d):
+        return partitions_of(d) if d >= 0 else ()
+
+    def degree_of(self, index):
+        return index.size
+
+
+class _FermionicRep(_OnPartitions):
     """Wedge indices i_r = lam_{r+1} - r, strictly decreasing, frozen tail.
 
     B_k shifts one index by -k; a repeated index kills the term, otherwise
@@ -56,15 +69,7 @@ class _FermionicRep(Rep):
     with another frozen one.
     """
 
-    degree_step = 1
-    highest = EMPTY
     params = HeisenbergParams.constant(1)
-
-    def basis_of_degree(self, d):
-        return partitions_of(d) if d >= 0 else ()
-
-    def degree_of(self, index):
-        return index.size
 
     def raw_B(self, k, lam):
         w = len(lam) + abs(k)
@@ -155,16 +160,8 @@ def _strip_ratio(shape, psi):
     return _binomial_ratio(ups, downs)
 
 
-class _MacdonaldRep(Rep):
-    degree_step = 1
-    highest = EMPTY
+class _MacdonaldRep(_OnPartitions):
     params = HeisenbergParams(lambda k: _binomial_ratio([(0, k)], [(k, 0)]))
-
-    def basis_of_degree(self, d):
-        return partitions_of(d) if d >= 0 else ()
-
-    def degree_of(self, index):
-        return index.size
 
     def raw_U(self, k, lam):       # phi alone
         return {mu: _strip_ratio(SkewShape(mu, lam), False)
@@ -186,11 +183,13 @@ def macdonald_rep():
 # direct sums and tensor products
 
 def _check_compatible(reps):
+    # a power's factor is not compared with itself: a bundle's parameters
+    # stop at its kmax, and params_equal reads 8 of them
     first = reps[0]
     for r in reps[1:]:
         if r.degree_step != first.degree_step:
             raise ValueError("degree_step mismatch between summands/factors")
-        if not params_equal(first.params, r.params):
+        if r is not first and not params_equal(first.params, r.params):
             raise ValueError("parameter mismatch between summands/factors")
 
 
@@ -260,15 +259,10 @@ class _TensorRep(Rep):
             self.highest = tuple(f.highest for f in factors)
 
     def basis_of_degree(self, d):
-        out = []
-        for split in _compositions(d, len(self.factors)):
-            blocks = [f.basis_of_degree(di)
-                      for f, di in zip(self.factors, split)]
-            stack = [()]
-            for block in blocks:
-                stack = [t + (i,) for t in stack for i in block]
-            out.extend(stack)
-        return tuple(out)
+        return tuple(t for split in _compositions(d, len(self.factors))
+                     for t in itertools.product(
+                         *(f.basis_of_degree(di)
+                           for f, di in zip(self.factors, split))))
 
     def degree_of(self, index):
         return sum(f.degree_of(i) for f, i in zip(self.factors, index))
@@ -314,7 +308,7 @@ def tensor(*factors):
 # ---------------------------------------------------------------------------
 # LLT Fock space at q = 1
 
-class _LltQ1Rep(Rep):
+class _LltQ1Rep(_OnPartitions):
     """All partitions, acted on through the n-core/quotient bijection.
 
     v_lam is identified with the n-tuple of quotient components inside the
@@ -329,13 +323,6 @@ class _LltQ1Rep(Rep):
         self._tensor = _TensorRep((_FERMIONIC,) * n)
         self.params = HeisenbergParams.constant(n)
         self.degree_step = n
-        self.highest = EMPTY
-
-    def basis_of_degree(self, d):
-        return partitions_of(d) if d >= 0 else ()
-
-    def degree_of(self, index):
-        return index.size
 
     def _transport(self, op, k, lam):
         core, quot = core_quotient(lam, self.n)

@@ -168,6 +168,36 @@ class TestExpand:
         assert got == rc
         assert want == out if rc == 0 else want in err
 
+    def test_nested_tensor_labelled_like_its_shape(self, capsys):
+        # nested powers make one tensor: its index is labelled factor by
+        # factor, the way --shape writes it
+        rc, out, _ = run_cli(capsys, "expand", "--rep",
+                             "tensor:tensor:fermionic^2^2", "--shape",
+                             "[1];[];[];[1]", "--out", "json",
+                             "--degree-cap", "4")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["shape"] == "([1];[];[];[1])"
+        assert data["base"] == "([];[];[];[])"
+
+    @pytest.mark.parametrize("rep, cap, rc", [
+        ("llt1:100000000", "8", 2), ("llt1:9", "8", 2), ("llt1:8", "8", 0)])
+    def test_llt1_level_over_cap_exits_two(self, capsys, rep, cap, rc):
+        # a step at level n moves n cells, so over the cap no step is
+        # nonzero; the level's n-fold tensor once took seconds to build
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, "verify", "pieri", "--rep", rep,
+                                "--kmax", "1", "--dmax", "0",
+                                "--degree-cap", cap)
+        assert time.perf_counter() - start < 1
+        assert got == rc
+        if rc:
+            assert out == ""
+            assert err == f"error: llt1 level {rep[5:]} exceeds the " \
+                          f"degree cap {cap}\n"
+        else:
+            assert out.startswith("pieri: pass")
+
     @pytest.mark.parametrize("value", ["q^", "2^", "(1+q)^", "1/0"])
     def test_dangling_exponent_spec_exits_two(self, capsys, value):
         rc, out, err = run_cli(capsys, "expand", "--rep", "macdonald",
@@ -527,6 +557,29 @@ class TestBundleHandling:
     def test_missing_file_exits_two(self, capsys):
         rc, _, _ = run_cli(capsys, "verify", "du", "--rep", "bundle:/no/such.json")
         assert rc == 2
+
+    def test_bundle_power_under_kmax_8(self, capsys, tmp_path):
+        # a power's factor is not compared with itself, so a bundle with
+        # fewer than the 8 parameters params_equal reads still tensors
+        path = tmp_path / "k2.json"
+        path.write_text(json.dumps(rep_to_bundle(fermionic_rep(), 2, 3)))
+        for rep, checked in ((f"bundle:{path}", 8),
+                             (f"tensor:bundle:{path}^2", 12)):
+            rc, out, _ = run_cli(capsys, "verify", "pieri", "--rep", rep,
+                                 "--kmax", "1", "--dmax", "1")
+            assert rc == 0
+            assert out == f"pieri: pass ({checked} checked, 0 failed)\n"
+
+    @pytest.mark.parametrize("shape, weight", [
+        ("[1];[1]", "1,1"), ("[2];[1]", "2,1")])
+    def test_tensor_of_bundles_prints_their_labels(self, capsys, bundle_path,
+                                                   shape, weight):
+        path = bundle_path()
+        texts = [run_cli(capsys, "tableaux", "--rep", rep, "--shape", shape,
+                         "--weight", weight)
+                 for rep in (f"tensor:bundle:{path}^2", "tensor:fermionic^2")]
+        assert texts[0] == texts[1]
+        assert texts[0][0] == 0 and texts[0][1].startswith("total: ")
 
     def test_expand_by_label(self, capsys, bundle_path):
         path = bundle_path()

@@ -680,6 +680,30 @@ class TestFactored:
         assert len(quotients) == 1
         assert fac is not None and fac_expansion(fac) == p.num
 
+    def test_probe_false_positive_divides_each_factor_alone(self,
+                                                            monkeypatch):
+        # q = 1000003 = 1 and t = 1000033 = 31 mod 1000002, so the probe
+        # value of t - 31 is a multiple of that of 1 - q: 1 - q seems to
+        # divide, the one division by both factors fails, and each
+        # candidate is then tried alone
+        one_q = scalars_module._register(1, 1, 0)
+        one_qt = scalars_module._register(1, 1, 1)
+        calls = []
+        trial = scalars_module._trial
+        monkeypatch.setattr(
+            scalars_module, "_trial",
+            lambda n, cands: calls.append([f for f, _ in cands])
+            or trial(n, cands))
+        x = parse_scalar("1/((1-q*t)*(t-31))")
+        monkeypatch.undo()
+        both = next(i for i, fids in enumerate(calls)
+                    if {one_q, one_qt} <= set(fids))
+        alone = [fids for fids in calls[both + 1:] if len(fids) == 1]
+        assert [one_q] in alone and [one_qt] in alone
+        assert x.fac is None
+        assert x * parse_scalar("(1-q*t)*(t-31)") == ONE
+        assert_canonical(x)
+
     def test_high_degree_numerator_is_cheap(self):
         # trial division evaluates q^100000 at the probe point: with power
         # tables up to its degree that took about 12 GB
