@@ -234,12 +234,12 @@ def _cmd_verify(args):
             raise UsageError(f"{flag} {n} exceeds degree cap {cap}")
     abmax = args.abmax if args.abmax is not None else 2
     lmax = args.lmax if args.lmax is not None else 2
-    # U_k, U_a and phi of B_-l v climb by order times step; cauchy, checked
-    # in Sym (x) Sym, reaches (deg t + deg r + step * dmax) / 2 and is
-    # bounded by --dmax and its anchors
+    # U_k, U_a, phi of B_-l v and [B_-k, B_-l], k != l, climb by order
+    # times step; cauchy, checked in Sym (x) Sym, reaches (deg t + deg r +
+    # step * dmax) / 2 and is bounded by --dmax and its anchors
     step = rep.degree_step
     flag, n, reach = {
-        "heisenberg": ("--kmax", kmax, dmax + 2 * kmax - 1),
+        "heisenberg": ("--kmax", kmax, dmax + (2 * kmax - 1) * step),
         "pieri": ("--kmax", kmax, dmax + kmax * step),
         "du": ("--abmax", abmax, dmax + abmax * step),
         "bf": ("--lmax", lmax, dmax + lmax * step),

@@ -286,23 +286,15 @@ def from_core_quotient(core, quotient):
         raise ValueError("quotient must have at least 2 components")
     quotient = tuple(Partition(q) for q in quotient)
     N = ((len(core) + n - 1) // n) * n
-    if N == 0:
-        N = n
-    while True:
-        counts = [0] * n
-        positions = [[] for _ in range(n)]
-        for b in _beta_numbers(core, N):
-            counts[b % n] += 1
-            positions[b % n].append(b // n)
-        for r in range(n):
-            if sorted(positions[r]) != list(range(counts[r])):
-                raise ValueError(f"{core} is not an {n}-core")
-        if all(counts[r] >= len(quotient[r]) for r in range(n)):
-            break
-        N += n
+    runners = [[] for _ in range(n)]
+    for b in _beta_numbers(core, N):
+        runners[b % n].append(b // n)
+    if any(sorted(beads) != list(range(len(beads))) for beads in runners):
+        raise ValueError(f"{core} is not an {n}-core")
+    # n more beta-numbers put one more bead at the foot of every runner
+    extra = max(0, *(len(q) - len(b) for q, b in zip(quotient, runners)))
     betas = []
-    for r in range(n):
-        c = counts[r]
-        q = quotient[r]
+    for r, q in enumerate(quotient):
+        c = len(runners[r]) + extra
         betas.extend(n * (q.part(j + 1) + (c - 1 - j)) + r for j in range(c))
     return _partition_from_betas(betas)

@@ -183,13 +183,14 @@ def macdonald_rep():
 # direct sums and tensor products
 
 def _check_compatible(reps):
-    # a power's factor is not compared with itself: a bundle's parameters
-    # stop at its kmax, and params_equal reads 8 of them
+    # a power's factor is not compared with itself; a bundle's parameters
+    # stop at its kmax, so a pair compares up to the smaller (8 if none)
     first = reps[0]
     for r in reps[1:]:
         if r.degree_step != first.degree_step:
             raise ValueError("degree_step mismatch between summands/factors")
-        if r is not first and not params_equal(first.params, r.params):
+        kmax = min(getattr(first, "kmax", 8), getattr(r, "kmax", 8))
+        if r is not first and not params_equal(first.params, r.params, kmax):
             raise ValueError("parameter mismatch between summands/factors")
 
 

@@ -712,33 +712,29 @@ def _numerator(leaves):
         lambda f, k: _FACTORS[f] ** k), IntPoly.const)
 
 
-def _strip(leaves, fl, n=None):
+def _strip(leaves, fl):
     """The numerator of the sum of the leaves (_bounds) over their lcm,
     divided by each factor (fid, e) of fl up to e times, as one Kronecker
     value at a width covering its divisors: (quotient, what is left of
-    fl).  n is that numerator, if known.  None past _PACK_BITS bits, or
-    when not certified: q*t - 4 packs to a multiple of the value of q - 1
-    at every width."""
+    fl).  None past _PACK_BITS bits, or when not certified: q*t - 4 packs
+    to a multiple of the value of q - 1 at every width."""
     dq, dt, h = _bounds(leaves)
+    # as in _quo: a divisor's height is at most 2^(dq + dt) times the 2-norm
+    zbits = dq + dt + h.bit_length() + 4 + \
+        (((dq + 1) * (dt + 1)).bit_length() + 1) // 2
+    tbits = zbits * (dq + 1) + 2
+    if (dt + 1) * tbits > _PACK_BITS:
+        return None
+    v = _packed(leaves, zbits, tbits)
+    if not v:
+        return _POLY_ZERO, fl
     # q and t go by minimum degrees (at q = 2^zbits the value of t is a
     # multiple of q's); a factor of more degree than is left cannot divide
-    ks, l1, tries = {}, 1, []
+    ks, l1 = {}, 1
     for fid, e in fl:
         ga, gb, fn = _FACTOR_SIZES[fid]
-        if fid > 1 and ga <= dq and gb <= dt:
-            tries.append((fid, e, fn, ga, gb))
-    if tries or n is None:
-        # as in _quo: a divisor's height is at most 2^(dq + dt) times the
-        # 2-norm
-        zbits = dq + dt + h.bit_length() + 4 + \
-            (((dq + 1) * (dt + 1)).bit_length() + 1) // 2
-        tbits = zbits * (dq + 1) + 2
-        if (dt + 1) * tbits > _PACK_BITS:
-            return None
-        v = _packed(leaves, zbits, tbits)
-        if not v:
-            return _POLY_ZERO, fl
-    for fid, e, fn, ga, gb in tries:
+        if fid < 2 or ga > dq or gb > dt:
+            continue
         fv, k = _at(fid, zbits, tbits), 0
         while k < e and ga <= dq and gb <= dt:
             w, r = divmod(v, fv)
@@ -746,17 +742,25 @@ def _strip(leaves, fl, n=None):
                 break
             v, k, dq, dt = w, k + 1, dq - ga, dt - gb
         ks[fid], l1 = k, l1 * fn ** k
-    if l1 > 1 or n is None:
-        # l1 bounds the sum of |coefficients| of the product divided out
-        got = _quotient(v, zbits, tbits, dq, dt, l1.bit_length())
-        if got is None or got[1] > zbits:
-            return None
-        n = _poly(got[0])
+    # l1 bounds the sum of |coefficients| of the product divided out
+    got = _quotient(v, zbits, tbits, dq, dt, l1.bit_length())
+    if got is None or got[1] > zbits:
+        return None
+    n = _shift_out(_poly(got[0]), fl, ks)
+    return n, tuple((f, e - ks.get(f, 0)) for f, e in fl if e > ks.get(f, 0))
+
+
+def _shift_out(n, fl, ks):
+    # n without the powers of q and t of fl it has, counted in ks; its
+    # cached value follows
     if fl[0][0] < 2:
         mins = n.min_degrees()
         ks.update((f, min(e, mins[f])) for f, e in fl[:2] if f < 2)
-        n = n.shifted(-ks.get(0, 0), -ks.get(1, 0))
-    return n, tuple((f, e - ks.get(f, 0)) for f, e in fl if e > ks.get(f, 0))
+        kq, kt = ks.get(0, 0), ks.get(1, 0)
+        v, n = n._val, n.shifted(-kq, -kt)
+        if v is not None:
+            n._val = v // (_FACTOR_VALS[0] ** kq * _FACTOR_VALS[1] ** kt)
+    return n
 
 
 def _register(d, a, b):
@@ -888,36 +892,22 @@ def _expand(fac):
                      start=IntPoly.const(fac[0]))
 
 
-def _cancel(n, c, fl, pack=True):
-    """Divide nonzero n and c * prod f^e by their gcd: (n', c', fl').  The
-    factors but q and t (which go by degrees) whose value does not divide
-    n's are left; before n's value is known, so are those of more degree,
-    as past _probe's tables a value costs a power per term.  The rest go
-    as in _strip, or at the probe point when that gives None or pack is
-    false (for a sum's numerator that _strip refused)."""
+def _cancel(n, c, fl):
+    """Divide nonzero n and c * prod f^e by their gcd: (n', c', fl').  q and
+    t go by n's minimum degrees.  The other factors whose degrees fit n's
+    and whose value divides n's go to _trial; degrees go first, as past
+    _probe's tables a value costs a power per term."""
     if fl and not n.is_constant:
-        fits = fl
-        if n._val is None:
-            dq, dt = max(n.terms)[0], max(map(_T_DEG, n.terms))
-            fits = [(f, e) for f, e in fl if f < 2 or (
-                _FACTOR_SIZES[f][0] <= dq and _FACTOR_SIZES[f][1] <= dt)]
-        cands = [(f, e) for f, e in fits
-                 if f < 2 or _value(n) % _FACTOR_VALS[f] == 0]
+        ks = {}
+        n = _shift_out(n, fl, ks)
+        dq, dt = max(n.terms)[0], max(map(_T_DEG, n.terms))
+        cands = [(f, e) for f, e in fl if f > 1 and _FACTOR_SIZES[f][0] <= dq
+                 and _FACTOR_SIZES[f][1] <= dt
+                 and _value(n) % _FACTOR_VALS[f] == 0]
         if cands:
-            v = n._val
-            got = pack and _strip([((n.terms,), 1, 1, {})], cands, n)
-            if got:
-                n, ks = got[0], dict(cands)
-                for f, e in got[1]:
-                    ks[f] -= e
-                if v is not None:
-                    n._val = v // math.prod(_FACTOR_VALS[f] ** k
-                                            for f, k in ks.items())
-            else:
-                n, counts = _trial(n, cands)
-                ks = {f: k for (f, _), k in zip(cands, counts)}
-            fl = tuple((f, e - ks.get(f, 0)) for f, e in fl
-                       if e > ks.get(f, 0))
+            n, counts = _trial(n, cands)
+            ks.update((f, k) for (f, _), k in zip(cands, counts))
+        fl = tuple((f, e - ks.get(f, 0)) for f, e in fl if e > ks.get(f, 0))
     # the factors are primitive: dividing by them leaves n's content
     g = math.gcd(c, n.content()) if c != 1 else 1
     if g != 1:
@@ -980,7 +970,7 @@ def _fac_sum(xs):
         num = _numerator(leaves)
     if num.is_zero:
         return ZERO
-    num, c, rest = _cancel(num, lc, cands, pack=False)
+    num, c, rest = _cancel(num, lc, cands)
     fac = _fac(c, (1, ((f, m) for f, m in tops if seen[f] == 1)),
                (1, got[1] if got else rest))
     return Scalar._raw(num, fac)

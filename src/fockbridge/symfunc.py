@@ -1,12 +1,13 @@
 """Symmetric functions over Q(q, t) in the p, h, m, s bases.
 
 Conversions route through the monomial basis: s expands by tableau
-enumeration, p by direct monomial expansion, h through p; the reverse
-directions invert the per-degree transition matrices exactly.  Products and
-the Hall pairing live in the power-sum basis, where p-monomials are free
-generators and <p_lam, p_mu> = z_lam delta.  For the verifiers' zero tests,
-products by p_nu and the perps of h_k and p_k also come as integer rows in m
-or p (_pm_row, _perp_row), so that no reduced value is built.
+enumeration, p by direct monomial expansion, h through the Kostka numbers
+of the s rows; the reverse directions invert the per-degree transition
+matrices exactly.  Products and the Hall pairing live in the power-sum
+basis, where p-monomials are free generators and <p_lam, p_mu> = z_lam
+delta.  For the verifiers' zero tests, products by p_nu and the perps of
+h_k and p_k also come as integer rows in m or p (_pm_row, _perp_row), so
+that no reduced value is built.
 """
 
 from __future__ import annotations
@@ -191,26 +192,6 @@ def _pm_row(nu, mu):
 
 
 @lru_cache(maxsize=None)
-def _p_to_m_row(lam):
-    return {nu: Scalar.from_int(n) for nu, n in _pm_row(lam, EMPTY).items()}
-
-
-@lru_cache(maxsize=None)
-def _h_to_p_single(k):
-    # h_k = sum over partitions of k of p_lam / z_lam
-    return {lam: ONE / z_of(lam) for lam in partitions_of(k)}
-
-
-def _h_to_p_row(lam):
-    row = {EMPTY: ONE}
-    for k in lam:
-        row = accumulate((_union(alpha, beta), c1 * c2)
-                         for alpha, c1 in row.items()
-                         for beta, c2 in _h_to_p_single(k).items())
-    return row
-
-
-@lru_cache(maxsize=None)
 def _chain_count(inner, outer, sizes):
     """Number of strip chains inner -> outer with the given step sizes."""
     if not sizes:
@@ -225,20 +206,22 @@ def _chain_count(inner, outer, sizes):
 
 @lru_cache(maxsize=None)
 def _to_m(basis, d):
-    """Expansions into m of the basis elements of degree d."""
-    rows = {}
-    for lam in partitions_of(d):
-        if basis == "m":
-            rows[lam] = {lam: ONE}
-        elif basis == "p":
-            rows[lam] = dict(_p_to_m_row(lam))
-        elif basis == "s":
-            rows[lam] = schur_tableaux(lam).terms
-        elif basis == "h":
-            rows[lam] = accumulate(
-                (nu, c * c2) for mu, c in _h_to_p_row(lam).items()
-                for nu, c2 in _p_to_m_row(mu).items())
-    return rows
+    """Expansions into m of the basis elements of degree d, from partitions
+    alone: tableaux for s, _pm_row for p, and for h the Kostka numbers K
+    of the s rows, as h_lam = sum_mu K_{mu lam} s_mu (Macdonald I (6.5))."""
+    order = partitions_of(d)
+    if basis == "h":
+        ks = [{nu: c.as_int() for nu, c in row.items()}
+              for row in _to_m("s", d).values()]
+        # K_{(d) nu} = 1, so no m_nu of h_lam is zero
+        return {lam: {nu: Scalar.from_int(sum(k.get(lam, 0) * k.get(nu, 0)
+                                              for k in ks)) for nu in order}
+                for lam in order}
+    if basis == "p":
+        return {lam: {nu: Scalar.from_int(n) for nu, n in
+                      _pm_row(lam, EMPTY).items()} for lam in order}
+    return {lam: {lam: ONE} if basis == "m" else schur_tableaux(lam).terms
+            for lam in order}
 
 
 def _reduce(mat, ncols):

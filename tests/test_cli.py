@@ -343,7 +343,7 @@ class TestVerify:
     ])
     def test_orders_over_cap_exit_two(self, capsys, suite, bounds):
         # heisenberg --kmax 30 --dmax 2 ran for minutes: the suite climbs
-        # to degree dmax + 2*kmax - 1
+        # to degree dmax + (2*kmax - 1)*step
         rc, out, err = run_cli(capsys, "verify", suite, "--rep", "fermionic",
                                "--dmax", "2", *bounds)
         assert rc == 2
@@ -358,8 +358,8 @@ class TestVerify:
         assert "pass" in out
 
     # (suite, rep, flags, the degree the flags reach): pieri reaches
-    # dmax + kmax*step, du dmax + abmax*step, bf dmax + lmax*step; llt1:2
-    # has step 2
+    # dmax + kmax*step, du dmax + abmax*step, bf dmax + lmax*step and
+    # heisenberg dmax + (2*kmax - 1)*step; llt1:2 has step 2
     REACH = [
         ("pieri", "fermionic", ("--kmax", "2", "--dmax", "2"), 4),
         ("pieri", "llt1:2", ("--kmax", "1", "--dmax", "2"), 4),
@@ -367,6 +367,8 @@ class TestVerify:
         ("du", "llt1:2", ("--abmax", "1", "--dmax", "2"), 4),
         ("bf", "fermionic", ("--lmax", "2", "--dmax", "2"), 4),
         ("bf", "llt1:2", ("--lmax", "1", "--dmax", "2"), 4),
+        ("heisenberg", "fermionic", ("--kmax", "2", "--dmax", "1"), 4),
+        ("heisenberg", "llt1:2", ("--kmax", "2", "--dmax", "1"), 7),
     ]
 
     @pytest.mark.parametrize("suite, rep, flags, reach", REACH)
@@ -376,10 +378,12 @@ class TestVerify:
         assert rc == 0
         assert "pass" in out
 
+    # the heisenberg rows of REACH go last, so the other cases keep their ids
     @pytest.mark.parametrize("suite, rep, flags, reach, cap", [
-        r + (r[3] - 1,) for r in REACH] + [
+        r + (r[3] - 1,) for r in REACH[:6]] + [
         # it ran for 15 s at the default cap 8, reaching degree 16
-        ("pieri", "fermionic", ("--kmax", "8", "--dmax", "8"), 16, 8)])
+        ("pieri", "fermionic", ("--kmax", "8", "--dmax", "8"), 16, 8)] + [
+        r + (r[3] - 1,) for r in REACH[6:]])
     def test_suite_reach_past_cap_exits_two(self, capsys, suite, rep, flags,
                                             reach, cap):
         rc, out, err = run_cli(capsys, "verify", suite, "--rep", rep, *flags,

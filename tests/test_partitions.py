@@ -1,6 +1,7 @@
 """Partition combinatorics against brute-force oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockbridge.partitions import (
     EMPTY,
@@ -32,6 +33,11 @@ def brute_strips(lam, k):
         if len(cols) == len(set(cols)):
             out.append(mu)
     return tuple(sorted(out, reverse=True))
+
+
+def partitions_up_to(d):
+    return st.integers(0, d).flatmap(
+        lambda k: st.sampled_from(partitions_of(k)))
 
 
 class TestBasics:
@@ -189,6 +195,18 @@ class TestCoreQuotient:
     def test_non_core_rejected(self):
         with pytest.raises(ValueError):
             from_core_quotient(Partition([2]), (EMPTY, EMPTY))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n), partitions_up_to(8),
+        st.lists(partitions_up_to(5), min_size=n, max_size=n))))
+    def test_core_and_quotient_round_trip(self, drawn):
+        # the reverse of test_round_trip: a quotient part longer than its
+        # runner's core beads needs extra beads on every runner
+        n, lam, quotient = drawn
+        core, quotient = core_quotient(lam, n)[0], tuple(quotient)
+        assert core_quotient(from_core_quotient(core, quotient), n) == \
+            (core, quotient)
 
 
 class TestDominance:

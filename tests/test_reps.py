@@ -20,6 +20,7 @@ from fockbridge.heisenberg import (
     rep_to_bundle,
     specialize_rep,
 )
+from fockbridge.identities import verify_pieri
 from fockbridge.partitions import (
     EMPTY,
     Partition,
@@ -502,6 +503,20 @@ class TestSums:
     def test_parameter_mismatch_rejected(self):
         with pytest.raises(ValueError, match="parameter"):
             direct_sum(fermionic_rep(), macdonald_rep())
+
+    @pytest.mark.parametrize("combine, checked", [(direct_sum, 16),
+                                                  (tensor, 12)])
+    def test_distinct_bundles_under_kmax_8_combine(self, combine, checked):
+        # a bundle's parameters stop at its kmax, so two bundles are
+        # compared up to the smaller kmax, not at the 8 of a lazy family
+        bundle = rep_to_bundle(fermionic_rep(), 2, 3)
+        rpt = verify_pieri(combine(load_bundle(bundle), load_bundle(bundle)),
+                           1, 1)
+        assert rpt.passed and len(rpt.checked) == checked
+        # a_1 still differs from the Macdonald bundle's
+        other = load_bundle(rep_to_bundle(macdonald_rep(), 2, 3))
+        with pytest.raises(ValueError, match="parameter"):
+            combine(load_bundle(bundle), other)
 
 
 class TestTensor:

@@ -1225,10 +1225,20 @@ class TestPackedTrialDivision:
         num, inv = 333334 * Q * T - 1333336, ONE / (Q - 1)
         addends = [333334 * Q * T * inv, -1333336 * inv]
         strips = record(monkeypatch, "_strip")
+        trials = record(monkeypatch, "_trial")
         probes = record(monkeypatch, "_probe")
         x = scalar_sum(addends) if summed else num * inv
         monkeypatch.undo()
-        assert strips and all(r is None for _, r in strips)
+        if summed:
+            assert strips and all(r is None for _, r in strips)
+        else:
+            # a product's numerator is divided at the probe point only:
+            # the one division by the candidate fails, and its fallback
+            # (recorded first, as it returns first) tries it no more
+            one_q = scalars_module._FACTOR_IDS[1, 1, 0]
+            assert strips == []
+            assert [cands for (_, cands), _ in trials] == \
+                [[(one_q, 0)], [(one_q, 1)]]
         assert len(probes) == 1
         assert x.num == num.num and x.den == (Q - 1).num
         assert_canonical(x)
@@ -1241,18 +1251,28 @@ class TestPackedTrialDivision:
     def test_strip_gets_only_factors_whose_value_divides(self, monkeypatch):
         # f | n implies f(P) | n(P) at the probe point P, so a factor whose
         # value does not divide the numerator's is not tried: q*t - 4 at P
-        # is no multiple of q - 1 at P, and reaches no packed division
-        strips = record(monkeypatch, "_strip")
+        # is no multiple of q - 1 at P, and reaches no trial division
+        trials = record(monkeypatch, "_trial")
         x = (Q * T - 4) * (ONE / (Q - 1))
-        assert strips == []
+        assert trials == []
         assert x.num == (Q * T - 4).num and x.den == (Q - 1).num
         assert_canonical(x)
+        # the calls _cancel makes, not the fallbacks within _trial
+        calls, trial = [], scalars_module._trial
+
+        def from_cancel(n, cands):
+            if sys._getframe(1).f_code.co_name == "_cancel":
+                calls.append((n, cands))
+            return trial(n, cands)
+        monkeypatch.setattr(scalars_module, "_trial", from_cancel)
         assert verify_pieri(type(macdonald_rep())(), 2, 3).passed
         monkeypatch.undo()
-        from_cancel = [args for args, _ in strips if len(args) == 3]
-        assert from_cancel
-        for _, fl, n in from_cancel:
-            assert all(_probe(n) % _FACTOR_VALS[f] == 0 for f, _ in fl)
+        assert calls
+        sizes = scalars_module._FACTOR_SIZES
+        for n, cands in calls:
+            dq, dt = max(n.terms)[0], max(j for _, j in n.terms)
+            assert all(sizes[f][0] <= dq and sizes[f][1] <= dt and
+                       _probe(n) % _FACTOR_VALS[f] == 0 for f, _ in cands)
 
     def test_factors_of_more_degree_go_before_the_probe(self, monkeypatch):
         # past _probe's tables the value of q^100000 is a 2-Mbit power,

@@ -1,5 +1,6 @@
 """Basis conversions, Hall pairing, products, tableaux, evaluation."""
 
+import functools
 import random
 import time
 from itertools import permutations
@@ -80,6 +81,35 @@ class TestFrozenExpansions:
     def test_schur_straight_shape_matches(self):
         for lam in partitions_of(4):
             assert schur_tableaux(lam) == convert(sym_s(lam), "m")
+
+    def test_h_rows_count_contingency_tables(self):
+        # the m_mu coefficient of h_lam is the number of nonnegative
+        # integer matrices with row sums lam and column sums mu
+        @functools.cache
+        def tables(rows, cols):
+            if not rows:
+                return int(not any(cols))
+            return sum(tables(rows[1:], tuple(c - x for c, x in zip(cols, xs)))
+                       for xs in fillings(rows[0], cols))
+
+        def fillings(n, caps):
+            # the tuples of len(caps) nonnegative ints summing to n, each
+            # at most its cap
+            if not caps:
+                if n == 0:
+                    yield ()
+                return
+            for x in range(min(n, caps[0]) + 1):
+                for rest in fillings(n - x, caps[1:]):
+                    yield (x,) + rest
+
+        for d in range(9):
+            rows = _to_m("h", d)
+            for lam in partitions_of(d):
+                want = {mu: n for mu in partitions_of(d)
+                        if (n := tables(tuple(lam), tuple(mu)))}
+                assert {mu: c.as_int() for mu, c in rows[lam].items()} == \
+                    want, lam
 
 
 class TestRoundTrips:
