@@ -29,6 +29,7 @@ basis they are built in (p or m) until a reader asks for another.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -569,12 +570,14 @@ def load_bundle(source):
         _require(len(set(row)) == len(row),
                  f"duplicate basis labels at degree {d}")
         labels[d] = tuple(row)
+    # a bundle repeats few values: each distinct string is parsed once
+    parse = functools.cache(parse_scalar)
     params = {}
     for k in range(1, kmax + 1):
         raw = data["params"].get(str(k))
         _require(isinstance(raw, str), f"params missing a_{k}")
         try:
-            params[k] = parse_scalar(raw)
+            params[k] = parse(raw)
         except ValueError as e:
             raise BundleFormatError(f"bad scalar for a_{k}: {e}") from None
         _require(not params[k].is_zero, f"parameter a_{k} is zero")
@@ -599,7 +602,7 @@ def load_bundle(source):
             _require(all(isinstance(x, str) for x in row),
                      f"{side}[{k}][{d}] entries must be strings")
             try:
-                row = [parse_scalar(x) for x in row]
+                row = [parse(x) for x in row]
             except ValueError as e:
                 raise BundleFormatError(
                     f"bad scalar in {side}[{k}][{d}]: {e}") from None

@@ -32,17 +32,35 @@ __all__ = [
 ]
 
 
+# the one Partition of each validated tuple of parts (hash-consing:
+# Filliatre & Conchon, ML Workshop 2006); past _TABLE_LIMIT entries a new
+# partition is built but not stored
+_PARTITIONS = {}
+_TABLE_LIMIT = 200000
+
+
 class Partition(tuple):
-    """A partition as a tuple of weakly decreasing positive ints."""
+    """A partition as a tuple of weakly decreasing positive ints; equal
+    partitions are one object."""
 
     def __new__(cls, parts=()):
+        if isinstance(parts, tuple):    # a Partition among them
+            p = _PARTITIONS.get(parts)
+            if p is not None:
+                return p
         parts = tuple(int(p) for p in parts)
+        p = _PARTITIONS.get(parts)
+        if p is not None:
+            return p
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"partition parts must be positive: {parts}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"partition parts must weakly decrease: {parts}")
-        return tuple.__new__(cls, parts)
+        p = tuple.__new__(cls, parts)
+        if len(_PARTITIONS) < _TABLE_LIMIT:
+            _PARTITIONS[parts] = p
+        return p
 
     @property
     def size(self):

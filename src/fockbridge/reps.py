@@ -100,7 +100,7 @@ class _FermionicRep(_OnPartitions):
         return dict.fromkeys(horizontal_strips_below(lam, k), ONE)
 
 
-_SIGNS = (ONE, -ONE)        # shared by every raw_B entry
+_SIGNS = (ONE, -ONE)        # built once: a -ONE per raw_B entry was slower
 
 
 _FERMIONIC = _FermionicRep()
@@ -182,15 +182,21 @@ def macdonald_rep():
 # ---------------------------------------------------------------------------
 # direct sums and tensor products
 
+def _kmax(reps):
+    # the parameters of reps known to all: a bundle's stop at its kmax, and
+    # a direct sum's or tensor's at its parts' smallest (8 if none)
+    return min(getattr(r, "kmax", 8) for r in reps)
+
+
 def _check_compatible(reps):
-    # a power's factor is not compared with itself; a bundle's parameters
-    # stop at its kmax, so a pair compares up to the smaller (8 if none)
+    # a power's factor is not compared with itself; a pair compares its
+    # parameters up to its _kmax
     first = reps[0]
     for r in reps[1:]:
         if r.degree_step != first.degree_step:
             raise ValueError("degree_step mismatch between summands/factors")
-        kmax = min(getattr(first, "kmax", 8), getattr(r, "kmax", 8))
-        if r is not first and not params_equal(first.params, r.params, kmax):
+        if r is not first and \
+                not params_equal(first.params, r.params, _kmax((first, r))):
             raise ValueError("parameter mismatch between summands/factors")
 
 
@@ -201,6 +207,7 @@ class _DirectSumRep(Rep):
         super().__init__()
         _check_compatible((r1, r2))
         self.parts = (r1, r2)
+        self.kmax = _kmax(self.parts)
         self.params = r1.params
         self.degree_step = r1.degree_step
         self.highest = (0, r1.highest) if r1.highest is not None else None
@@ -252,6 +259,7 @@ class _TensorRep(Rep):
         super().__init__()
         _check_compatible(factors)
         self.factors = tuple(factors)
+        self.kmax = _kmax(self.factors)
         n = len(factors)
         base = factors[0].params
         self.params = HeisenbergParams(lambda k: base.value(k) * n)

@@ -1087,6 +1087,14 @@ def _zero_sum(terms, frac):
                           [math.prod(vs) * s for vs, s in terms])
 
 
+# (n, m) -> the one Scalar n/m, m > 0 and gcd(n, m) = 1 (hash-consing:
+# Filliatre & Conchon, ML Workshop 2006).  Sharing is safe: a Scalar and
+# its IntPolys are never changed, and the fields set on first read (_den,
+# _val) are fixed by the value.  Past _GCD_MEMO_LIMIT entries a new
+# rational is built but not stored
+_RATIONALS = {}
+
+
 class Scalar:
     """Element of Q(q, t) in canonical form.
 
@@ -1094,12 +1102,13 @@ class Scalar:
     lexicographic leading coefficient of den (by (deg_q, deg_t)) is positive.
     A value whose den factors over the registered factors stores num and
     fac, and multiplies den out when it is first read; otherwise fac is
-    None and den is stored.
+    None and den is stored.  A rational n/m is one object (_RATIONALS),
+    whichever route builds it.
     """
 
     __slots__ = ("num", "fac", "_den")
 
-    def __init__(self, num, den=None):
+    def __new__(cls, num, den=None):
         if isinstance(num, int):
             num = IntPoly.const(num)
         if den is None:
@@ -1108,20 +1117,33 @@ class Scalar:
             den = IntPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("scalar with zero denominator")
-        x = _signfix(*num.cofactors(den)[1:])
-        self.num, self.fac, self._den = x.num, x.fac, x._den
+        return _signfix(*num.cofactors(den)[1:])
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which interns
+        return Scalar, (self.num, self.den)
 
     @classmethod
     def _raw(cls, num, fac, den=None):
         # trusted constructor: num over fac's den, or over den when fac is
-        # None, already canonical
-        s = cls.__new__(cls)
+        # None, already canonical.  A constant over an integer is looked up
+        t, key = num.terms, None
+        if fac is not None and not fac[1] and len(t) < 2 and \
+                (not t or (0, 0) in t):
+            key = (t.get((0, 0), 0), fac[0])
+            s = _RATIONALS.get(key)
+            if s is not None:
+                return s
+        s = object.__new__(cls)
         s.num, s.fac, s._den = num, fac, den
+        if key is not None and len(_RATIONALS) < _GCD_MEMO_LIMIT:
+            _RATIONALS[key] = s
         return s
 
     @classmethod
     def from_int(cls, n):
-        return cls._raw(IntPoly.const(n), _UNIT)
+        s = _RATIONALS.get((n, 1))
+        return cls._raw(IntPoly.const(n), _UNIT) if s is None else s
 
     @classmethod
     def fraction(cls, a, b):

@@ -356,7 +356,6 @@ def _perp_row(g, k, basis, mu):
     return row
 
 
-@lru_cache(maxsize=None)
 def _int(n):
     # n as the y of an entry: None (a lone x) for 1
     return None if n == 1 else Scalar.from_int(n)

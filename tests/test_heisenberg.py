@@ -10,12 +10,14 @@ import json
 
 import pytest
 
+from fockbridge import heisenberg
 from fockbridge.heisenberg import (
     BundleFormatError,
     BundleRangeError,
     HeisenbergParams,
     Rep,
     StateVec,
+    _target,
     adjoint_rep,
     apply_B,
     apply_D,
@@ -31,7 +33,7 @@ from fockbridge.heisenberg import (
     specialize_rep,
 )
 from fockbridge.partitions import EMPTY, Partition, partitions_of, z_of
-from fockbridge.scalars import ONE, Q, Scalar, ZERO
+from fockbridge.scalars import ONE, Q, Scalar, ZERO, parse_scalar
 from fockbridge.reps import fermionic_rep, llt_q1_rep, macdonald_rep, tensor
 from fockbridge.symfunc import SymFunc, convert, sym_p, theta_apply
 
@@ -331,6 +333,33 @@ class TestBundles:
             for i, lam in enumerate(rep.basis_of_degree(d)):
                 assert compute_F(b, (d, i), (0, 0)) == compute_F(rep, lam, EMPTY)
                 assert compute_G(b, (d, i), (0, 0)) == compute_G(rep, lam, EMPTY)
+
+    def test_one_parse_per_distinct_string(self, monkeypatch):
+        # the loaded columns are those of a parse of every entry, and each
+        # distinct string is parsed once
+        bundle = rep_to_bundle(macdonald_rep(), 3, 4)
+        texts = list(bundle["params"].values())
+        want = {}
+        for side in ("U", "D"):
+            for k, block in bundle[side].items():
+                for d, mat in block.items():
+                    target = _target(1, side, int(k), int(d))
+                    for r, row in enumerate(mat):
+                        texts += row
+                        for i, x in enumerate(row):
+                            col = want.setdefault((side, int(k), (int(d), i)),
+                                                  {})
+                            if parse_scalar(x):
+                                col[(target, r)] = parse_scalar(x)
+        calls = []
+        monkeypatch.setattr(heisenberg, "parse_scalar",
+                            lambda x: calls.append(x) or parse_scalar(x))
+        b = load_bundle(bundle)
+        assert sorted(calls) == sorted(set(texts)) and len(calls) < len(texts)
+        assert {key: col for key, col in b.columns.items() if col} == \
+            {key: col for key, col in want.items() if col}
+        assert all(b.params.value(k) == parse_scalar(bundle["params"][str(k)])
+                   for k in (1, 2, 3))
 
     def test_json_serializable(self):
         bundle = rep_to_bundle(PolyModel(UNIT), kmax=2, dmax=3)

@@ -48,6 +48,22 @@ class TestBasics:
             Partition((2, 0))
         assert Partition([3, 1, 1]).size == 5
 
+    def test_one_object_per_partition(self):
+        lam = Partition([3, 1])
+        assert lam is Partition((3, 1)) is Partition(Partition([3, 1]))
+        assert lam is parse_partition("[3,1]") is Partition(iter([3, 1]))
+        assert Partition() is EMPTY is Partition([]) is Partition(())
+        assert horizontal_strips([2], 2)[1] is Partition([3, 1])
+        assert Partition([3, 2]).conjugate() is Partition([2, 2, 1])
+
+    def test_invalid_parts_raise_every_time(self):
+        from fockbridge.partitions import _PARTITIONS
+        for bad in ((1, 2), [2, 0], (3, -1), [0]):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    Partition(bad)
+            assert tuple(bad) not in _PARTITIONS
+
     def test_parse_and_str(self):
         assert parse_partition("[3,1,1]") == Partition([3, 1, 1])
         assert parse_partition("[]") == EMPTY

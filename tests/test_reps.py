@@ -518,6 +518,20 @@ class TestSums:
         with pytest.raises(ValueError, match="parameter"):
             combine(load_bundle(bundle), other)
 
+    @pytest.mark.parametrize("combine", [direct_sum, tensor])
+    def test_composites_of_small_bundles_combine(self, combine):
+        # a composite's parameters stop at its parts' smallest kmax
+        bundle = rep_to_bundle(fermionic_rep(), 2, 3)
+        a = combine(load_bundle(bundle), load_bundle(bundle))
+        b = combine(load_bundle(bundle), load_bundle(bundle))
+        rpt = verify_pieri(combine(a, b), 1, 1)
+        assert rpt.passed and rpt.checked
+        ff = combine(fermionic_rep(), fermionic_rep())
+        assert a.kmax == combine(a, ff).kmax == 2 and ff.kmax == 8
+        mac = rep_to_bundle(macdonald_rep(), 2, 3)
+        with pytest.raises(ValueError, match="parameter"):
+            combine(a, combine(load_bundle(mac), load_bundle(mac)))
+
 
 class TestTensor:
     def test_leibniz_on_vacuum(self):

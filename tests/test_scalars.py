@@ -4,10 +4,12 @@ The independent oracle here evaluates scalars at integer points with
 fractions.Fraction, bypassing all of the polynomial gcd machinery.
 """
 
+import copy
 import functools
 import math
 import operator
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from fockbridge import scalars as scalars_module
 from fockbridge.scalars import (
     _FACTOR_VALS,
     _FACTORS,
+    _RATIONALS,
     _binomial_ratio,
     _cyclotomic,
     _factor,
@@ -775,7 +778,12 @@ class TestDenOnDemand:
             lambda x: reads.append(x) or den.fget(x)))
         products = [x * y for x in xs for y in xs]
         sums = [x + y for x in xs for y in xs]
-        assert all(x._den is None for x in sums)        # stored: num, fac
+        # stored: num, fac.  A rational sum is the table's one object, whose
+        # den an earlier caller may have read
+        assert all(x._den is None for x in sums if x.fac[1])
+        rationals = [x for x in sums if not x.fac[1] and x.num.is_constant]
+        assert rationals and all(
+            _RATIONALS[x.num.as_int(), x.fac[0]] is x for x in rationals)
         built = products + sums
         built += [x * w for x in xs + [w]]
         built += [w + xs[0], w - v, -w]
@@ -1485,6 +1493,43 @@ class TestRationalRoute:
         scalar_sum(xs)
         monkeypatch.undo()
         assert calls == [] and cancels == [] and sums == []
+
+
+class TestInterning:
+    # a rational n/m is one object, whichever route builds it
+
+    def test_one_half_is_one_object(self):
+        half = Scalar.fraction(1, 2)
+        quarter, third = parse_scalar("1/4"), Scalar.fraction(1, 3)
+        routes = [Scalar.fraction(2, 4), Scalar.fraction(-1, -2), ONE / 2,
+                  Scalar.from_int(1) / Scalar.from_int(2), -(-half),
+                  -Scalar.fraction(-1, 2), quarter + quarter,
+                  scalar_sum([third, third / 2]), parse_scalar("1/2"),
+                  parse_scalar("(2*q)/(4*q)"), Scalar(1, 2),
+                  Scalar(IntPoly.const(3), IntPoly.const(6))]
+        assert all(x is half for x in routes)
+        assert _RATIONALS[1, 2] is half
+        assert Scalar.from_int(0) is ZERO and ONE - ONE is ZERO
+        assert parse_scalar("7") is Scalar.from_int(7) is 14 * half * ONE
+
+    def test_copies_are_the_table_object(self):
+        half = Scalar.fraction(1, 2)
+        for x in (half, ZERO, parse_scalar("q/(1-q)")):
+            for y in (copy.copy(x), copy.deepcopy(x),
+                      pickle.loads(pickle.dumps(x))):
+                assert triple(y) == triple(x)
+                assert (y is x) == (x is half or x is ZERO)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12))
+    def test_interned_value_is_the_generic_one(self, n, m):
+        g = math.gcd(n, m)
+        x = Scalar.fraction(n, m)
+        assert x is _RATIONALS[n // g, m // g]
+        assert x == Scalar(IntPoly.const(n), IntPoly.const(m))
+        assert triple(x) == triple(generic(n, m))
+        assert x.fac == (m // g, ())
+        assert_canonical(x)
 
 
 # values of the one-pass route: integers and rationals (zeros and +-1 often)
