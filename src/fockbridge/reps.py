@@ -87,7 +87,7 @@ class _FermionicRep(_OnPartitions):
             resorted = rest[:p] + [nb] + rest[p:]
             mu = Partition(tuple(x for x in
                                  (resorted[r] + r for r in range(w)) if x))
-            pairs.append((mu, _SIGNS[(p - j) % 2]))
+            pairs.append((mu, -ONE if (p - j) % 2 else ONE))
         return accumulate(pairs)
 
     def raw_U(self, k, lam):
@@ -98,9 +98,6 @@ class _FermionicRep(_OnPartitions):
 
     def raw_D(self, k, lam):
         return dict.fromkeys(horizontal_strips_below(lam, k), ONE)
-
-
-_SIGNS = (ONE, -ONE)        # built once: a -ONE per raw_B entry was slower
 
 
 _FERMIONIC = _FermionicRep()

@@ -567,7 +567,6 @@ _FACTOR_VALS = [_probe(f) for f in _FACTORS]
 _FACTOR_FORMS = [([0, 1], 1, 0), ([0, 1], 0, 1)]  # (P, a, b): P(q^a t^b)
 _FACTOR_SIZES = [(1, 0, 1), (0, 1, 1)]      # (q-degree, t-degree, 1-norm)
 _UNIT = (1, ())
-_UNITS = ({(0, 0): 1}, {(0, 0): -1})    # x * (+-1) is +-x: no arithmetic
 # dividends pack up to _PACK_BITS bits, else go to the probe point: packing
 # is dense (q^300 t^300 + 2 takes millions of bits), and past this size the
 # probe was the faster on the Macdonald Heisenberg sweep.  Over it the zero
@@ -979,29 +978,39 @@ def _fac_sum(xs):
 def _rat(p, m, fl=()):
     # p / (m * prod f^e over fl), p prime to each (primitive) f: the two can
     # share only an integer, which one gcd with p's coefficients cancels
-    if m == 1 and not fl:
-        return Scalar._raw(p, _UNIT)
     g = math.gcd(m, *p.terms.values())
     if g != 1:
         p, m = _poly({k: c // g for k, c in p.terms.items()}), m // g
     return Scalar._raw(p, (m, fl))
 
 
+def _frac(n, m):
+    # the one Scalar n/m, for ints n and m > 0
+    g = math.gcd(n, m)
+    n, m = n // g, m // g
+    s = _RATIONALS.get((n, m))
+    return Scalar._raw(IntPoly.const(n), (m, ())) if s is None else s
+
+
 def _rat_sum(xs):
-    # one pass over integer dens and their running lcm m, constant numerators
-    # summed as the int n; None at the first factored or generic den
-    m, n, poly = 1, 0, False
+    # rationals: their _q summed as ints n/m over the running lcm m of the
+    # dens; polynomials over integer dens: over the lcm of those; else None
+    n, m = 0, 1
     for x in xs:
-        if x.fac is None or x.fac[1]:
-            return None
-        c, t = x.fac[0], x.num.terms
+        r = x._q
+        if r is None:
+            break
+        c = r[1]
         if m % c:
             g = c // math.gcd(m, c)
-            m, n = m * g, n * g
-        v = t.get((0, 0), 0)
-        n, poly = n + v * (m // c), poly or len(t) > (v != 0)
-    p = _poly_sum([y.num.mul_int(m // y.fac[0]) for y in xs]) if poly \
-        else IntPoly.const(n)
+            n, m = n * g, m * g
+        n += r[0] * (m // c)
+    else:
+        return _frac(n, m)
+    if any(x.fac is None or x.fac[1] for x in xs):
+        return None
+    m = math.lcm(*(x.fac[0] for x in xs))
+    p = _poly_sum([x.num.mul_int(m // x.fac[0]) for x in xs])
     return _rat(p, m) if p.terms else ZERO
 
 
@@ -1036,23 +1045,20 @@ def accumulate(pairs):
 def _vanishes(entries):
     """Whether each key's sum of sign * x * y over the entries (key, x, y,
     sign) is zero; y is None for a lone x, sign is 1 or -1.  No Scalar is
-    built: integers over integer dens add up as one fraction per key, the
-    other terms with it as one integer (_zero_sum)."""
+    built: the terms of rationals (their _q) add up as one fraction per key,
+    the other terms with it as one integer (_zero_sum)."""
     fracs, rest = {}, {}
     for k, x, y, s in entries:
-        vs, v, c = (x,) if y is None else (x, y), s, 1
-        for z in vs:
-            f, a = z.fac, z.num.terms
-            if f is None or f[1] or len(a) != 1 or (0, 0) not in a:
-                rest.setdefault(k, []).append((vs, s))
-                break
-            v, c = v * a[0, 0], c * f[0]
-        else:
-            n, m = fracs.get(k, (0, 1))
-            if m % c:           # over the running lcm m, as in _rat_sum
-                g = c // math.gcd(m, c)
-                n, m = n * g, m * g
-            fracs[k] = (n + v * (m // c), m)
+        p, r = x._q, (1, 1) if y is None else y._q
+        if p is None or r is None:
+            rest.setdefault(k, []).append(((x,) if y is None else (x, y), s))
+            continue
+        c = p[1] * r[1]
+        n, m = fracs.get(k, (0, 1))
+        if m % c:               # over the running lcm m, as in _rat_sum
+            g = c // math.gcd(m, c)
+            n, m = n * g, m * g
+        fracs[k] = (n + s * p[0] * r[0] * (m // c), m)
     return all(_zero_sum(g, fracs.pop(k, (0, 1))) for k, g in rest.items()) \
         and not any(n for n, _ in fracs.values())
 
@@ -1088,10 +1094,11 @@ def _zero_sum(terms, frac):
 
 
 # (n, m) -> the one Scalar n/m, m > 0 and gcd(n, m) = 1 (hash-consing:
-# Filliatre & Conchon, ML Workshop 2006).  Sharing is safe: a Scalar and
-# its IntPolys are never changed, and the fields set on first read (_den,
-# _val) are fixed by the value.  Past _GCD_MEMO_LIMIT entries a new
-# rational is built but not stored
+# Filliatre & Conchon, ML Workshop 2006).  It keeps its key as _q, so its
+# products, quotients, negation, sums and zero tests run on two ints and a
+# lookup (_frac).  Sharing is safe: a Scalar and its IntPolys are never
+# changed, and the fields set on first read (_den, _val) are fixed by the
+# value.  Past _GCD_MEMO_LIMIT entries a new rational is built, not stored
 _RATIONALS = {}
 
 
@@ -1103,10 +1110,10 @@ class Scalar:
     A value whose den factors over the registered factors stores num and
     fac, and multiplies den out when it is first read; otherwise fac is
     None and den is stored.  A rational n/m is one object (_RATIONALS),
-    whichever route builds it.
+    whichever route builds it, with _q = (n, m); other values have _q None.
     """
 
-    __slots__ = ("num", "fac", "_den")
+    __slots__ = ("num", "fac", "_den", "_q")
 
     def __new__(cls, num, den=None):
         if isinstance(num, int):
@@ -1135,15 +1142,14 @@ class Scalar:
             if s is not None:
                 return s
         s = object.__new__(cls)
-        s.num, s.fac, s._den = num, fac, den
+        s.num, s.fac, s._den, s._q = num, fac, den, key
         if key is not None and len(_RATIONALS) < _GCD_MEMO_LIMIT:
             _RATIONALS[key] = s
         return s
 
     @classmethod
     def from_int(cls, n):
-        s = _RATIONALS.get((n, 1))
-        return cls._raw(IntPoly.const(n), _UNIT) if s is None else s
+        return _frac(n, 1)
 
     @classmethod
     def fraction(cls, a, b):
@@ -1206,7 +1212,9 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._raw(-self.num, self.fac, self._den)
+        r = self._q
+        return Scalar._raw(-self.num, self.fac, self._den) if r is None \
+            else _frac(-r[0], r[1])
 
     def __sub__(self, other):
         if not isinstance(other, (int, Scalar)):
@@ -1232,6 +1240,12 @@ class Scalar:
             return NotImplemented
         if other.num.is_zero:
             raise ZeroDivisionError("scalar division by zero")
+        r, fx = other._q, self.fac
+        if r is not None and fx is not None:    # times m/n, sign in m
+            m, n = (r[1], r[0]) if r[0] > 0 else (-r[1], -r[0])
+            if self._q is not None:
+                return _frac(self._q[0] * m, self._q[1] * n)
+            return _rat(self.num.mul_int(m), fx[0] * n, fx[1])
         num, den = _signfix_pair(other.den, other.num)
         fac = self.fac and _factor(den)     # None: generic path anyway
         return self.__mul__(Scalar._raw(num, fac, den))
@@ -1275,20 +1289,25 @@ class Scalar:
 
 
 def product(x, y):
-    """x * y for Scalars x and y: each numerator is cancelled against the
-    other's den, then they are multiplied out."""
+    """x * y for Scalars x and y: a rational n/m (its _q) multiplies as two
+    ints; otherwise each numerator is cancelled against the other's den,
+    then they are multiplied out."""
+    if y._q is None:
+        x, y = y, x             # the rational, if any, second
+    r = y._q
+    if r is not None:
+        n, m = r
+        if m == 1 and (n == 1 or n == -1):  # x * (+-1) is +-x: no arithmetic
+            return x if n == 1 else -x
+        p = x._q
+        if p is not None:
+            return _frac(p[0] * n, p[1] * m)
+        if not n:
+            return ZERO
+        if x.fac is not None:
+            return _rat(x.num.mul_int(n), x.fac[0] * m, x.fac[1])
     a, c, fx, fy = x.num, y.num, x.fac, y.fac
-    if fy == _UNIT and c.terms in _UNITS:
-        return x if c.terms[0, 0] == 1 else -x
-    if fx == _UNIT and a.terms in _UNITS:
-        return y if a.terms[0, 0] == 1 else -y
-    if a.is_zero or c.is_zero:
-        return ZERO
     if fx is not None and fy is not None:
-        for u, v in ((x, y), (y, x)):
-            if not v.fac[1] and v.num.is_constant:      # a rational
-                return _rat(u.num.mul_int(v.num.terms[0, 0]),
-                            u.fac[0] * v.fac[0], u.fac[1])
         if not fx[1] and not fy[1]:     # polynomials over integer dens
             return _rat(a * c, fx[0] * fy[0])
         a, cd, fd = _cancel(a, *fy)

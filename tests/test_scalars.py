@@ -1495,8 +1495,19 @@ class TestRationalRoute:
         assert calls == [] and cancels == [] and sums == []
 
 
+# dividends of the rational route: rationals, factored Macdonald weights
+# and values over a generic den, one of them with an integer content
+dividends = st.one_of(
+    rationals.map(lambda r: generic(*r)),
+    st.sampled_from([((3, 2, 1), (1, 1)), ((2, 1), (1, 2))]).map(
+        lambda lc: macdonald_b(*lc)),
+    st.sampled_from(["1/(1+q+t)", "(2 - q)/(3 + 3*q + 3*t)"]).map(
+        parse_scalar))
+
+
 class TestInterning:
-    # a rational n/m is one object, whichever route builds it
+    # a rational n/m is one object, whichever route builds it, and carries
+    # its key (n, m) as _q
 
     def test_one_half_is_one_object(self):
         half = Scalar.fraction(1, 2)
@@ -1530,6 +1541,110 @@ class TestInterning:
         assert triple(x) == triple(generic(n, m))
         assert x.fac == (m // g, ())
         assert_canonical(x)
+
+    def test_rationals_carry_their_pair(self):
+        half, third = Scalar.fraction(1, 2), Scalar.fraction(1, 3)
+        built = [
+            (Scalar.from_int(-3), (-3, 1)), (ZERO, (0, 1)), (ONE, (1, 1)),
+            (Scalar.fraction(4, -6), (-2, 3)),
+            (scalars_module._rat(IntPoly.const(6), 4), (3, 2)),
+            (scalars_module._rat(IntPoly.const(-5), 1), (-5, 1)),
+            (parse_scalar("-5/10"), (-1, 2)),
+            (parse_scalar("(2*q + 2)/(4 + 4*q)"), (1, 2)),
+            (Scalar(3, 9), (1, 3)), (Scalar(IntPoly.const(-4), -6), (2, 3)),
+            (-half, (-1, 2)), (-Scalar.fraction(-7, 5), (7, 5)),
+            (half + third, (5, 6)), (half - half, (0, 1)),
+            (scalar_sum([half, half, ONE]), (2, 1)),
+            (half * Scalar.fraction(-2, 5), (-1, 5)), (half / third, (3, 2)),
+            (7 / Scalar.fraction(-14, 3), (-3, 2)),
+            (copy.deepcopy(Scalar.fraction(7, 3)), (7, 3)),
+            (copy.copy(Scalar.fraction(-7, 3)), (-7, 3)),
+            (pickle.loads(pickle.dumps(Scalar.fraction(9, 4))), (9, 4))]
+        for x, pair in built:
+            assert x._q == pair and x is _RATIONALS[pair], (x, pair)
+            assert x.num == IntPoly.const(pair[0]) and x.fac == (pair[1], ())
+        others = [Q, T, -Q, Q * 2, T / 3, macdonald_b((2, 1), (1, 1))] + [
+            parse_scalar(text) for text in ("q/2", "(1+q)/6", "1/(1-q)",
+                                            "1/(1+q+t)", "2/(1 + q + t)")]
+        for x in others:
+            for y in (x, -x, x * half, x / 3, x + half, copy.copy(x),
+                      pickle.loads(pickle.dumps(x))):
+                assert y._q is None, y
+
+    @settings(max_examples=200, deadline=None)
+    @given(dividends, rationals, rationals)
+    def test_rational_route_returns_the_generic_object(self, x, a, b):
+        # the generic path: the constructor on the multiplied-out pair
+        (n1, m1), (n2, m2) = a, b
+        r, s = generic(n1, m1), generic(n2, m2)
+        assert r * s is generic(n1 * n2, m1 * m2)
+        assert -r is generic(-n1, m1)
+        assert scalar_sum([r, s, r]) is generic(2 * n1 * m2 + n2 * m1,
+                                                m1 * m2)
+        want = generic(x.num.mul_int(n1), x.den.mul_int(m1))
+        for y in (x * r, r * x):
+            assert triple(y) == triple(want)
+            assert y is want or want._q is None
+        if n1:
+            want = generic(x.num.mul_int(m1), x.den.mul_int(n1))
+            y = x / r
+            assert triple(y) == triple(want)
+            assert y is want or want._q is None
+            assert_canonical(y)
+
+    def test_division_by_a_zero_rational_raises(self):
+        for x in (ZERO, ONE, Scalar.fraction(-3, 4), parse_scalar("q/2"),
+                  macdonald_b((2, 1), (1, 1)), parse_scalar("1/(1+q+t)")):
+            for z in (0, ZERO, Scalar.fraction(0, 3)):
+                with pytest.raises(ZeroDivisionError):
+                    x / z
+
+
+@st.composite
+def rational_entries(draw):
+    """(key, x, y, sign) entries for _vanishes: rational x rational,
+    rational x factored, lone rationals and zeros.  Key 0 starts with a
+    lone nonzero rational.  Most keys get minus their sum as one value, so
+    that they sum to zero."""
+    rat = rationals.map(lambda r: generic(*r))
+    fac = st.sampled_from([((3, 2, 1), (1, 1)), ((2, 1), (1, 2)),
+                           ((2, 2), (2, 1))]).map(lambda lc: macdonald_b(*lc))
+    sign = st.sampled_from([1, -1])
+    n = draw(st.integers(1, 6))
+    entries = [(0, Scalar.fraction(n, draw(st.integers(1, 6))), None,
+                draw(sign))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["rr", "rf", "fr", "r", "zero"]))
+        x, y = {"rr": (rat, rat), "rf": (rat, fac), "fr": (fac, rat),
+                "r": (rat, st.none()),
+                "zero": (st.just(ZERO), st.one_of(st.none(), rat, fac))}[kind]
+        entries.append((draw(st.integers(0, 2)), draw(x), draw(y),
+                        draw(sign)))
+    for key in sorted({e[0] for e in entries}):
+        if draw(st.integers(0, 3)):
+            entries.append((key, -expanded_sums(entries)[key], None, 1))
+    return entries
+
+
+def expanded_sums(entries):
+    # each key's sum of sign * x * y, by scalar_sum of the expanded terms
+    groups = {}
+    for k, x, y, s in entries:
+        groups.setdefault(k, []).append((x if y is None else x * y) * s)
+    return {k: scalar_sum(g) for k, g in groups.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_entries())
+def test_vanishes_on_rational_entries(entries):
+    verdict = _vanishes(entries)
+    assert verdict == (not any(expanded_sums(entries).values()))
+    # the lone rational of key 0, nudged by 1/7
+    (k, x, y, s), rest = entries[0], entries[1:]
+    nudged = [(k, x + Scalar.fraction(1, 7), y, s)] + rest
+    assert _vanishes(nudged) == (not any(expanded_sums(nudged).values()))
+    if verdict:
+        assert not _vanishes(nudged)
 
 
 # values of the one-pass route: integers and rationals (zeros and +-1 often)
