@@ -193,19 +193,25 @@ def _linear(rep, op, k, terms):
 
 
 def _op_single(rep, op, k, index):
+    # U_0 and D_0 are the identity; otherwise the rep's raw action, zeros
+    # dropped, or the Newton rebuild when it has none
     key = (op, k, index)
     hit = rep._cache.get(key)
     if hit is not None:
         return hit
-    res = _b_single(rep, k, index) if op == "B" else \
-        _ud_single(rep, op, k, index)
+    raw = getattr(rep, "raw_" + op)
+    if k == 0 and op != "B":
+        res = {index: ONE}
+    elif raw is not None:
+        res = {i: c for i, c in raw(k, index).items() if not c.is_zero}
+    else:
+        res = _b_single(rep, k, index) if op == "B" else \
+            _ud_single(rep, op, k, index)
     rep._cache[key] = res
     return res
 
 
 def _b_single(rep, k, index):
-    if rep.raw_B is not None:
-        return {i: c for i, c in rep.raw_B(k, index).items() if not c.is_zero}
     # Newton's identities: p_k = k h_k - sum_{i<k} p_i h_{k-i}, read with
     # p -> B-negative, h -> U on the raising side and p -> B-positive,
     # h -> D on the lowering side
@@ -220,11 +226,6 @@ def _b_single(rep, k, index):
 
 def _ud_single(rep, op, k, index):
     # U_k (D_k) is h_k of the B_{-j} (B_j): sum over lam of B_{-+lam} / z_lam
-    if k == 0:
-        return {index: ONE}
-    raw = rep.raw_U if op == "U" else rep.raw_D
-    if raw is not None:
-        return {i: c for i, c in raw(k, index).items() if not c.is_zero}
     sign = -1 if op == "U" else 1
     return accumulate(
         (i, c / z_of(lam)) for lam in partitions_of(k)
@@ -360,12 +361,7 @@ def monomial_coeff(rep, s, t, alpha):
     """
     if any(a < 1 for a in alpha):
         raise ValueError("composition parts must be positive")
-    terms = {t: ONE}
-    for a in alpha:
-        terms = _linear(rep, "U", a, terms)
-        if not terms:
-            return ZERO
-    return terms.get(s, ZERO)
+    return _chain(rep, "U", tuple(reversed(alpha)), t).get(s, ZERO)
 
 
 def _phi_entries(rep, terms):

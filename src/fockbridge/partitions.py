@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .scalars import Scalar
+from .scalars import _TABLE_LIMIT, Scalar
 
 __all__ = [
     "Partition",
@@ -36,7 +36,6 @@ __all__ = [
 # Filliatre & Conchon, ML Workshop 2006); past _TABLE_LIMIT entries a new
 # partition is built but not stored
 _PARTITIONS = {}
-_TABLE_LIMIT = 200000
 
 
 class Partition(tuple):
@@ -185,64 +184,42 @@ def partitions_of(d):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _spreads(k, caps):
+    """The tuples d of nonnegative ints with d_i <= caps[i] summing to k,
+    in lexicographic order: the row gains (losses) of a horizontal strip,
+    or the degrees of a tensor split."""
+    if not caps:
+        return ((),) if k == 0 else ()
+    return tuple((head,) + tail for head in range(min(k, caps[0]) + 1)
+                 for tail in _spreads(k - head, caps[1:]))
+
+
+# a horizontal strip interlaces, lam_{i+1} <= mu_i <= lam_i (Macdonald I
+# (5.16)): a choice of how many cells each row gains (loses), capped by the
+# step to the row above (below); lam is padded with one zero row
 def horizontal_strips(lam, k):
     """Partitions mu containing lam with mu/lam a horizontal k-strip."""
     lam = Partition(lam)
-    if k < 0:
-        return ()
-    if k == 0:
-        return (lam,)
-    L = len(lam)
-    out = []
-
-    def rec(i, remaining, acc):
-        if i > L:
-            if remaining == 0:
-                out.append(Partition(acc))
-            elif L == 0 or remaining <= lam[L - 1]:
-                out.append(Partition(acc + (remaining,)))
-            return
-        lo = lam[i - 1]
-        hi = (lam[i - 2] if i >= 2 else lo + remaining)
-        for mu_i in range(lo, min(hi, lo + remaining) + 1):
-            rec(i + 1, remaining - (mu_i - lo), acc + (mu_i,))
-
-    rec(1, k, ())
-    return tuple(sorted(out, reverse=True))
+    rows = lam + (0,)
+    caps = (k,) + tuple(a - b for a, b in zip(lam, rows[1:]))
+    return tuple(Partition(tuple(r + d for r, d in zip(rows, ds) if r + d))
+                 for ds in reversed(_spreads(k, caps)))
 
 
 def horizontal_strips_below(lam, k):
     """Partitions mu contained in lam with lam/mu a horizontal k-strip."""
     lam = Partition(lam)
-    if k < 0:
-        return ()
-    if k == 0:
-        return (lam,)
-    L = len(lam)
-    out = []
-
-    def rec(i, remaining, acc):
-        if i > L:
-            if remaining == 0:
-                out.append(Partition(tuple(p for p in acc if p)))
-            return
-        lo = lam[i] if i < L else 0
-        hi = lam[i - 1]
-        for mu_i in range(max(lo, hi - remaining), hi + 1):
-            rec(i + 1, remaining - (hi - mu_i), acc + (mu_i,))
-
-    rec(1, k, ())
-    return tuple(sorted(out, reverse=True))
+    caps = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
+    return tuple(Partition(tuple(r - d for r, d in zip(lam, ds) if r - d))
+                 for ds in _spreads(k, caps))
 
 
 def is_horizontal_strip(shape):
     """True when the skew shape has at most one cell in every column."""
-    cols = {}
-    for cell in shape.cells():
-        if cell.col in cols:
-            return False
-        cols[cell.col] = cell.row
-    return True
+    inner, outer = shape.inner, shape.outer
+    return all(inner.part(i) >= outer.part(i + 1)
+               for i in range(1, len(outer)))
 
 
 def dominates(lam, mu):

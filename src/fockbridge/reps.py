@@ -12,13 +12,13 @@ is again all partitions.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .heisenberg import HeisenbergParams, Rep, _op_single, params_equal
 from .partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    _spreads,
     arm_leg,
     core_quotient,
     from_core_quotient,
@@ -238,15 +238,6 @@ def direct_sum(r1, r2):
     return _DirectSumRep(r1, r2)
 
 
-@lru_cache(maxsize=None)
-def _compositions(total, length):
-    # the length-tuples of nonnegative ints summing to total, in lex order
-    if length == 1:
-        return ((total,),)
-    return tuple((head,) + tail for head in range(total + 1)
-                 for tail in _compositions(total - head, length - 1))
-
-
 class _TensorRep(Rep):
     """Tensor product over a shared parameter family; a_k scales by the
     number of factors.  B acts by the Leibniz sum, U and D by convolution
@@ -265,7 +256,7 @@ class _TensorRep(Rep):
             self.highest = tuple(f.highest for f in factors)
 
     def basis_of_degree(self, d):
-        return tuple(t for split in _compositions(d, len(self.factors))
+        return tuple(t for split in _spreads(d, (d,) * len(self.factors))
                      for t in itertools.product(
                          *(f.basis_of_degree(di)
                            for f, di in zip(self.factors, split))))
@@ -283,7 +274,7 @@ class _TensorRep(Rep):
         # a factor with order 0 acts as the identity: only the positions of
         # a split's nonzero orders are rewritten
         pairs = []
-        for split in _compositions(k, len(self.factors)):
+        for split in _spreads(k, (k,) * len(self.factors)):
             partial = {index: ONE}
             for pos, ki in enumerate(split):
                 if not ki:

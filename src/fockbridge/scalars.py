@@ -236,8 +236,9 @@ def _q_gcd(f, g):
 
 # ---------------------------------------------------------------------------
 
+# the one size cap of the memo and intern tables, here and in partitions
+_TABLE_LIMIT = 200000
 _GCD_MEMO = {}
-_GCD_MEMO_LIMIT = 200000
 # IntPoly products go through _pack when the smaller factor has more than
 # _PACK_TERMS terms, the term pairs number more than _PACK_PRODUCTS and the
 # packed product takes at most _PACK_PAIR_BITS bits a pair (wide coefficients
@@ -432,7 +433,7 @@ class IntPoly:
                         ca, cb = a.divexact(g), b.divexact(g)
                     if g.lex_leading()[1] < 0:
                         g, ca, cb = -g, -ca, -cb
-                if len(_GCD_MEMO) < _GCD_MEMO_LIMIT:
+                if len(_GCD_MEMO) < _TABLE_LIMIT:
                     _GCD_MEMO[key] = g
         if g is None:       # the gcd of the contents, times a monomial
             g = IntPoly.const(math.gcd(a.content(), b.content()))
@@ -876,7 +877,7 @@ def _factor(p):
             # registered yet; try those its Newton polygon allows
             _register_edges(r)
             if len(_FACTORS) == end:
-                if len(_REFUSED) < _GCD_MEMO_LIMIT:
+                if len(_REFUSED) < _TABLE_LIMIT:
                     _REFUSED[key] = end
                 return None
             start = end
@@ -1098,7 +1099,7 @@ def _zero_sum(terms, frac):
 # products, quotients, negation, sums and zero tests run on two ints and a
 # lookup (_frac).  Sharing is safe: a Scalar and its IntPolys are never
 # changed, and the fields set on first read (_den, _val) are fixed by the
-# value.  Past _GCD_MEMO_LIMIT entries a new rational is built, not stored
+# value.  Past _TABLE_LIMIT entries a new rational is built, not stored
 _RATIONALS = {}
 
 
@@ -1143,7 +1144,7 @@ class Scalar:
                 return s
         s = object.__new__(cls)
         s.num, s.fac, s._den, s._q = num, fac, den, key
-        if key is not None and len(_RATIONALS) < _GCD_MEMO_LIMIT:
+        if key is not None and len(_RATIONALS) < _TABLE_LIMIT:
             _RATIONALS[key] = s
         return s
 

@@ -1,5 +1,7 @@
 """Partition combinatorics against brute-force oracles."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from fockbridge.partitions import (
     Cell,
     Partition,
     SkewShape,
+    _spreads,
     arm_leg,
     core_quotient,
     dominates,
@@ -21,18 +24,29 @@ from fockbridge.partitions import (
 )
 
 
+def one_cell_per_column(shape):
+    # the column definition of a horizontal strip, computed cellwise
+    cols = [c.col for c in shape.cells()]
+    return len(cols) == len(set(cols))
+
+
 def brute_strips(lam, k):
     # oracle: filter all partitions of |lam|+k by containment and the
-    # one-cell-per-column condition, computed cellwise
+    # one-cell-per-column condition
     lam = Partition(lam)
-    out = []
-    for mu in partitions_of(lam.size + k):
-        if not mu.contains(lam):
-            continue
-        cols = [c.col for c in SkewShape(mu, lam).cells()]
-        if len(cols) == len(set(cols)):
-            out.append(mu)
-    return tuple(sorted(out, reverse=True))
+    return tuple(sorted((mu for mu in partitions_of(lam.size + k)
+                         if mu.contains(lam)
+                         and one_cell_per_column(SkewShape(mu, lam))),
+                        reverse=True))
+
+
+def brute_strips_below(lam, k):
+    # the same oracle below lam, over the partitions of |lam|-k
+    lam = Partition(lam)
+    return tuple(sorted((mu for mu in partitions_of(lam.size - k)
+                         if lam.contains(mu)
+                         and one_cell_per_column(SkewShape(lam, mu))),
+                        reverse=True))
 
 
 def partitions_up_to(d):
@@ -142,10 +156,51 @@ class TestStrips:
                         if lam in horizontal_strips(mu, k):
                             assert mu in below
 
+    def test_below_against_brute_force(self):
+        # in order, not only as sets
+        for d in range(7):
+            for lam in partitions_of(d):
+                for k in range(5):
+                    assert horizontal_strips_below(lam, k) == \
+                        brute_strips_below(lam, k), (lam, k)
+
+    def test_zero_and_negative_k(self):
+        for lam in (EMPTY, Partition([1]), Partition([3, 1, 1])):
+            for strips in (horizontal_strips, horizontal_strips_below):
+                assert strips(lam, -1) == strips(lam, -3) == ()
+                assert strips(lam, 0) == (lam,)
+                assert strips(lam, 0)[0] is lam
+
     def test_is_horizontal_strip(self):
         assert is_horizontal_strip(SkewShape([3, 1], [1]))
         assert not is_horizontal_strip(SkewShape([2, 2], [1]))
         assert is_horizontal_strip(SkewShape([2, 2], [2, 1]))
+
+    def test_is_horizontal_strip_is_the_column_condition(self):
+        # the interlacing test against at most one cell per column, on
+        # every mu inside lam with |lam| <= 7
+        checked = 0
+        for d in range(8):
+            for lam in partitions_of(d):
+                for e in range(d + 1):
+                    for mu in partitions_of(e):
+                        if lam.contains(mu):
+                            shape = SkewShape(lam, mu)
+                            assert is_horizontal_strip(shape) == \
+                                one_cell_per_column(shape), shape
+                            checked += 1
+        assert checked == 449
+
+    def test_spreads_filter_the_product(self):
+        # every cap tuple of length <= 3 with caps <= 3: the product's
+        # tuples of sum k, in its (lexicographic) order
+        for n in range(4):
+            for caps in itertools.product(range(4), repeat=n):
+                for k in range(-1, 11):
+                    want = tuple(
+                        d for d in itertools.product(
+                            *(range(c + 1) for c in caps)) if sum(d) == k)
+                    assert _spreads(k, caps) == want, (k, caps)
 
 
 class TestArmLeg:

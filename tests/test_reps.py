@@ -541,6 +541,27 @@ class TestTensor:
             + StateVec.basis((EMPTY, P((1,))))
         assert got == want
 
+    def test_basis_order_is_pinned(self):
+        # the splits of the degree in lexicographic order, then each
+        # factor's basis in its own order
+        rep = tensor(fermionic_rep(), fermionic_rep())
+        assert rep.basis_of_degree(2) == (
+            (EMPTY, P((2,))), (EMPTY, P((1, 1))), (P((1,)), P((1,))),
+            (P((2,)), EMPTY), (P((1, 1)), EMPTY))
+
+    def test_bundle_basis_order_is_pinned(self):
+        base = fermionic_rep()
+        basis = rep_to_bundle(tensor(base, base, base), 1, 2)["basis"]
+        assert basis == {str(d): [str(tuple(map(P, t))) for t in row]
+                         for d, row in enumerate((
+                             [((), (), ())],
+                             [((), (), (1,)), ((), (1,), ()), ((1,), (), ())],
+                             [((), (), (2,)), ((), (), (1, 1)),
+                              ((), (1,), (1,)), ((), (2,), ()),
+                              ((), (1, 1), ()), ((1,), (), (1,)),
+                              ((1,), (1,), ()), ((2,), (), ()),
+                              ((1, 1), (), ())]))}
+
     def test_params_doubled(self):
         rep = tensor(fermionic_rep(), fermionic_rep())
         assert rep.params.value(3) == Scalar.from_int(2)
