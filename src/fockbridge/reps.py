@@ -28,8 +28,8 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .scalars import ONE, _binomial_ratio, accumulate
-from .symfunc import _pairing, convert, sym_m
+from .scalars import ONE, _binomial_ratio, accumulate, product, scalar_sum
+from .symfunc import SymFunc, _pairing, convert, sym_m
 
 __all__ = [
     "fermionic_rep",
@@ -358,22 +358,22 @@ def macdonald_p_oracle(d):
     """Orthogonalize {m_lam} bottom-up in reverse-lex order under the
     deformed inner product; returns {lam: P_lam} in the p basis.
 
-    Independent of the operator route: only the inner product and the
-    monomial transition matrices enter.
+    P_lam = sum u_{lam beta} m_beta, against the Gram matrix G[a, b] =
+    <m_a, m_b>_{q,t} paired from the p rows of the m_a; <P_mu, P_mu> =
+    <m_mu, P_mu>.  No operator enters: only the inner product and the
+    monomial transition matrices.
     """
-    out, norms = {}, {}
-    done = []
-    # every p_lam here has |lam| = d; each z and each <P_mu, P_mu> once
-    z = {lam: deformed_z(lam) for lam in partitions_of(d)}.__getitem__
-    for lam in reversed(partitions_of(d)):
-        f = convert(sym_m(lam), "p")
-        for mu in done:
-            p_mu = out[mu]
-            if mu not in norms:
-                norms[mu] = _pairing(p_mu, p_mu, z)
-            coef = _pairing(f, p_mu, z) / norms[mu]
-            if not coef.is_zero:
-                f = f - p_mu.scaled(coef)
-        out[lam] = f
-        done.append(lam)
-    return out
+    order = partitions_of(d)[::-1]
+    z = {lam: deformed_z(lam) for lam in order}.__getitem__
+    rows = {lam: convert(sym_m(lam), "p") for lam in order}
+    us, norms = {}, {}
+    for lam, f in rows.items():
+        g = {mu: _pairing(f, rows[mu], z) for mu in [*us, lam]}
+        pairs = [(lam, ONE)]
+        for mu, u in us.items():
+            c = -scalar_sum([x * g[b] for b, x in u.items()]) / norms[mu]
+            if not c.is_zero:
+                pairs.extend((b, product(c, x)) for b, x in u.items())
+        u = us[lam] = accumulate(pairs)
+        norms[lam] = scalar_sum([x * g[b] for b, x in u.items()])
+    return {lam: convert(SymFunc("m", u), "p") for lam, u in us.items()}

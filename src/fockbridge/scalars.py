@@ -985,6 +985,12 @@ def _rat(p, m, fl=()):
     return Scalar._raw(p, (m, fl))
 
 
+def _scaled(p, n, g):
+    # p * n / g, g an int dividing p's content.  Its own function: in
+    # product, this comprehension would hold n and m in cells on every call
+    return _poly({k: c // g * n for k, c in p.terms.items()})
+
+
 def _frac(n, m):
     # the one Scalar n/m, for ints n and m > 0
     g = math.gcd(n, m)
@@ -1242,10 +1248,12 @@ class Scalar:
         if other.num.is_zero:
             raise ZeroDivisionError("scalar division by zero")
         r, fx = other._q, self.fac
-        if r is not None and fx is not None:    # times m/n, sign in m
+        if r is not None:                       # times m/n, sign in m
             m, n = (r[1], r[0]) if r[0] > 0 else (-r[1], -r[0])
             if self._q is not None:
                 return _frac(self._q[0] * m, self._q[1] * n)
+            if fx is None:
+                return product(self, _frac(m, n))
             return _rat(self.num.mul_int(m), fx[0] * n, fx[1])
         num, den = _signfix_pair(other.den, other.num)
         fac = self.fac and _factor(den)     # None: generic path anyway
@@ -1307,6 +1315,11 @@ def product(x, y):
             return ZERO
         if x.fac is not None:
             return _rat(x.num.mul_int(n), x.fac[0] * m, x.fac[1])
+        # a/b over a generic den, gcd(a, b) = 1: only integers cancel, g
+        # of a's content against m and h of n against b's
+        a, b = x.num, x.den
+        g, h = math.gcd(a.content(), m), math.gcd(n, b.content())
+        return _signfix(_scaled(a, n // h, g), _scaled(b, m // g, h))
     a, c, fx, fy = x.num, y.num, x.fac, y.fac
     if fx is not None and fy is not None:
         if not fx[1] and not fy[1]:     # polynomials over integer dens

@@ -4,6 +4,7 @@ import pytest
 
 from fockbridge import heisenberg
 from fockbridge.heisenberg import (
+    HeisenbergParams,
     Rep,
     StateVec,
     _op_single,
@@ -27,6 +28,7 @@ from fockbridge.partitions import (
     SkewShape,
     arm_leg,
     core_quotient,
+    dominates,
     horizontal_strips,
     horizontal_strips_below,
     partitions_of,
@@ -45,7 +47,16 @@ from fockbridge.reps import (
     tensor,
 )
 from fockbridge import scalars
-from fockbridge.scalars import IntPoly, ONE, Q, Scalar, T, ZERO, parse_scalar
+from fockbridge.scalars import (
+    IntPoly,
+    ONE,
+    Q,
+    Scalar,
+    T,
+    ZERO,
+    _binomial_ratio,
+    parse_scalar,
+)
 from fockbridge.symfunc import (
     SymFunc,
     convert,
@@ -53,6 +64,7 @@ from fockbridge.symfunc import (
     schur_tableaux,
     sym_m,
     sym_s,
+    theta_apply,
 )
 
 P = Partition
@@ -94,6 +106,40 @@ class BOnly(View):
 
     def raw_B(self, k, index):
         return self.base.raw_B(k, index)
+
+
+class Rescaled(View):
+    """A base rep on partitions with v_[2,1] rescaled by 1 + q: each U and
+    D entry times the scale of its source over that of its target."""
+
+    @staticmethod
+    def scale(lam):
+        return ONE + Q if lam == P((2, 1)) else ONE
+
+    def rescaled(self, block, source):
+        return {j: c * self.scale(source) / self.scale(j)
+                for j, c in block.items()}
+
+    def raw_U(self, k, index):
+        return self.rescaled(self.base.raw_U(k, index), index)
+
+    def raw_D(self, k, index):
+        return self.rescaled(self.base.raw_D(k, index), index)
+
+
+def duality_failures(rep, omega, dmax):
+    """The lam with |lam| <= dmax at which omega G_lam(q,t) is not
+    F_lam'(t,q): Macdonald VI §5, omega_{q,t} P_lam(q,t) = Q_lam'(t,q)."""
+    return [lam for d in range(dmax + 1) for lam in partitions_of(d)
+            if theta_apply(compute_G(rep, lam, EMPTY), omega) !=
+            compute_F(rep, lam.conjugate(), EMPTY).map_coefficients(
+                lambda c: c.specialize({"q": T, "t": Q}))]
+
+
+# omega_{q,t}: p_r -> (-1)^(r-1) (1 - q^r)/(1 - t^r) p_r, and plain omega
+OMEGA_QT = HeisenbergParams(
+    lambda r: (-1) ** (r - 1) * _binomial_ratio([(r, 0)], [(0, r)]))
+OMEGA = HeisenbergParams(lambda r: (-1) ** (r - 1))
 
 
 class TestFermionicAction:
@@ -408,6 +454,41 @@ class TestMacdonaldRep:
         for i, a in enumerate(lams):
             for b in lams[i + 1:]:
                 assert deformed_inner(oracle[a], oracle[b]).is_zero
+
+    def test_oracle_at_the_cap(self):
+        # G against the oracle to degree 7; at degree 6 the oracle is
+        # pairwise orthogonal and unitriangular in m, the rest of m_mu
+        # dominated by lam
+        rep = macdonald_rep()
+        for d in (5, 6, 7):
+            oracle = macdonald_p_oracle(d)
+            assert list(oracle) == list(reversed(partitions_of(d)))
+            for lam in partitions_of(d):
+                assert compute_G(rep, lam, EMPTY) == oracle[lam], lam
+            if d != 6:
+                continue
+            lams = list(oracle)
+            for i, a in enumerate(lams):
+                for b in lams[i + 1:]:
+                    assert deformed_inner(oracle[a], oracle[b]).is_zero
+                m = convert(oracle[a], "m")
+                assert m.coefficient(a) == ONE, a
+                assert all(dominates(a, mu) for mu in m.terms), a
+
+    def test_duality(self):
+        # all 45 partitions with |lam| <= 7; plain omega fails at each but
+        # the empty one
+        rep = macdonald_rep()
+        assert duality_failures(rep, OMEGA_QT, 7) == []
+        failed = duality_failures(rep, OMEGA, 7)
+        assert len(failed) == 44 and EMPTY not in failed
+
+    def test_duality_fixes_the_scale(self):
+        # v_[2,1] rescaled by 1 + q: the Pieri sweep still passes, the
+        # duality fails first at [2,1]
+        rep = Rescaled(macdonald_rep())
+        assert verify_pieri(rep, 2, 4).passed
+        assert duality_failures(rep, OMEGA_QT, 3)[0] == P((2, 1))
 
     def test_q_equals_t_gives_schur(self):
         rep = macdonald_rep()

@@ -1601,6 +1601,45 @@ class TestInterning:
 
 
 @st.composite
+def generic_values(draw):
+    # a / b over a den that does not factor, a's and b's integer contents
+    # drawn apart so that either may share a prime with the rational
+    num = draw(intpolys()).mul_int(draw(st.integers(1, 12)))
+    den = draw(intpolys().filter(lambda p: not p.is_zero))
+    x = Scalar(num, den.mul_int(draw(st.integers(1, 12))))
+    assume(x.fac is None)
+    return x
+
+
+class TestGenericTimesRational:
+    # a rational n/m times or into a value over a generic den cancels
+    # integers only: no polynomial gcd
+
+    def test_takes_no_polynomial_gcd(self, monkeypatch):
+        x, r = parse_scalar("1/(1+q+t)"), Scalar.fraction(2, 3)
+        assert x.fac is None
+        for op in (lambda: x * r, lambda: r * x, lambda: x / r):
+            calls = count_generic_gcds(monkeypatch)
+            op()
+            monkeypatch.undo()
+            assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(generic_values(), rationals)
+    def test_matches_the_generic_constructor(self, x, r):
+        n, m = r
+        want = generic(x.num.mul_int(n), x.den.mul_int(m))
+        for y in (x * generic(n, m), generic(n, m) * x):
+            assert triple(y) == triple(want)
+            assert_canonical(y)
+        if n:
+            y = x / generic(n, m)
+            assert triple(y) == \
+                triple(generic(x.num.mul_int(m), x.den.mul_int(n)))
+            assert_canonical(y)
+
+
+@st.composite
 def rational_entries(draw):
     """(key, x, y, sign) entries for _vanishes: rational x rational,
     rational x factored, lone rationals and zeros.  Key 0 starts with a
