@@ -9,7 +9,12 @@ q = 2^zbits, t = 2^tbits, with widths past that numerator's height and
 q-degree, where the substitution is injective; so it is 0 exactly when the
 sum is, with no evaluation point deciding.  The terms are added by a
 balanced tree whose nodes sit over partial lcms, so no term is multiplied
-by its whole cofactor L / den.  Only a failure builds the two sides.  The
+by its whole cofactor L / den.  A numerator known as a product of
+registered factors (every Macdonald U, D and a_k entry is a ratio of
+binomials 1 - q^a t^b) cancels against its term's den by exponents, and
+what is left enters as powers of the factors' packed values, so L, the
+widths and the packed integers shrink.  Only a failure builds the two
+sides.  The
 keys are basis indices, p (or m) indices, or, for Cauchy, pairs
 (lam, mu) of p (x) p: that identity is checked in Sym (x) Sym, not in
 finitely many variables.  Pieri, bf and the converse read F and G in the
@@ -102,7 +107,10 @@ class VerifyReport:
         its numerator over the lcm of the dens packed at widths covering
         that numerator's height and degrees, where packing is injective: 0
         exactly when the sum is.  The packed terms are summed by a balanced
-        tree over partial lcms of their dens.  sides() builds both sides."""
+        tree over partial lcms of their dens.  A factor of x's or y's
+        numerator known by construction cancels against the term's den
+        first, and the rest enter as factor powers, not as packed term
+        dicts.  sides() builds both sides."""
         self.checked.append((self.identity, instance))
         if not _vanishes(entries):
             self.failures.append((instance, *map(str, sides())))

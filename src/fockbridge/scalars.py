@@ -125,6 +125,36 @@ def _quotient(qv, zbits, tbits, dq, dt, gbits):
     return q, max(map(abs, q.values())).bit_length() + gbits + 1
 
 
+def _digits(n, b):
+    # the balanced base-b digits of n, lowest first, for odd b > 1
+    h, out = b >> 1, []
+    while n:
+        n, r = divmod(n + h, b)
+        out.append(r - h)
+    return out
+
+
+def _pack_at(terms, x, y):
+    # terms at q = x, t = y: each t-row from a table of powers of x, then
+    # the rows by Horner in y
+    xs, rows = [1], {}
+    for (i, j), c in terms.items():
+        while len(xs) <= i:
+            xs.append(xs[-1] * x)
+        rows[j] = rows.get(j, 0) + c * xs[i]
+    v = 0
+    for j in range(max(rows), -1, -1):
+        v = v * y + rows.get(j, 0)
+    return v
+
+
+def _unpack_at(n, x, y):
+    # _unpack's terms at odd bases: the balanced base-y digits of n, each
+    # read as balanced base-x digits
+    return {(i, j): c for j, r in enumerate(_digits(n, y))
+            for i, c in enumerate(_digits(r, x)) if c}
+
+
 def _tq_gcd_heu(f, g):
     """Gcd and cofactors of term dicts by a single huge evaluation point,
     certified exactly.
@@ -137,7 +167,11 @@ def _tq_gcd_heu(f, g):
     corresponding polynomial divisor is constant.  The candidate is accepted
     only when it divides both inputs and the integer gcd of the cofactor
     values clears the same constancy threshold; failing that the bases grow
-    and we retry, and the caller falls back to a remainder sequence.
+    and we retry, and the caller falls back to a remainder sequence.  The
+    retries take odd bases, q = 2^zbits + 1 and t a power of 3: at powers
+    of two, inputs with no constant term, such as q^2 - t and q - t, have
+    values that share 2^zbits at every width (GCDHEU, Char, Geddes &
+    Gonnet, evaluates away from such points).
     Returns IntPolys (gcd, f / gcd, g / gcd): the two exact quotients that
     certified the candidate are the cofactors.
     """
@@ -156,20 +190,26 @@ def _tq_gcd_heu(f, g):
     divisor_bits = min(dqf, dqg) + min(dtf, dtg) + min(norm_f, norm_g)
     zbits = max(hf.bit_length(), hg.bit_length(), divisor_bits) + 4
     dq_cap = max(dqf, dqg) + 1
-    for _ in range(3):
-        tbits = zbits * dq_cap + 2
-        a = _pack(f, zbits, tbits)
-        b = _pack(g, zbits, tbits)
+    for k in range(3):
+        if k:
+            # (2^zbits + 1)^dq_cap < 2^((zbits + 1) dq_cap) and 3^2 > 2^3:
+            # the t-base still exceeds four times any t-row of a divisor
+            x = (1 << zbits) + 1
+            y = 3 ** (((zbits + 1) * dq_cap + 2) * 2 // 3 + 1)
+            a, b = _pack_at(f, x, y), _pack_at(g, x, y)
+        else:
+            tbits = zbits * dq_cap + 2
+            a, b = _pack(f, zbits, tbits), _pack(g, zbits, tbits)
         gam = math.gcd(a, b)
         lim = 1 << (zbits - 2)
         if gam < lim:
             return (IntPoly.const(c0), _poly(f).mul_int(ci // c0),
                     _poly(g).mul_int(cj // c0))
-        cand, dqc, dtc = _unpack(gam, zbits, tbits)
+        cand = _unpack_at(gam, x, y) if k else _unpack(gam, zbits, tbits)[0]
         cc = math.gcd(*cand.values())
         if cc > 1:
             cand = {k: c // cc for k, c in cand.items()}
-        sc = (dqc, dtc, max(map(abs, cand.values())), len(cand))
+        sc = _scan(cand)
         qf = _quo(f, cand, sf, sc)
         qg = _quo(g, cand, sg, sc) if qf is not None else None
         if qg is not None:
@@ -529,6 +569,8 @@ def _poly_str(p):
 # not its den: den = c * prod _FACTORS[fid]^e is multiplied out when first
 # read (_expand).  Its add, mul and == need only exponents, the integer c
 # and trial division; the generic gcd runs when an operand's fac is None.
+# Their numerators are such products too (_nf): those multiply, divide and
+# enter the zero test by exponents alone, with no trial division.
 
 # the power tables of _probe stop at this degree: to degree D they would hold
 # about 10 D^2 bits
@@ -629,30 +671,37 @@ def _at(fid, zbits, tbits):
 
 
 def _size_of(exps):
-    # q-degree, t-degree and 1-norm product of prod f^e over exps, a dict
-    dq, dt, n = 0, 0, 1
+    # q-degree and t-degree of prod f^e over exps, a dict, and the 1-norm
+    # products of its factors with e > 0 and of those with e < 0
+    dq, dt, n, u = 0, 0, 1, 1
     for f, e in exps.items():
         fq, ft, fn = _FACTOR_SIZES[f]
-        dq, dt, n = dq + e * fq, dt + e * ft, n * fn ** e
-    return dq, dt, n
+        dq, dt = dq + e * fq, dt + e * ft
+        if e > 0:
+            n *= fn ** e
+        else:
+            u *= fn ** -e
+    return dq, dt, n, u
 
 
 def _bounds(leaves):
     # q-degree, t-degree and height bounds of the numerator of the sum of
     # the leaves (ts, s, c, exps), each s * prod(ts) / (c * prod f^e over
     # exps) with ts term dicts, over their lcm L: the integer lcm, each
-    # factor at its top exponent.  A leaf's cofactor L / den has L's
-    # degrees and 1-norm product less its den's
+    # factor at its top exponent.  A negative e puts f^-e in the leaf's
+    # numerator.  A leaf's cofactor L / den has L's degrees and 1-norm
+    # product less its den's; its numerator factors add their degrees
+    # and multiply the height by their 1-norms
     lc, top = 1, {}
     for _, _, c, exps in leaves:
         lc = lc // math.gcd(lc, c) * c
         top.update((f, e) for f, e in exps.items() if e > top.get(f, 0))
-    lq, lt, ln = _size_of(top)
+    lq, lt, ln, _ = _size_of(top)
     dq = dt = h = 0
     for ts, s, c, exps in leaves:
-        pq, pt, pn = _size_of(exps)
+        pq, pt, pn, un = _size_of(exps)
         pq, pt, most = lq - pq, lt - pt, 1
-        ph = abs(s) * (lc // c) * (ln // pn)
+        ph = abs(s) * (lc // c) * (ln // pn) * un
         for t in ts:
             # a coefficient of prod(ts) sums at most as many products as
             # the term counts of all dicts but the longest multiply to
@@ -667,11 +716,14 @@ def _bounds(leaves):
 def _tree(leaves, embed, power, const):
     # the numerator over L of the sum of the leaves (_bounds) in one ring,
     # which embed(t) maps a term dict t into, with power(f, k) factor f to
-    # the k and const(n) the integer n: a balanced tree over the leaves
+    # the k and const(n) the integer n (a leaf's V: s times its term dicts
+    # and its numerator factors): a balanced tree over the leaves
     # sorted by den, where a node over dens D_a, D_b holds D, their lcm, and
     # V_a * (D / D_a) + V_b * (D / D_b), so the root holds L and the
     # numerator, and no leaf's cofactor L / D_i is built whole
-    nodes = [(c, exps, math.prod(map(embed, ts), start=const(s)))
+    nodes = [(c, {f: e for f, e in exps.items() if e > 0},
+              math.prod([power(f, -e) for f, e in exps.items() if e < 0]
+                        + list(map(embed, ts)), start=const(s)))
              for ts, s, c, exps in leaves]
     nodes.sort(key=lambda node: (sorted(node[1].items()), node[0]))
     while len(nodes) > 1:
@@ -805,9 +857,10 @@ def _binomial_ratio(ups, downs):
             if not (a or b):    # gcd(0, 0) = 0 would count no factor
                 raise ValueError("the binomial 1 - q^0 t^0 is zero")
             _count_binomial(a, b, exps, e=e)
-    num = _expand(_fac(1, (1, ((f, e) for f, e in exps.items() if e > 0))))
+    nf = _fac(-1 if (len(ups) + len(downs)) % 2 else 1,
+              (1, ((f, e) for f, e in exps.items() if e > 0)))
     fac = _fac(1, (-1, ((f, e) for f, e in exps.items() if e < 0)))
-    return Scalar._raw(-num if (len(ups) + len(downs)) % 2 else num, fac)
+    return Scalar._raw(_expand(nf), fac, None, nf)
 
 
 def _register_edges(r):
@@ -1072,8 +1125,7 @@ def _vanishes(entries):
 
 def _zero_sum(terms, frac):
     # Whether n / m, frac = (n, m), plus sign * prod(vs) over terms is 0.
-    # Each term keeps its den uncancelled (the integers multiplied, the
-    # factor exponents added).  The numerator over L, their lcm, has
+    # Each term is one leaf (_leaf).  The numerator over L, their lcm, has
     # q-degree at most dq and coefficients below h (_bounds), so its value
     # at zbits = h.bit_length() + 2, tbits = zbits * (dq + 1) + 2, where
     # packing is injective, is 0 exactly when it is; _packed sums it by a
@@ -1084,12 +1136,7 @@ def _zero_sum(terms, frac):
         if any(v.fac is None for v in vs):
             break
         if all(v.num.terms for v in vs):
-            c, exps = 1, {}
-            for v in vs:
-                c *= v.fac[0]
-                for f, e in v.fac[1]:
-                    exps[f] = exps.get(f, 0) + e
-            leaves.append((tuple(v.num.terms for v in vs), s, c, exps))
+            leaves.append(_leaf(vs, s))
     else:
         dq, dt, h = _bounds(leaves)
         zbits = h.bit_length() + 2
@@ -1098,6 +1145,30 @@ def _zero_sum(terms, frac):
             return not _packed(leaves, zbits, tbits)
     return not scalar_sum([Scalar.fraction(*frac)] +
                           [math.prod(vs) * s for vs, s in terms])
+
+
+def _leaf(vs, s):
+    # the term s * prod(vs), nonzero values over factored dens, as a leaf
+    # (ts, s, c, exps) of _bounds: the dens' integers multiplied and their
+    # exponents added; a numerator known as factors (_nf) adds its integer
+    # to s and its exponents negated, which cancel against the den's, and a
+    # rational its integer; only the other numerators are term dicts in ts
+    c, exps, ts = 1, {}, []
+    for v in vs:
+        c *= v.fac[0]
+        for f, e in v.fac[1]:
+            exps[f] = exps.get(f, 0) + e
+        nf = v._nf
+        if nf is not None:
+            s *= nf[0]
+            for f, e in nf[1]:
+                exps[f] = exps.get(f, 0) - e
+        elif v._q is not None:
+            s *= v._q[0]
+        else:
+            ts.append(v.num.terms)
+    g = math.gcd(s, c)
+    return tuple(ts), s // g, c // g, {f: e for f, e in exps.items() if e}
 
 
 # (n, m) -> the one Scalar n/m, m > 0 and gcd(n, m) = 1 (hash-consing:
@@ -1118,9 +1189,15 @@ class Scalar:
     fac, and multiplies den out when it is first read; otherwise fac is
     None and den is stored.  A rational n/m is one object (_RATIONALS),
     whichever route builds it, with _q = (n, m); other values have _q None.
+    A value over a factored den whose num is known by construction as
+    n * prod f^e over registered factors (a binomial ratio, and products,
+    quotients and negations of such values and rationals) carries _nf =
+    (n, ((fid, e), ...)), the sign in n; _expand(_nf) is num, and no fid
+    is in both _nf and fac.  Every other value, rationals and sums among
+    them, has _nf None.
     """
 
-    __slots__ = ("num", "fac", "_den", "_q")
+    __slots__ = ("num", "fac", "_den", "_q", "_nf")
 
     def __new__(cls, num, den=None):
         if isinstance(num, int):
@@ -1138,18 +1215,19 @@ class Scalar:
         return Scalar, (self.num, self.den)
 
     @classmethod
-    def _raw(cls, num, fac, den=None):
+    def _raw(cls, num, fac, den=None, nf=None):
         # trusted constructor: num over fac's den, or over den when fac is
-        # None, already canonical.  A constant over an integer is looked up
+        # None, already canonical; nf is num's _nf or None.  A constant
+        # over an integer is looked up, and carries no _nf
         t, key = num.terms, None
         if fac is not None and not fac[1] and len(t) < 2 and \
                 (not t or (0, 0) in t):
-            key = (t.get((0, 0), 0), fac[0])
+            key, nf = (t.get((0, 0), 0), fac[0]), None
             s = _RATIONALS.get(key)
             if s is not None:
                 return s
         s = object.__new__(cls)
-        s.num, s.fac, s._den, s._q = num, fac, den, key
+        s.num, s.fac, s._den, s._q, s._nf = num, fac, den, key, nf
         if key is not None and len(_RATIONALS) < _TABLE_LIMIT:
             _RATIONALS[key] = s
         return s
@@ -1219,9 +1297,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        r = self._q
-        return Scalar._raw(-self.num, self.fac, self._den) if r is None \
-            else _frac(-r[0], r[1])
+        r, nf = self._q, self._nf
+        if r is not None:
+            return _frac(-r[0], r[1])
+        return Scalar._raw(-self.num, self.fac, self._den,
+                           nf and (-nf[0], nf[1]))
 
     def __sub__(self, other):
         if not isinstance(other, (int, Scalar)):
@@ -1247,14 +1327,16 @@ class Scalar:
             return NotImplemented
         if other.num.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        r, fx = other._q, self.fac
+        r, nf = other._q, other._nf
         if r is not None:                       # times m/n, sign in m
             m, n = (r[1], r[0]) if r[0] > 0 else (-r[1], -r[0])
-            if self._q is not None:
-                return _frac(self._q[0] * m, self._q[1] * n)
-            if fx is None:
-                return product(self, _frac(m, n))
-            return _rat(self.num.mul_int(m), fx[0] * n, fx[1])
+            return product(self, _frac(m, n))
+        if nf is not None:          # the inverse's fac and _nf are known
+            c, fl = other.fac
+            k = 1 if nf[0] > 0 else -1
+            return product(self, Scalar._raw(
+                other.den.mul_int(k), (k * nf[0], nf[1]),
+                other.num.mul_int(k), (k * c, fl)))
         num, den = _signfix_pair(other.den, other.num)
         fac = self.fac and _factor(den)     # None: generic path anyway
         return self.__mul__(Scalar._raw(num, fac, den))
@@ -1299,8 +1381,9 @@ class Scalar:
 
 def product(x, y):
     """x * y for Scalars x and y: a rational n/m (its _q) multiplies as two
-    ints; otherwise each numerator is cancelled against the other's den,
-    then they are multiplied out."""
+    ints; two numerators known as factors (_nf) by exponents (_nf_product);
+    otherwise each numerator is cancelled against the other's den, then
+    they are multiplied out."""
     if y._q is None:
         x, y = y, x             # the rational, if any, second
     r = y._q
@@ -1313,6 +1396,8 @@ def product(x, y):
             return _frac(p[0] * n, p[1] * m)
         if not n:
             return ZERO
+        if x._nf is not None:
+            return _nf_scaled(x, n, m)
         if x.fac is not None:
             return _rat(x.num.mul_int(n), x.fac[0] * m, x.fac[1])
         # a/b over a generic den, gcd(a, b) = 1: only integers cancel, g
@@ -1320,6 +1405,8 @@ def product(x, y):
         a, b = x.num, x.den
         g, h = math.gcd(a.content(), m), math.gcd(n, b.content())
         return _signfix(_scaled(a, n // h, g), _scaled(b, m // g, h))
+    if x._nf is not None and y._nf is not None:
+        return _nf_product(x, y)
     a, c, fx, fy = x.num, y.num, x.fac, y.fac
     if fx is not None and fy is not None:
         if not fx[1] and not fy[1]:     # polynomials over integer dens
@@ -1330,6 +1417,36 @@ def product(x, y):
     _, a, d = a.cofactors(y.den)
     _, c, b = c.cofactors(x.den)
     return _signfix(a * c, b * d)
+
+
+def _nf_scaled(x, n, m):
+    # x * n/m for x with _nf and ints n != 0, m > 0 coprime: x's exponents
+    # stay, and its integers n_x / c_x meet n / m in two gcds
+    (nx, ul), (c, fl) = x._nf, x.fac
+    g, h = math.gcd(nx, m), math.gcd(n, c)
+    return Scalar._raw(_scaled(x.num, n // h, g), (c // h * (m // g), fl),
+                       None, (nx // g * (n // h), ul))
+
+
+def _nf_product(x, y):
+    # x * y for x and y with _nf, by exponents: the signed sum of both nums'
+    # and dens' exponents cancels a factor in one's num and the other's den
+    # by min, and one gcd the integers.  num is x.num * y.num when no
+    # factor cancelled, else built once from what is left
+    (nx, ux), (cx, fx) = x._nf, x.fac
+    (ny, uy), (cy, fy) = y._nf, y.fac
+    n, c = nx * ny, cx * cy
+    g = math.gcd(n, c)
+    fl = _fac(n // g, (1, ux), (1, uy), (-1, fx), (-1, fy))
+    nf = (fl[0], tuple((f, e) for f, e in fl[1] if e > 0))
+    if sum(e for _, e in nf[1]) < sum(e for _, e in ux + uy):
+        num = _expand(nf)
+    else:
+        num = x.num * y.num
+        if g > 1:
+            num = _scaled(num, nf[0], n)
+    return Scalar._raw(num, (c // g, tuple((f, -e) for f, e in fl[1]
+                                          if e < 0)), None, nf)
 
 
 def _printer():

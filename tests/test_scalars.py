@@ -320,6 +320,35 @@ class TestCofactors:
             checked += 1
         assert checked > 40
 
+    @pytest.mark.parametrize("a, b, g", [
+        ("q^2 - t", "q - t", "1"),
+        ("(q^2 - t)*(q - t^2)", "(q - t)*(q - t^2)", "q - t^2"),
+        ("(q^2 - t)*(q*t + t^2 - q)", "(q - t)*(q*t + t^2 - q)",
+         "q*t + t^2 - q")])
+    def test_no_constant_term_takes_no_remainder_sequence(
+            self, monkeypatch, a, b, g):
+        # at q = 2^zbits, t = 2^tbits both values are multiples of 2^zbits
+        # at every width; the retry at odd bases certifies the gcd
+        calls, prs = [], scalars_module._prs_gcd
+        monkeypatch.setattr(scalars_module, "_prs_gcd",
+                            lambda *args: calls.append(args) or prs(*args))
+        monkeypatch.setattr(scalars_module, "_GCD_MEMO", {})
+        a, b, g = (parse_scalar(x).num for x in (a, b, g))
+        got, ca, cb = a.cofactors(b)
+        assert (got, got * ca, got * cb) == (g, a, b)
+        assert calls == []
+
+    def test_odd_base_digits_round_trip(self):
+        rng = random.Random(5)
+        x, y = (1 << 9) + 1, (1 << 62) - 1
+        for _ in range(200):
+            terms = {(rng.randrange(5), rng.randrange(5)):
+                     rng.randint(-255, 255) for _ in range(rng.randint(1, 9))}
+            terms = {k: c for k, c in terms.items() if c} or {(0, 0): 1}
+            got = scalars_module._unpack_at(
+                scalars_module._pack_at(terms, x, y), x, y)
+            assert got == terms
+
     def test_divexact_rejects_non_divisor(self):
         one_minus_q = IntPoly({(0, 0): 1, (1, 0): -1})
         one_minus_t = IntPoly({(0, 0): 1, (0, 1): -1})
@@ -330,28 +359,34 @@ class TestCofactors:
             with pytest.raises(ValueError):
                 p.divexact(bad)
 
-    def test_gcd_matches_sympy(self):
+    def test_gcd_matches_sympy(self, monkeypatch):
         sympy = pytest.importorskip("sympy")
         q, t = sympy.symbols("q t")
 
         def to_sympy(p):
             return sum(c * q**dq * t**dt for (dq, dt), c in p.terms.items())
 
-        # GCDHEU refuses t + 4 and (q^2 - 1)(t + 5) at every width: packing
-        # sends t to 4 x^D, and both images share x + 1.  So cofactors falls
-        # back to _prs_gcd
+        # GCDHEU refuses t + 4 and (q^2 - 1)(t + 5) at every power-of-two
+        # width: packing sends t to 4 x^D, and both images share x + 1.
+        # Its retry at odd bases certifies them coprime
         refused = (IntPoly({(0, 1): 1, (0, 0): 4}),
                    IntPoly({(2, 0): 1, (0, 0): -1}) *
                    IntPoly({(0, 1): 1, (0, 0): 5}))
-        assert _tq_gcd_heu(refused[0].terms, refused[1].terms) is None
+        assert _tq_gcd_heu(refused[0].terms, refused[1].terms)[0].is_one
         t_free = [
             (IntPoly({(2, 0): 2, (0, 0): -2}), IntPoly({(3, 0): 6, (0, 0): 6})),
             (IntPoly({(4, 0): 1, (2, 0): 1, (0, 0): 1}),
              IntPoly({(3, 0): 1, (2, 0): -2, (1, 0): 2, (0, 0): -1})),
         ]
-        for a, b in [refused, *t_free, *shaped_pairs(40, seed=3)]:
+        pairs = [refused, *t_free, *shaped_pairs(40, seed=3)]
+        # and cofactors with every heuristic call refused: _prs_gcd alone
+        with monkeypatch.context() as m:
+            m.setattr(scalars_module, "_tq_gcd_heu", lambda f, g: None)
+            m.setattr(scalars_module, "_GCD_MEMO", {})
+            fallback = [a.gcd(b) for a, b in pairs]
+        for (a, b), fell_back in zip(pairs, fallback):
             want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), q, t)
-            got = [a.gcd(b), _prs_gcd(a, b)]
+            got = [a.gcd(b), _prs_gcd(a, b), fell_back]
             if (a, b) in t_free:        # the sequence in q over Z alone
                 got.append(_prs_gcd(a, b, 0))
             for g in got:
@@ -1152,17 +1187,21 @@ def test_bounds_of_a_three_factor_leaf():
 
 
 @st.composite
-def factored_leaves(draw):
+def factored_leaves(draw, signed=False):
     """1 to 6 leaves (ts, s, c, exps) of one term dict each, over dens that
     are an integer times powers of q, t and three registered binomial
-    factors; with exponents 0 to 2, top exponents are often shared."""
+    factors; with exponents 0 to 2, top exponents are often shared.  When
+    signed, exponents run from -2 (a numerator factor) and ts may be
+    empty."""
     fids = [0, 1] + [scalars_module._register(d, a, b)
                      for d, a, b in ((1, 1, 0), (2, 1, 0), (1, 1, 1))]
     leaves = []
     for _ in range(draw(st.integers(1, 6))):
         p = draw(intpolys().filter(lambda p: not p.is_zero))
-        exps = {f: e for f in fids if (e := draw(st.integers(0, 2)))}
-        leaves.append(((p.terms,), draw(st.sampled_from([1, -1, 3])),
+        exps = {f: e for f in fids
+                if (e := draw(st.integers(-2 if signed else 0, 2)))}
+        ts = (p.terms,) if not signed or draw(st.booleans()) else ()
+        leaves.append((ts, draw(st.sampled_from([1, -1, 3])),
                        draw(st.integers(1, 6)), exps))
     return leaves
 
@@ -1798,3 +1837,223 @@ def test_hash_past_the_probe_tables():
     hash(x)
     assert time.perf_counter() - start < 0.1
     assert len({x, parse_scalar("q^1000000"), Q ** 1000000}) == 1
+
+
+# ---------------------------------------------------------------------------
+# numerators known as factors: a binomial ratio, Q, T, and products,
+# quotients and negations of them carry _nf = (n, ((fid, e), ...))
+
+def cleared(x):
+    # x without its _nf: the same (num, fac), on the routes without it
+    return x if x._q is not None else Scalar._raw(x.num, x.fac, x._den)
+
+
+binomial_lists = st.tuples(st.lists(binomials, max_size=2),
+                           st.lists(binomials, max_size=2))
+
+
+@st.composite
+def factored_numerators(draw):
+    """(x, y): each a binomial ratio, possibly negated, times or over
+    another ratio or times a rational, or a rational alone (0 and +-1
+    drawn often).  y often
+    takes x's den binomials as its numerator and x's numerator binomials
+    as its den, whole or in part, so that x * y empties a numerator, a den
+    or both."""
+    def value(ups, downs):
+        kind = draw(st.sampled_from(["ratio", "ratio", "ratio", "rational"]))
+        if kind == "rational":
+            return generic(*draw(rationals))
+        x = _binomial_ratio(ups, downs)
+        for how in draw(st.lists(st.sampled_from(["-", "*", "/", "r"]),
+                                 max_size=2)):
+            if how == "-":
+                x = -x
+            elif how == "*":
+                x = x * _binomial_ratio(*draw(binomial_lists))
+            elif how == "/":
+                x = x / _binomial_ratio(*draw(binomial_lists))
+            else:
+                x = x * generic(*draw(rationals))
+        return x
+
+    ups = draw(st.lists(binomials, max_size=3))
+    downs = draw(st.lists(binomials, max_size=3))
+    x = value(ups, downs)
+    if draw(st.booleans()):
+        back_up = draw(st.lists(st.sampled_from(downs), max_size=len(downs))) \
+            if downs else []
+        back_down = draw(st.lists(st.sampled_from(ups), max_size=len(ups))) \
+            if ups else []
+        if draw(st.booleans()):
+            back_up, back_down = downs, ups
+        y = value(back_up, back_down)
+    else:
+        y = value(draw(st.lists(binomials, max_size=3)),
+                  draw(st.lists(binomials, max_size=3)))
+    return x, y
+
+
+def assert_nf(x):
+    # _nf expands to num, shares no fid with fac, and its integer is
+    # coprime to the den's; rationals carry none
+    if x._nf is None:
+        return
+    n, ul = x._nf
+    c, fl = x.fac
+    assert x._q is None and n and math.gcd(n, c) == 1, x
+    assert scalars_module._expand(x._nf) == x.num, (x, x._nf)
+    assert not {f for f, _ in ul} & {f for f, _ in fl}, x
+    assert list(ul) == sorted(ul) and all(e > 0 for _, e in ul), x
+
+
+class TestFactoredNumerators:
+
+    @settings(max_examples=150, deadline=None)
+    @given(factored_numerators())
+    def test_slot_expands_to_num(self, xy):
+        x, y = xy
+        outs = [x, y, -x, x * y, y * x]
+        if y:
+            outs.append(x / y)
+        for v in outs:
+            assert_nf(v)
+            assert_canonical(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(factored_numerators())
+    def test_ops_match_the_routes_without_it(self, xy):
+        x, y = xy
+        cx, cy = cleared(x), cleared(y)
+        ops = [product, operator.mul, lambda a, b: -a]
+        if y:
+            ops.append(operator.truediv)
+        for op in ops:
+            got, want = op(x, y), op(cx, cy)
+            assert (got.num, got.fac, got._q) == \
+                (want.num, want.fac, want._q), (x, y)
+            assert got.den == want.den
+
+    def test_binomial_ratios_carry_it_and_sums_do_not(self):
+        x = _binomial_ratio([(1, 1), (2, 0)], [(0, 1)])
+        assert x._nf is not None and len(x._nf[1]) == 3
+        assert_nf(x)
+        assert macdonald_b((3, 1), (1, 1))._nf is not None
+        # a ratio that is rational is the interned rational, with no _nf
+        assert _binomial_ratio([(1, 2)], [(1, 2)]) is ONE
+        assert _binomial_ratio([(1, 0), (0, 1)], [(1, 0), (0, 1)]) is ONE
+        y = _binomial_ratio([(0, 1)], [(1, 0)])
+        for s in (x + y, scalar_sum([x, y, Q]), x - ONE, x + x):
+            assert s._nf is None
+        assert accumulate([(0, x), (0, y)])[0]._nf is None
+
+    def test_products_take_no_polynomial_division(self, monkeypatch):
+        rep = macdonald_rep()
+        lam = fockbridge.Partition([3, 2, 1])
+        xs = [v for k in (1, 2) for v in rep.raw_U(k, lam).values()]
+        xs += [v for k in (1, 2) for v in rep.raw_D(k, lam).values()]
+        assert all(x._nf is not None or x._q is not None for x in xs)
+        assert sum(x._nf is not None for x in xs) > 10
+        r, d = Scalar.fraction(3, 4), next(x for x in xs if x._nf)
+        calls = [count_generic_gcds(monkeypatch)] + [
+            record(monkeypatch, name)
+            for name in ("_cancel", "_probe", "_trial", "_factor", "_strip")]
+        outs = [op(x, y) for x in xs for y in xs
+                for op in (product, operator.truediv)]
+        outs += [-x * r / d for x in xs]
+        monkeypatch.undo()
+        assert calls == [[]] * 6
+        assert ONE in outs and all(v._nf is not None or v._q is not None
+                                   for v in outs)
+
+
+class TestZeroTestLeaves:
+    # a factored numerator enters the zero test as negative exponents of
+    # its leaf, cancelled against the den's: no term dict is packed for it
+
+    def test_numerator_factors_equal_the_whole_den(self):
+        ups, downs = [(1, 1), (2, 0), (0, 3)], [(1, 0), (2, 2)]
+        x = _binomial_ratio(ups, downs)
+        y = _binomial_ratio(downs, ups) * Scalar.fraction(3, 2)
+        assert scalars_module._leaf((x, y), -1) == ((), -3, 2, {})
+        assert _vanishes([(0, x, y, 1), (0, Scalar.fraction(-3, 2), None, 1)])
+        assert not _vanishes([(0, x, y, 1),
+                              (0, Scalar.fraction(3, 2), None, 1)])
+        # half of them cancel: the other half stays a numerator factor
+        z = _binomial_ratio(downs, ups[:1])
+        ts, s, c, exps = scalars_module._leaf((x, z), 1)
+        assert ts == () and c == 1 and exps and all(
+            e < 0 for e in exps.values())
+        assert _vanishes([(0, x, z, 1), (0, x * z, None, -1)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bounds_cover_numerator_factors(self, data):
+        leaves = data.draw(factored_leaves(signed=True))
+        lc = math.lcm(*(c for *_, c, _ in leaves))
+        top = {}
+        for *_, exps in leaves:
+            for f, e in exps.items():
+                top[f] = max(top.get(f, 0), e)
+
+        def naive_leaf(ts, s, c, exps):
+            p = IntPoly.const(s * (lc // c))
+            for t in ts:
+                p = p * IntPoly(t)
+            for f, e in top.items():
+                p = p * _FACTORS[f] ** (e - max(exps.get(f, 0), 0))
+            for f, e in exps.items():
+                if e < 0:
+                    p = p * _FACTORS[f] ** -e
+            return p
+        naive = functools.reduce(operator.add, map(
+            lambda leaf: naive_leaf(*leaf), leaves))
+        dq, dt, h = scalars_module._bounds(leaves)
+        assert scalars_module._numerator(leaves) == naive
+        assert all(i <= dq and j <= dt and abs(c) <= h
+                   for (i, j), c in naive.terms.items())
+        zbits = h.bit_length() + 2
+        tbits = zbits * (dq + 1) + 2
+        assert scalars_module._packed(leaves, zbits, tbits) == \
+            _pack(naive.terms, zbits, tbits)
+
+
+class Corrupted(type(macdonald_rep())):
+    """The Macdonald module with its U_1 entry v_[1] -> v_[2] replaced by
+    change(entry)."""
+
+    def __init__(self, change):
+        super().__init__()
+        self.change = change
+
+    def raw_U(self, k, lam):
+        col = super().raw_U(k, lam)
+        if (k, lam) == (1, fockbridge.Partition([1])):
+            col = dict(col)
+            two = fockbridge.Partition([2])
+            col[two] = self.change(col[two])
+        return col
+
+
+class TestMacdonaldDuCorrupted:
+    # the du suite at (3, 5) passes on the module, every U and D entry a
+    # binomial ratio; one entry changed, it fails
+
+    def test_module_passes_through_factored_numerators(self):
+        rep, lam = macdonald_rep(), fockbridge.Partition([2, 1])
+        assert all(x._nf is not None or x._q is not None for k in (1, 2, 3)
+                   for x in rep.raw_U(k, lam).values())
+        assert str(verify_du(rep, 3, 5)) == "du: pass (171 checked, 0 failed)"
+
+    @pytest.mark.parametrize("change", [
+        lambda x: x + Q * T,                            # no longer factored
+        lambda x: _binomial_ratio([(1, 1)], [(2, 1)]),  # another ratio
+        lambda x: x * _binomial_ratio([(1, 0)], [(0, 1)])])
+    def test_one_changed_entry_fails(self, change):
+        rep = Corrupted(change)
+        entry = rep.raw_U(1, fockbridge.Partition([1]))[
+            fockbridge.Partition([2])]
+        assert entry != macdonald_rep().raw_U(1, fockbridge.Partition([1]))[
+            fockbridge.Partition([2])]
+        rpt = verify_du(rep, 3, 5)
+        assert not rpt.passed and len(rpt.checked) == 171
