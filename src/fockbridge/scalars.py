@@ -1029,18 +1029,11 @@ def _fac_sum(xs):
     return Scalar._raw(num, fac)
 
 
-def _rat(p, m, fl=()):
-    # p / (m * prod f^e over fl), p prime to each (primitive) f: the two can
-    # share only an integer, which one gcd with p's coefficients cancels
-    g = math.gcd(m, *p.terms.values())
-    if g != 1:
-        p, m = _poly({k: c // g for k, c in p.terms.items()}), m // g
-    return Scalar._raw(p, (m, fl))
-
-
 def _scaled(p, n, g):
     # p * n / g, g an int dividing p's content.  Its own function: in
-    # product, this comprehension would hold n and m in cells on every call
+    # _times_rational, this comprehension would hold n and m in cells
+    if n == g == 1:
+        return p
     return _poly({k: c // g * n for k, c in p.terms.items()})
 
 
@@ -1053,30 +1046,25 @@ def _frac(n, m):
 
 
 def _rat_sum(xs):
-    # rationals: their _q summed as ints n/m over the running lcm m of the
-    # dens; polynomials over integer dens: over the lcm of those; else None
+    # the sum of rationals: their _q as ints n/m over the running lcm m of
+    # the dens; None at the first other value
     n, m = 0, 1
     for x in xs:
         r = x._q
         if r is None:
-            break
+            return None
         c = r[1]
         if m % c:
             g = c // math.gcd(m, c)
             n, m = n * g, m * g
         n += r[0] * (m // c)
-    else:
-        return _frac(n, m)
-    if any(x.fac is None or x.fac[1] for x in xs):
-        return None
-    m = math.lcm(*(x.fac[0] for x in xs))
-    p = _poly_sum([x.num.mul_int(m // x.fac[0]) for x in xs])
-    return _rat(p, m) if p.terms else ZERO
+    return _frac(n, m)
 
 
 def scalar_sum(xs):
-    """The sum of the Scalars xs, reduced once: by _rat_sum over integer
-    dens, by _fac_sum over factored ones, else by pairwise +."""
+    """The sum of the Scalars xs, reduced once: by _rat_sum when all are
+    rational, by _fac_sum over factored dens (an integer den is one with
+    no factors), else by pairwise +."""
     x = _rat_sum(xs)
     if x is not None:
         return x
@@ -1185,16 +1173,17 @@ class Scalar:
 
     Invariants: gcd(num, den) = 1, den is never zero, zero is 0/1, and the
     lexicographic leading coefficient of den (by (deg_q, deg_t)) is positive.
-    A value whose den factors over the registered factors stores num and
-    fac, and multiplies den out when it is first read; otherwise fac is
-    None and den is stored.  A rational n/m is one object (_RATIONALS),
-    whichever route builds it, with _q = (n, m); other values have _q None.
-    A value over a factored den whose num is known by construction as
-    n * prod f^e over registered factors (a binomial ratio, and products,
-    quotients and negations of such values and rationals) carries _nf =
-    (n, ((fid, e), ...)), the sign in n; _expand(_nf) is num, and no fid
-    is in both _nf and fac.  Every other value, rationals and sums among
-    them, has _nf None.
+    A value is of one of three kinds.  A rational n/m is one object
+    (_RATIONALS), whichever route builds it, with _q = (n, m); it hashes as
+    n when m is 1.  A value whose den factors over the registered factors
+    stores num and fac = (c, ((fid, e), ...)), an integer den having no
+    factors, and multiplies den out when it is first read.  Its num, when
+    known by construction as n * prod f^e over registered factors (a
+    binomial ratio, and products, quotients and negations of such values
+    and rationals), is carried as _nf = (n, ((fid, e), ...)), the sign in
+    n: _expand(_nf) is num, and no fid is in both _nf and fac.  Every
+    other value, rationals and sums among them, has _nf None.  A value
+    over a generic den has fac None and stores den.
     """
 
     __slots__ = ("num", "fac", "_den", "_q", "_nf")
@@ -1272,9 +1261,10 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # not by fac: whether a den factors depends on which factors are
-        # registered when it is built, so one value may have either
-        return hash((self.num, self.den))
+        # an integer as the int it equals; else not by fac, as whether a den
+        # factors depends on the factors registered when it is built
+        r = self._q
+        return hash(r[0] if r and r[1] == 1 else (self.num, self.den))
 
     def __bool__(self):
         return not self.num.is_zero
@@ -1284,14 +1274,11 @@ class Scalar:
             other = Scalar.from_int(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        x, y = self.fac, other.fac
-        if x is not None and y is not None:
-            return (_fac_sum if x[1] or y[1] else _rat_sum)((self, other))
+        if self.fac is not None and other.fac is not None:
+            return (_rat_sum if self._q and other._q else _fac_sum)(
+                (self, other))
         g0, b1, d1 = self.den.cofactors(other.den)
-        num = self.num * d1 + other.num * b1
-        if g0.is_one:
-            return _signfix(num, b1 * d1)
-        _, num, g0 = num.cofactors(g0)
+        _, num, g0 = (self.num * d1 + other.num * b1).cofactors(g0)
         return _signfix(num, g0 * b1 * d1)
 
     __radd__ = __add__
@@ -1337,9 +1324,7 @@ class Scalar:
             return product(self, Scalar._raw(
                 other.den.mul_int(k), (k * nf[0], nf[1]),
                 other.num.mul_int(k), (k * c, fl)))
-        num, den = _signfix_pair(other.den, other.num)
-        fac = self.fac and _factor(den)     # None: generic path anyway
-        return self.__mul__(Scalar._raw(num, fac, den))
+        return product(self, _signfix(other.den, other.num))
 
     def __rtruediv__(self, other):
         if isinstance(other, int):
@@ -1394,23 +1379,11 @@ def product(x, y):
         p = x._q
         if p is not None:
             return _frac(p[0] * n, p[1] * m)
-        if not n:
-            return ZERO
-        if x._nf is not None:
-            return _nf_scaled(x, n, m)
-        if x.fac is not None:
-            return _rat(x.num.mul_int(n), x.fac[0] * m, x.fac[1])
-        # a/b over a generic den, gcd(a, b) = 1: only integers cancel, g
-        # of a's content against m and h of n against b's
-        a, b = x.num, x.den
-        g, h = math.gcd(a.content(), m), math.gcd(n, b.content())
-        return _signfix(_scaled(a, n // h, g), _scaled(b, m // g, h))
+        return _times_rational(x, n, m) if n else ZERO
     if x._nf is not None and y._nf is not None:
         return _nf_product(x, y)
     a, c, fx, fy = x.num, y.num, x.fac, y.fac
     if fx is not None and fy is not None:
-        if not fx[1] and not fy[1]:     # polynomials over integer dens
-            return _rat(a * c, fx[0] * fy[0])
         a, cd, fd = _cancel(a, *fy)
         c, cb, fb = _cancel(c, *fx)
         return Scalar._raw(a * c, _fac(cb * cd, (1, fb), (1, fd)))
@@ -1419,13 +1392,21 @@ def product(x, y):
     return _signfix(a * c, b * d)
 
 
-def _nf_scaled(x, n, m):
-    # x * n/m for x with _nf and ints n != 0, m > 0 coprime: x's exponents
-    # stay, and its integers n_x / c_x meet n / m in two gcds
-    (nx, ul), (c, fl) = x._nf, x.fac
-    g, h = math.gcd(nx, m), math.gcd(n, c)
+def _times_rational(x, n, m):
+    # x * n/m for x reduced and not rational, ints n != 0 and m > 0
+    # coprime: only integers cancel, m against x's content and n against
+    # its den's.  The factors are primitive (Gauss's lemma): over fac = (c,
+    # fl) the den's content is c, with _nf = (nx, ul) the num's is |nx|
+    nf, fac = x._nf, x.fac
+    g = math.gcd(nf[0] if nf else x.num.content(), m)
+    if fac is None:
+        b = x.den
+        h = math.gcd(n, b.content())
+        return _signfix(_scaled(x.num, n // h, g), _scaled(b, m // g, h))
+    c, fl = fac
+    h = math.gcd(n, c)
     return Scalar._raw(_scaled(x.num, n // h, g), (c // h * (m // g), fl),
-                       None, (nx // g * (n // h), ul))
+                       None, nf and (nf[0] // g * (n // h), nf[1]))
 
 
 def _nf_product(x, y):
@@ -1466,16 +1447,12 @@ def _printer():
     return text
 
 
-def _signfix_pair(num, den):
-    if num.is_zero:
-        return _POLY_ZERO, _POLY_ONE
-    if den.lex_leading()[1] < 0:
-        return -num, -den
-    return num, den
-
-
 def _signfix(num, den):
-    num, den = _signfix_pair(num, den)
+    # the Scalar num / den of a coprime pair, den nonzero
+    if num.is_zero:
+        return ZERO
+    if den.lex_leading()[1] < 0:
+        num, den = -num, -den
     fac = _factor(den)
     return Scalar._raw(num, fac, den if fac is None else None)
 

@@ -137,7 +137,7 @@ class TestPieriVerifier:
 
 class TestRationalSweeps:
     # the fermionic module has rational coefficients only: its sweeps stay
-    # on the integer-denominator route of Scalar arithmetic, and never
+    # on the rational route of Scalar arithmetic, and never
     # reach the factored sum, trial division or a polynomial product
     @pytest.mark.parametrize("verify", [verify_pieri, verify_heisenberg])
     def test_skip_the_polynomial_layer(self, monkeypatch, verify):

@@ -1452,9 +1452,9 @@ def generic(num, den):
 
 
 class TestRationalRoute:
-    # values over integer dens, fac (c, ()), multiply, divide and add over
-    # those integers; each result is the generic constructor's, with the
-    # same (num, den, fac)
+    # values over integer dens, fac (c, ()): rationals on their pairs,
+    # polynomials by the factored routes with no factor; each result is
+    # the generic constructor's, with the same (num, den, fac)
 
     @settings(max_examples=200, deadline=None)
     @given(rationals, rationals)
@@ -1586,8 +1586,10 @@ class TestInterning:
         built = [
             (Scalar.from_int(-3), (-3, 1)), (ZERO, (0, 1)), (ONE, (1, 1)),
             (Scalar.fraction(4, -6), (-2, 3)),
-            (scalars_module._rat(IntPoly.const(6), 4), (3, 2)),
-            (scalars_module._rat(IntPoly.const(-5), 1), (-5, 1)),
+            # polynomials over integer dens summing to a constant
+            (scalar_sum([Q * half, Scalar.fraction(3, 2) - Q * half]),
+             (3, 2)),
+            ((Q - 5) - Q, (-5, 1)),
             (parse_scalar("-5/10"), (-1, 2)),
             (parse_scalar("(2*q + 2)/(4 + 4*q)"), (1, 2)),
             (Scalar(3, 9), (1, 3)), (Scalar(IntPoly.const(-4), -6), (2, 3)),
@@ -1609,6 +1611,15 @@ class TestInterning:
             for y in (x, -x, x * half, x / 3, x + half, copy.copy(x),
                       pickle.loads(pickle.dumps(x))):
                 assert y._q is None, y
+
+    def test_integers_hash_as_the_ints_they_equal(self):
+        for x, n in ((ZERO, 0), (ONE, 1), (Scalar.from_int(-3), -3)):
+            assert x == n and hash(x) == hash(n)
+            assert n in {x} and x in {n} and {n: "int"}[x] == "int"
+        half = Scalar.fraction(1, 2)
+        assert hash(half) == hash(parse_scalar("(2*q)/(4*q)"))
+        assert half not in {0, 1} and len(
+            {ZERO, ONE, Scalar.from_int(-3), half, 0, 1, -3}) == 4
 
     @settings(max_examples=200, deadline=None)
     @given(dividends, rationals, rationals)
@@ -1725,9 +1736,9 @@ def test_vanishes_on_rational_entries(entries):
         assert not _vanishes(nudged)
 
 
-# values of the one-pass route: integers and rationals (zeros and +-1 often)
-# and polynomial numerators, over integer dens; and factored Macdonald
-# weights, which leave it for _fac_sum
+# integers and rationals (zeros and +-1 often), which _rat_sum adds, and
+# polynomial numerators over integer dens and factored Macdonald weights,
+# which leave it for _fac_sum
 lane_values = st.one_of(
     rationals.map(lambda r: generic(*r)),
     st.tuples(intpolys(), st.integers(1, 60)).map(lambda r: generic(*r)))
@@ -1750,7 +1761,7 @@ def keyed_values(draw):
 @given(keyed_values())
 def test_accumulate_matches_fold(pairs):
     # each key's sum is the fold by +, zero sums dropped; only a group with
-    # the Macdonald value and another nonzero value goes to _fac_sum
+    # a value that is no rational and another nonzero value goes to _fac_sum
     with pytest.MonkeyPatch.context() as mp:
         fac_sums = record(mp, "_fac_sum")
         got = accumulate(pairs)
@@ -1762,7 +1773,7 @@ def test_accumulate_matches_fold(pairs):
     for k, x in got.items():
         assert triple(x) == triple(want[k]) == triple(generic_sum(groups[k]))
     assert len(fac_sums) == sum(
-        any(x.fac[1] for x in xs) and sum(not x.is_zero for x in xs) > 1
+        any(x._q is None for x in xs) and sum(not x.is_zero for x in xs) > 1
         for xs in groups.values())
     for xs in groups.values():      # a zero sum builds no new value
         if scalar_sum(xs).is_zero and not any(x.fac[1] for x in xs):
@@ -2016,6 +2027,60 @@ class TestZeroTestLeaves:
         tbits = zbits * (dq + 1) + 2
         assert scalars_module._packed(leaves, zbits, tbits) == \
             _pack(naive.terms, zbits, tbits)
+
+
+@st.composite
+def non_rationals(draw):
+    """A value that is no rational, of one of four kinds: a polynomial over
+    an integer den, a factored value without _nf, one with _nf, and one
+    over a generic den.  Integer contents are drawn so that they may share
+    a prime with a rational."""
+    kind = draw(st.sampled_from(["int", "factored", "nf", "generic"]))
+    k = draw(st.integers(1, 12))
+    if kind == "generic":
+        x = draw(generic_values())
+    elif kind == "nf":
+        x = _binomial_ratio(*draw(binomial_lists)) * generic(
+            k * draw(st.sampled_from([1, -1])), draw(st.integers(1, 12)))
+    else:
+        den = IntPoly.const(draw(st.integers(1, 12)))
+        if kind == "factored":
+            for a, b in draw(st.lists(binomials, min_size=1, max_size=2)):
+                den = den * IntPoly({(0, 0): 1, (a, b): -1})
+        x = Scalar(draw(intpolys()).mul_int(k), den)
+    assume(x._q is None)
+    assert (x._nf is not None) == (kind == "nf")
+    assert (x.fac is None) == (kind == "generic")
+    return x
+
+
+class TestTimesRational:
+    # x * n/m, n/m * x and x / (n/m) take one route for every kind of x
+    # that is no rational: only integers cancel
+
+    @settings(max_examples=200, deadline=None)
+    @given(non_rationals(), rationals.filter(lambda r: r[0]))
+    def test_matches_the_generic_constructor(self, x, r):
+        n, m = r
+        z = generic(n, m)
+        for y, (a, b) in ((x * z, (n, m)), (z * x, (n, m)), (x / z, (m, n))):
+            want = Scalar(x.num.mul_int(a), x.den.mul_int(b))
+            assert (y.num, y.den, y.fac, y._q) == \
+                (want.num, want.den, want.fac, want._q), (x, r)
+            assert_canonical(y)
+            if x._nf is not None:
+                assert y._nf is not None and y._nf[1] == x._nf[1]
+                assert scalars_module._expand(y._nf) == y.num
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(intpolys(), st.integers(1, 60)).map(lambda r: generic(*r)),
+        rationals.map(lambda r: generic(*r))), min_size=2, max_size=6))
+    def test_integer_den_sums_match_the_generic_fold(self, xs):
+        want = generic_sum(xs)
+        for got in (scalar_sum(xs), functools.reduce(operator.add, xs)):
+            assert triple(got) == triple(want) and got._q == want._q
+            assert_canonical(got)
 
 
 class Corrupted(type(macdonald_rep())):
