@@ -1,11 +1,11 @@
 """Graded Heisenberg-algebra representations and their matrix elements.
 
-A representation is specified by nonzero parameters a_k, a positive degree
-step m with deg(B_k) = -mk, a finite ordered basis per degree, and either
-the generator action raw_B or the exponential-side actions raw_U / raw_D.
-Whichever half is missing is reconstructed through Newton's identities,
-which is legitimate because the positive-index operators commute among
-themselves, as do the negative-index ones.
+A representation is specified by parameters a_k (zero allowed: no a_k is a
+divisor), a positive degree step m with deg(B_k) = -mk, a finite ordered
+basis per degree, and either the generator action raw_B or the
+exponential-side actions raw_U / raw_D.  Whichever half is missing is
+rebuilt by Newton's identities, legitimate because the positive-index
+operators commute among themselves, as do the negative-index ones.
 
 The payoff is the pair of symmetric functions attached to basis indices s, t:
 
@@ -63,7 +63,7 @@ __all__ = [
 
 
 class HeisenbergParams:
-    """Lazily evaluated nonzero parameters a_k, k >= 1."""
+    """Lazily evaluated parameters a_k, k >= 1, any of which may be 0."""
 
     def __init__(self, gen):
         self._gen = gen
@@ -82,8 +82,6 @@ class HeisenbergParams:
             v = self._gen(k)
             if isinstance(v, int):
                 v = Scalar.from_int(v)
-            if v.is_zero:
-                raise ValueError(f"parameter a_{k} vanishes")
             self._cache[k] = v
         return v
 
@@ -554,9 +552,10 @@ def load_bundle(source):
     m = data["degree_step"]
     kmax = data["kmax"]
     dmax = data["dmax"]
-    _require(isinstance(m, int) and m >= 1, "degree_step must be a positive int")
-    _require(isinstance(kmax, int) and kmax >= 1, "kmax must be a positive int")
-    _require(isinstance(dmax, int) and dmax >= 0, "dmax must be a nonnegative int")
+    # type, not isinstance: a JSON true or false is a bool, which is an int
+    _require(type(m) is int and m >= 1, "degree_step must be a positive int")
+    _require(type(kmax) is int and kmax >= 1, "kmax must be a positive int")
+    _require(type(dmax) is int and dmax >= 0, "dmax must be a nonnegative int")
     labels = {}
     for d in range(dmax + 1):
         row = data["basis"].get(str(d))
@@ -576,7 +575,6 @@ def load_bundle(source):
             params[k] = parse(raw)
         except ValueError as e:
             raise BundleFormatError(f"bad scalar for a_{k}: {e}") from None
-        _require(not params[k].is_zero, f"parameter a_{k} is zero")
 
     def read_columns(side, k, d, target):
         # U[k][d] or D[k][d] as the columns of its sources (d, i); D_k below

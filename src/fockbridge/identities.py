@@ -35,6 +35,7 @@ import itertools
 from .heisenberg import (
     BundleRep,
     StateVec,
+    _basis,
     _block,
     _entries,
     _fg,
@@ -43,10 +44,7 @@ from .heisenberg import (
     _op_single,
     _phi_entries,
     _rows,
-    apply_B,
-    bosonic_apply_B,
     load_bundle,
-    phi_map,
 )
 from .partitions import Partition, partitions_of
 from .scalars import _vanishes, accumulate, product
@@ -58,8 +56,6 @@ from .symfunc import (
     _union,
     convert,
     kappa_eval,
-    multiply,
-    perp_apply,
     sym_h,
     theta_apply,
 )
@@ -159,6 +155,12 @@ def _split(entries):
         for key, x, y, sign in entries if sign == side)) for side in (1, -1))
 
 
+def _split_in_p(rep, entries):
+    # _split of entries in the rep's build basis, as symmetric functions in p
+    return tuple(convert(SymFunc(_basis(rep), v.terms), "p")
+                 for v in _split(entries))
+
+
 def verify_heisenberg(rep, kl_max, d_max):
     """Commutators: [B_k, B_{-l}] = k a_k delta, same-sign pairs vanish."""
     rpt = VerifyReport("heisenberg")
@@ -199,7 +201,7 @@ def verify_pieri(rep, k_max, d_max, window=None):
     h_k<a> = sum_nu a_nu / z_nu p_nu.  Each side is a list of entries in
     the build basis: the lhs reads p_nu m_mu (or p_nu p_mu = p_{nu + mu})
     and h_k-perp off integer rows (symfunc._pm_row, _perp_row).  A failure
-    prints both sides in p, the lhs built by multiply or perp_apply.
+    prints both sides in p, summed from those entries.
 
     window, when given, is a hard degree ceiling (a bundle's stored range):
     order-k instances then stop at source degree window - m*k so the
@@ -209,18 +211,14 @@ def verify_pieri(rep, k_max, d_max, window=None):
     b = rep.highest
     m = rep.degree_step
 
-    def column(col, fn, get=_fg):
-        # the entries of sum c * X_t over the entries t: c, X = F or G (fn)
-        return ((lam, x, c, 1) for t, c in col.items()
-                for lam, x in get(rep, fn, t, b).terms.items())
-
-    def check(instance, fn, col, lhs, side):
-        # the column sum minus lhs, both as entries in the build basis; a
-        # failure prints both sides in p, the lhs as side() builds it
-        rpt.record_zero(instance, itertools.chain(lhs, column(col, fn)),
-                        lambda: (side(), SymFunc("p", accumulate(
-                            (lam, x * c)
-                            for lam, x, c, _ in column(col, fn, _in_p)))))
+    def check(instance, fn, col, lhs):
+        # sum c * X_t over col (X = F or G) minus lhs(); lhs printed first
+        def entries():
+            return itertools.chain(lhs(), (
+                (lam, x, c, 1) for t, c in col.items()
+                for lam, x in _fg(rep, fn, t, b).terms.items()))
+        rpt.record_zero(instance, entries(),
+                        lambda: _split_in_p(rep, entries())[::-1])
 
     for k in range(1, k_max + 1):
         deep = d_max if window is None else min(d_max, window - m * k)
@@ -239,12 +237,10 @@ def verify_pieri(rep, k_max, d_max, window=None):
             for s, down in down_cols.items():
                 for fn, col in (("G", up_cols[s]), ("F", ups.get(s, {}))):
                     check(f"k={k} s={s} raise-{fn}", fn, col,
-                          _times_entries(hk, _fg(rep, fn, s, b)),
-                          lambda: multiply(hk, _in_p(rep, fn, s, b)))
+                          lambda: _times_entries(hk, _fg(rep, fn, s, b)))
                 for fn, col in (("G", down), ("F", downs.get(s, {}))):
                     check(f"k={k} s={s} lower-{fn}", fn, col,
-                          _perp_entries("h", k, _fg(rep, fn, s, b)),
-                          lambda: perp_apply(sym_h(k), _in_p(rep, fn, s, b)))
+                          lambda: _perp_entries("h", k, _fg(rep, fn, s, b)))
     return rpt
 
 
@@ -341,26 +337,24 @@ def verify_bf(rep, d_max, l_set):
     phi(B_l v_s) = B_l phi(v_s), B_{-l} multiplying by a_l p_l and B_l
     acting as p_l-perp.  Both sides are entries in the build basis, the
     rhs read off the integer rows of symfunc; a failure prints them in p,
-    the rhs built by bosonic_apply_B."""
+    summed from those entries."""
     rpt = VerifyReport("bf")
 
-    def sides(l, s):
-        v = StateVec.basis(s)
-        return (phi_map(rep, apply_B(rep, l, v)),
-                bosonic_apply_B(phi_map(rep, v), l, rep.params))
+    def entries(l, s):
+        # phi(v_s) is G_{s/highest}; _phi_entries refuses a rep without a
+        # highest index
+        lhs = _phi_entries(rep, _op_single(rep, "B", l, s))
+        g = _fg(rep, "G", s, rep.highest)
+        rhs = _perp_entries("p", l, g) if l > 0 else _times_entries(
+            SymFunc("p", {Partition((-l,)): rep.params.value(-l)}), g)
+        return itertools.chain(lhs, rhs)
 
     for l in sorted(l_set):
         if l == 0:
             raise ValueError("B_0 is not a generator")
         for d, s in _indices_up_to(rep, d_max):
-            # phi(v_s) is G_{s/highest}; _phi_entries refuses a rep without
-            # a highest index
-            lhs = _phi_entries(rep, _op_single(rep, "B", l, s))
-            g = _fg(rep, "G", s, rep.highest)
-            rhs = _perp_entries("p", l, g) if l > 0 else _times_entries(
-                SymFunc("p", {Partition((-l,)): rep.params.value(-l)}), g)
-            rpt.record_zero(f"l={l} s={s}", itertools.chain(lhs, rhs),
-                            lambda: sides(l, s))
+            rpt.record_zero(f"l={l} s={s}", entries(l, s),
+                            lambda: _split_in_p(rep, entries(l, s)))
     return rpt
 
 

@@ -293,7 +293,7 @@ _DEGREE_LIMIT = 1024
 class IntPoly:
     """Integer polynomial in q and t, stored as {(deg_q, deg_t): coeff}."""
 
-    # _val: None, or the value at the probe point (_value); it hashes
+    # _val: None, or the probe value (_value) that gates trial division
     __slots__ = ("terms", "_val")
 
     def __init__(self, terms=None):
@@ -340,12 +340,6 @@ class IntPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        # by the probe value while it comes from the power tables; past them
-        # each term would cost a big power, so by the terms.  Decided by
-        # degree, not by whether _val is cached, so equal polys hash alike
-        if all(i <= _TABLE_DEGREE and j <= _TABLE_DEGREE
-               for i, j in self.terms):
-            return hash(_value(self))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):

@@ -512,6 +512,10 @@ class TestBundleHandling:
         lambda b: b["U"]["1"]["0"][0].__setitem__(0, "(1+q)^"),
         lambda b: b["U"]["1"]["0"][0].__setitem__(0, "(1+q+t)^250"),
         lambda b: b["params"].update({"1": "((1+q)^80)^80"}),
+        # JSON booleans are no ints, though Python's bool is one
+        lambda b: b.update(degree_step=True),
+        lambda b: b.update(kmax=True),
+        lambda b: b.update(dmax=False),
     ])
     def test_wrong_types_exit_two(self, capsys, bundle_path, mutate):
         bundle = rep_to_bundle(fermionic_rep(), 3, 3)

@@ -108,10 +108,12 @@ class TestParams:
         assert p.value(3) == Scalar.from_int(3)
         assert calls == [3]
 
-    def test_zero_rejected(self):
-        p = HeisenbergParams(lambda k: ZERO)
-        with pytest.raises(ValueError, match="vanishes"):
-            p.value(1)
+    def test_zero_is_a_value(self):
+        # no a_k is a divisor, so a vanishing one is returned and cached
+        calls = []
+        p = HeisenbergParams(lambda k: calls.append(k) or ZERO)
+        assert p.value(2) is ZERO and p.value(2) is ZERO
+        assert calls == [2]
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

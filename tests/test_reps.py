@@ -21,7 +21,14 @@ from fockbridge.heisenberg import (
     rep_to_bundle,
     specialize_rep,
 )
-from fockbridge.identities import verify_pieri
+from fockbridge.identities import (
+    diagnose_converse,
+    verify_bf,
+    verify_cauchy,
+    verify_du,
+    verify_heisenberg,
+    verify_pieri,
+)
 from fockbridge.partitions import (
     EMPTY,
     Partition,
@@ -559,6 +566,69 @@ class TestMacdonaldRep:
         # q = t collapses the deformation to plain z
         v = deformed_z(P((2, 1))).specialize({"q": T})
         assert v == Scalar.from_int(2)
+
+
+def b_lambda(lam, t):
+    # b_lam(t) = prod_i phi_{m_i(lam)}(t), phi_m(t) = (1 - t)...(1 - t^m)
+    # (Macdonald, ch. III §2)
+    b = ONE
+    for j in set(lam):
+        for i in range(1, lam.multiplicity(j) + 1):
+            b = b * (ONE - t ** i)
+    return b
+
+
+class TestHallLittlewood:
+    """macdonald_rep at q = 0 is the Hall-Littlewood module; at t = -1 it
+    is Schur's P and Q, whose a_k = 1 - (-1)^k vanish for even k."""
+
+    @staticmethod
+    def schur_q():
+        return specialize_rep(macdonald_rep(), {"q": 0, "t": -1})
+
+    @pytest.mark.parametrize("at_minus_one", [False, True])
+    def test_f_is_b_lambda_times_g(self, at_minus_one):
+        # Q_lam = b_lam(t) P_lam (Macdonald, ch. III §2); at t = -1, b_lam
+        # is 2^l(lam) on strict lam and 0 otherwise
+        rep = self.schur_q() if at_minus_one else \
+            specialize_rep(macdonald_rep(), {"q": 0})
+        t = Scalar.from_int(-1) if at_minus_one else T
+        checked = 0
+        for d in range(7):
+            for lam in partitions_of(d):
+                b = b_lambda(lam, t)
+                if at_minus_one:
+                    strict = len(set(lam)) == len(lam)
+                    assert b == Scalar.from_int(2 ** len(lam) if strict else 0)
+                assert compute_F(rep, lam, EMPTY) == \
+                    compute_G(rep, lam, EMPTY).scaled(b), lam
+                checked += 1
+        assert checked == 30
+
+    def test_suites_pass_with_vanishing_parameters(self):
+        rep = self.schur_q()
+        assert [rep.params.value(k) for k in range(1, 5)] == \
+            [Scalar.from_int(n) for n in (2, 0, 2, 0)]
+        for rpt, checked in ((verify_heisenberg(rep, 2, 5), 114),
+                             (verify_pieri(rep, 2, 5), 152),
+                             (verify_du(rep, 2, 5), 76),
+                             (verify_bf(rep, 5, (-2, -1, 1, 2)), 76),
+                             (verify_cauchy(rep, 2, 2, 8), 1)):
+            assert (rpt.passed, len(rpt.checked)) == (True, checked), rpt
+
+    def test_converse_with_vanishing_parameters(self):
+        bundle = rep_to_bundle(self.schur_q(), 3, 5)
+        assert bundle["params"] == {"1": "2", "2": "0", "3": "2"}
+        rpt = diagnose_converse(bundle)
+        assert rpt.passed and rpt.precondition_ok
+        assert [len(r.checked) for r in (rpt.commutation, rpt.du,
+                                         rpt.pieri)] == [22, 21, 28]
+        # every a_k set to 2: du and pieri fail, commutation cannot see it
+        bundle["params"] = {k: "2" for k in bundle["params"]}
+        rpt = diagnose_converse(bundle)
+        assert rpt.commutation.passed
+        assert [(len(r.failures), len(r.checked))
+                for r in (rpt.du, rpt.pieri)] == [(5, 21), (6, 28)]
 
 
 class TestSums:

@@ -32,6 +32,7 @@ from fockbridge.scalars import (
     _cyclotomic,
     _factor,
     _pack,
+    _poly,
     _probe,
     _prs_gcd,
     _tq_gcd_heu,
@@ -1793,12 +1794,14 @@ def test_generic_gcd_degree_bound():
 def test_generic_gcd_hashes_bounded_polynomials(monkeypatch):
     # the gcd memo is keyed by the pair with its monomials divided out,
     # whose degree the limit bounds: hashed by its probe value, a 20-Mbit
-    # power, q^1000000 took 4 s to key
+    # power, q^1000000 took 4 s to key.  Keys hash by their terms; a probe
+    # that runs (the trial-division gate) stays inside the bound
     probes = record(monkeypatch, "_probe")
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="total degree"):
         parse_scalar("1/(q^1000000-1)+1/(1-q)")
     x = parse_scalar("q^1000000*(1+q)/(1+q+t)")
-    assert probes
+    assert time.perf_counter() - start < 1
     assert all(max(i + j for i, j in p.terms) <= 1024 for (p,), _ in probes)
     monkeypatch.undo()
     assert x * parse_scalar("1+q+t") == Q ** 1000000 * (ONE + Q)
@@ -1833,8 +1836,8 @@ def test_factor_registers_binomials_from_newton_polygon():
 
 
 def test_hash_past_the_probe_tables():
-    # within the power tables a poly hashes by its probe value, past them by
-    # its terms: by degree, so a cached _val does not change the hash
+    # a poly hashes by its terms, within the probe's power tables and past
+    # them, so a cached _val does not change the hash
     for terms in ({(3, 1): 2, (0, 0): -1}, {(256, 256): 1, (1, 0): 5},
                   {(300, 0): 1, (0, 2): 3}, {(0, 100000): -7}):
         a, b = IntPoly(terms), IntPoly(terms)
@@ -1848,6 +1851,30 @@ def test_hash_past_the_probe_tables():
     hash(x)
     assert time.perf_counter() - start < 0.1
     assert len({x, parse_scalar("q^1000000"), Q ** 1000000}) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(intpolys(), intpolys(), intpolys())
+def test_equal_polys_hash_alike(a, b, c):
+    # a * b built four ways: from a dict, by the trusted _poly, as a product
+    # and as an exact quotient; hashing computes no probe value
+    terms = {}
+    for (i, j), x in a.terms.items():
+        for (k, l), y in b.terms.items():
+            terms[(i + k, j + l)] = terms.get((i + k, j + l), 0) + x * y
+    terms = {m: x for m, x in terms.items() if x}
+    built = [IntPoly(terms), _poly(dict(terms)), a * b]
+    if not c.is_zero:
+        built.append((a * b * c).divexact(c))
+    scalars_module._value(built[0])
+    for x in built:
+        assert x == built[0] and hash(x) == hash(built[0])
+    assert all(x._val is None for x in built[1:])
+    others = [a, b, c, a * c]
+    for x in others:
+        for y in others + built:
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 # ---------------------------------------------------------------------------
